@@ -10,7 +10,6 @@ from .engine import (
     ExperimentConfig,
     Trajectory,
     dense_grover_matrix,
-    run_extended,
     run_search,
     superposition_register,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "predicted_population",
     "propagate",
     "random_phase_f",
-    "run_extended",
     "run_search",
     "superposition_register",
     "unitarity_defect",

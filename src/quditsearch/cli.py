@@ -8,26 +8,20 @@ the equal-superposition gate contract.  Angles are radians everywhere;
 floats are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 runtime failure (e.g. pulse left population on
-the ancilla), 2 usage or validation error.
+the ancilla), 2 usage, validation or file error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .engine import ExperimentConfig, Trajectory, run_search
 from .fgates import coupling_design, make_f, validate_f
-from .multipod import (
-    LeakageError,
-    PulseJob,
-    analytic_sech_phase,
-    extract_reflection,
-    propagate,
-)
+from .multipod import PulseJob, analytic_sech_phase, extract_reflection, propagate
 from .register import BasisIndex, QuditShape
 from .scheduler import (
     SearchSchedule,
@@ -57,20 +51,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _schedule_dict(schedule: SearchSchedule) -> dict:
-    return {
-        "N": schedule.N,
-        "beta": schedule.beta,
-        "j": schedule.j,
-        "phi": schedule.phi,
-        "steps": schedule.steps,
-        "mode": schedule.mode,
-    }
+def _emit_fields(fields: dict, fmt: str, out: str | None) -> None:
+    """Write flat fields as JSON or as key,value CSV."""
+    if fmt == "json":
+        _emit(json.dumps(fields, indent=2) + "\n", out)
+        return
+
+    def cell(v) -> str:
+        if isinstance(v, float):
+            return _fmt(v)
+        return "" if v is None else str(v)
+
+    body = "".join(f"{k},{cell(v)}\n" for k, v in fields.items())
+    _emit("key,value\n" + body, out)
 
 
 def _trajectory_dict(schedule: SearchSchedule, traj: Trajectory) -> dict:
     return {
-        "schedule": _schedule_dict(schedule),
+        "schedule": dataclasses.asdict(schedule),
         "trajectory": [float(p) for p in traj.populations],
         "peak_step": traj.peak_step,
         "peak_population": float(traj.peak_population),
@@ -144,9 +142,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         marks = [int(tok) for tok in str(opts["sweep"]).split(",") if tok != ""]
         if not marks:
             raise ValueError("--sweep needs a comma-separated list of marked indices")
-        configs = [build(m) for m in marks]
-        with ThreadPoolExecutor(max_workers=min(8, len(configs))) as pool:
-            trajectories = list(pool.map(run_search, configs))
+        trajectories = [run_search(build(m)) for m in marks]
         if opts["format"] == "json":
             payload = [
                 {"marked": m, **_trajectory_dict(schedule, t)}
@@ -187,13 +183,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         "steps": det.steps,
         "canonical_steps": canonical.steps,
     }
-    if args.format == "json":
-        _emit(json.dumps(fields, indent=2) + "\n", args.out)
-    else:
-        body = "\n".join(
-            f"{k},{_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items()
-        )
-        _emit("key,value\n" + body + "\n", args.out)
+    _emit_fields(fields, args.format, args.out)
     return 0
 
 
@@ -205,7 +195,7 @@ def _cmd_pulse_check(args: argparse.Namespace) -> int:
         shape=args.shape,
     )
     fit = extract_reflection(propagate(job), job.couplings)
-    fields: dict = {
+    fields = {
         "d": args.d,
         "shape": args.shape,
         "deltaT": args.deltaT,
@@ -215,14 +205,7 @@ def _cmd_pulse_check(args: argparse.Namespace) -> int:
         "residual": fit.residual,
         "leakage": fit.leakage,
     }
-    if args.format == "json":
-        _emit(json.dumps(fields, indent=2) + "\n", args.out)
-    else:
-        body = "\n".join(
-            f"{k},{_fmt(v) if isinstance(v, float) else ('' if v is None else v)}"
-            for k, v in fields.items()
-        )
-        _emit("key,value\n" + body + "\n", args.out)
+    _emit_fields(fields, args.format, args.out)
     return 0 if fit.residual < 1e-4 else 1
 
 
@@ -235,13 +218,7 @@ def _cmd_validate_f(args: argparse.Namespace) -> int:
         "column_deviation": report.column_deviation,
         "passed": report.passed,
     }
-    if args.format == "json":
-        _emit(json.dumps(fields, indent=2) + "\n", args.out)
-    else:
-        body = "\n".join(
-            f"{k},{_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items()
-        )
-        _emit("key,value\n" + body + "\n", args.out)
+    _emit_fields(fields, args.format, args.out)
     return 0 if report.passed else 1
 
 
@@ -265,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--config", help="JSON file with the same keys; flags override")
-    p.add_argument("--sweep", help="comma-separated marked indices, run in parallel")
+    p.add_argument("--sweep", help="comma-separated marked indices, run in order")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("schedule", help="print phase-matching parameters")
@@ -303,12 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LeakageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgates import FGate, make_f
+from .fgates import FGate, make_f, validate_f
 from .reflections import apply_local_gate, diffusion_via_gates, grover_step, oracle
 from .register import BasisIndex, QuditShape, StateVector, basis_state, population
 from .scheduler import SearchSchedule
@@ -30,7 +30,6 @@ class ExperimentConfig:
     schedule: SearchSchedule
     f_kind: str = "householder"
     diffusion_path: str = "direct"
-    record: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.marked.flat < self.shape.N:
@@ -72,10 +71,32 @@ def superposition_register(shape: QuditShape, f: FGate | np.ndarray) -> StateVec
 
 
 def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:
-    return f_gate if f_gate is not None else make_f(cfg.shape.d, cfg.f_kind)
+    """The explicit gate if given (it must meet the F contract), else cfg.f_kind."""
+    if f_gate is None:
+        return make_f(cfg.shape.d, cfg.f_kind)
+    report = validate_f(f_gate)
+    if not report.passed:
+        raise ValueError(
+            f"F gate fails its contract: unitarity defect "
+            f"{report.unitarity_defect:.3e}, first-column deviation "
+            f"{report.column_deviation:.3e}"
+        )
+    return f_gate
 
 
-def _run(cfg: ExperimentConfig, steps: int, f_gate: FGate | None) -> Trajectory:
+def run_search(
+    cfg: ExperimentConfig, f_gate: FGate | None = None, steps: int | None = None
+) -> Trajectory:
+    """Run Grover steps and record the marked-state population after each.
+
+    ``steps`` defaults to the schedule's step count; more steps expose the
+    oscillatory tail past the schedule.  An explicit ``f_gate`` (e.g. a
+    pulse-synthesized matrix) overrides the config's f_kind tag.
+    """
+    if steps is None:
+        steps = cfg.schedule.steps
+    elif steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     f = _resolve_f(cfg, f_gate)
     state = superposition_register(cfg.shape, f)
     axis = state.copy()
@@ -88,30 +109,8 @@ def _run(cfg: ExperimentConfig, steps: int, f_gate: FGate | None) -> Trajectory:
         else:
             oracle(state, marked, phi)
             diffusion_via_gates(state, f.matrix, phi)
-        if cfg.record:
-            populations.append(population(state, marked))
-    if not cfg.record:
         populations.append(population(state, marked))
     return Trajectory.from_populations(populations)
-
-
-def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory:
-    """Run the scheduled number of Grover steps and record the trajectory.
-
-    With record=False only the initial and final populations are kept.
-    An explicit ``f_gate`` (e.g. a pulse-synthesized matrix) overrides
-    the config's f_kind tag.
-    """
-    return _run(cfg, cfg.schedule.steps, f_gate)
-
-
-def run_extended(
-    cfg: ExperimentConfig, extra_steps: int, f_gate: FGate | None = None
-) -> Trajectory:
-    """Keep iterating past the schedule to expose the oscillatory tail."""
-    if extra_steps < 0:
-        raise ValueError(f"extra_steps must be >= 0, got {extra_steps}")
-    return _run(cfg, cfg.schedule.steps + extra_steps, f_gate)
 
 
 def dense_grover_matrix(

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reflections import unitarity_defect
+
 
 @dataclass(frozen=True)
 class FGate:
@@ -107,7 +109,7 @@ def validate_f(f: FGate | np.ndarray) -> FValidation:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"F must be a square matrix, got shape {matrix.shape}")
     d = matrix.shape[0]
-    unit_defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d))))
+    unit_defect = unitarity_defect(matrix)
     col_dev = float(np.max(np.abs(np.abs(matrix[:, 0]) - d**-0.5)))
     return FValidation(d, unit_defect, col_dev, unit_defect < 1e-10 and col_dev < 1e-10)
 

@@ -101,6 +101,9 @@ class PulseJob:
         )
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"pulse shape {self.shape!r} not in {PULSE_SHAPES}")
+        scalars = (self.detuning, self.rms_area, self.width)
+        if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.couplings))):
+            raise ValueError("pulse detuning, area, width and couplings must be finite")
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
         if self.t_max < 20.0:
@@ -140,10 +143,6 @@ class Propagator:
         """
         d = self.job.d
         return float(np.linalg.norm(self.matrix[d, :d]))
-
-    def unitarity_defect(self) -> float:
-        dim = self.matrix.shape[0]
-        return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim))))
 
 
 def _envelope(shape: str):

@@ -48,12 +48,8 @@ class Reflection:
 
 
 def apply_reflection(s: StateVector, r: Reflection) -> StateVector:
-    """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>."""
-    if r.axis.shape != s.shape:
-        raise ValueError(f"shape mismatch: axis {r.axis.shape} vs state {s.shape}")
-    coef = (np.exp(1j * r.phase) - 1.0) * np.vdot(r.axis.amps, s.amps)
-    s.amps += coef * r.axis.amps
-    return s
+    """Apply M(chi, phi) in place; the axis norm was checked by Reflection."""
+    return diffusion_direct(s, r.axis, r.phase)
 
 
 def oracle(s: StateVector, marked: IndexLike, phi: float) -> StateVector:
@@ -102,7 +98,7 @@ def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVecto
 
 
 def diffusion_direct(s: StateVector, axis_state: StateVector, phi: float) -> StateVector:
-    """Reflection about a precomputed unit axis, as a single rank-1 pass.
+    """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>.
 
     The axis is assumed unit-norm (it is F^(x)n |0> in the search loop);
     no per-call normalization check, to keep the step at two O(N) passes.

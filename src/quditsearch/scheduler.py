@@ -19,10 +19,8 @@ unit population.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 
@@ -47,24 +45,21 @@ def _beta(N: int) -> float:
 def _floor_step_index(N: int, beta: float) -> int:
     """Mathematical floor of pi/(4 beta) + 1/2, stable at representation edges.
 
-    The double-precision value can straddle an integer (N = 4 lands on
-    exactly 2 in real arithmetic); when a 1-ulp perturbation changes the
-    floor, warn and settle the boundary with 50-digit arithmetic.
+    The argument is an integer j only when sin^2(pi/(4j - 2)) = 1/N, which
+    by Niven's theorem happens for N >= 2 only at N = 4 (j = 2); there
+    the double-precision value can straddle 2, so it is returned exactly.
+    Any other N whose floor a 1-ulp perturbation would change raises.
     """
+    if N == 4:
+        return 2
     x = math.pi / (4.0 * beta) + 0.5
     lo = math.floor(math.nextafter(x, -math.inf))
     hi = math.floor(math.nextafter(x, math.inf))
-    if lo == hi:
-        return math.floor(x)
-    warnings.warn(
-        f"floor of pi/(4 beta) + 1/2 is unstable to 1 ulp at N={N}; "
-        f"resolving with 50-digit arithmetic",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    with mpmath.workdps(50):
-        exact = mpmath.pi / (4 * mpmath.asin(1 / mpmath.sqrt(N))) + mpmath.mpf(1) / 2
-        return int(mpmath.floor(exact))
+    if lo != hi:
+        raise RuntimeError(
+            f"floor of pi/(4 beta) + 1/2 is unstable to 1 ulp at N={N}"
+        )
+    return math.floor(x)
 
 
 def matched_phase(N: int, steps: int) -> float:
@@ -104,6 +99,8 @@ def custom_schedule(N: int, phi: float, steps: int) -> SearchSchedule:
     beta = _beta(N)
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     j = _floor_step_index(N, beta)
     return SearchSchedule(N, beta, j, float(phi), int(steps), "custom")
 

@@ -6,7 +6,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the PASS lines.
 import math
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -50,12 +49,6 @@ def config(d, n, schedule, marked=0, **kw):
     )
 
 
-def quiet_deterministic(N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return deterministic_schedule(N)
-
-
 def test_criterion_1_five_qutrit_figure():
     start = time.perf_counter()
     traj = run_search(config(3, 5, deterministic_schedule(243), marked=42))
@@ -76,8 +69,8 @@ def test_criterion_2_deterministic_guarantee():
             N = d**n
             if N < 4:
                 continue
-            sched = quiet_deterministic(N)
-            traj = run_search(config(d, n, sched, marked=N - 1, record=False))
+            sched = deterministic_schedule(N)
+            traj = run_search(config(d, n, sched, marked=N - 1))
             final = traj.populations[-1]
             assert final >= 1 - 1e-6, f"d={d} n={n}: {final}"
             worst = min(worst, final)
@@ -93,7 +86,7 @@ def test_criterion_3_two_state_model_equivalence():
     for n in (2, 3, 4, 5):
         shape = QuditShape(3, n)
         N = shape.N
-        for sched in (canonical_schedule(N), quiet_deterministic(N)):
+        for sched in (canonical_schedule(N), deterministic_schedule(N)):
             traj = run_search(config(3, n, sched, marked=N // 3))
             for k, pop in enumerate(traj.populations):
                 diff = abs(pop - predicted_population(N, k, sched.phi))
@@ -106,7 +99,7 @@ def test_criterion_4_dense_oracle_equivalence():
     worst = 0.0
     for d, n in ((2, 4), (3, 3), (2, 6), (3, 4)):
         N = d**n
-        sched = custom_schedule(N, quiet_deterministic(N).phi, 12)
+        sched = custom_schedule(N, deterministic_schedule(N).phi, 12)
         cfg = config(d, n, sched, marked=N // 2)
         g = dense_grover_matrix(cfg)
         assert np.max(np.abs(g.conj().T @ g - np.eye(N))) < 1e-10
@@ -218,7 +211,7 @@ def test_criterion_9_trajectory_invariance():
 
 def test_criterion_10_performance():
     shape = QuditShape(3, 12)  # N = 531441
-    sched = quiet_deterministic(shape.N)
+    sched = deterministic_schedule(shape.N)
     marked = 12345
     axis = superposition_register(shape, make_f(3, "householder"))
     state = axis.copy()

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quditsearch
 from quditsearch.cli import main
 
 
@@ -90,6 +94,9 @@ def test_search_custom_mode_flag_rules(capsys):
     code, _, err = run_cli(capsys, "search", "--d", "2", "--n", "2",
                            "--phi", "1.0")
     assert code == 2 and "custom" in err
+    code, out, err = run_cli(capsys, "search", "--d", "2", "--n", "2",
+                             "--mode", "custom", "--phi", "nan", "--steps", "2")
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_search_byte_identical_runs(capsys):
@@ -122,6 +129,21 @@ def test_search_config_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "search", "--config", str(cfg), "--n", "2")
     assert code == 0
     assert json.loads(out)["schedule"]["N"] == 9
+
+
+def test_search_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(capsys, "search", "--config", str(missing))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_search_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code, _, err = run_cli(capsys, "search", "--d", "2", "--n", "2",
+                           "--out", str(target))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_search_config_rejects_unknown_keys(tmp_path, capsys):
@@ -227,6 +249,19 @@ def test_pulse_check_off_return_area_fails(capsys):
     code, _, err = run_cli(capsys, "pulse-check", "--d", "4", "--area", "12.566")
     assert code == 1
     assert "leakage" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--deltaT", "nan"), ("--area", "inf")])
+def test_pulse_check_rejects_non_finite(flag, value):
+    # a fresh interpreter with a timeout, so a hanging integration fails the test
+    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quditsearch", "pulse-check", "--d", "3", flag, value],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
 
 
 def test_pulse_check_gaussian_has_no_analytic_phase(capsys):

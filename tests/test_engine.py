@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +6,10 @@ import pytest
 from quditsearch.engine import (
     ExperimentConfig,
     dense_grover_matrix,
-    run_extended,
     run_search,
     superposition_register,
 )
-from quditsearch.fgates import dft, householder_f
+from quditsearch.fgates import FGate, dft, householder_f
 from quditsearch.register import BasisIndex, QuditShape
 from quditsearch.reflections import grover_step
 from quditsearch.scheduler import (
@@ -30,12 +28,6 @@ def config(d, n, schedule, marked=0, **kw):
         schedule=schedule,
         **kw,
     )
-
-
-def quiet_deterministic(N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return deterministic_schedule(N)
 
 
 # ---- run_search -----------------------------------------------------------
@@ -65,48 +57,41 @@ def test_zero_step_schedule():
     assert traj.peak_step == 0
 
 
-def test_record_false_keeps_endpoints_only():
-    cfg = config(3, 3, quiet_deterministic(27), record=False)
-    traj = run_search(cfg)
-    assert len(traj.populations) == 2
-    assert traj.populations[0] == pytest.approx(1 / 27, abs=1e-12)
-    assert traj.populations[1] >= 1 - 1e-6
-
-
 def test_populations_within_unit_bound():
     for d, n in [(2, 4), (3, 3), (5, 2)]:
-        cfg = config(d, n, quiet_deterministic(d**n), marked=1)
-        traj = run_extended(cfg, 20)
+        cfg = config(d, n, deterministic_schedule(d**n), marked=1)
+        traj = run_search(cfg, steps=cfg.schedule.steps + 20)
         assert np.all(traj.populations <= 1 + 1e-12)
         assert np.all(traj.populations >= 0)
         assert traj.peak_population >= 1 - 1e-6
 
 
-# ---- run_extended -----------------------------------------------------------
+# ---- steps past the schedule ---------------------------------------------------
 
 
 def test_extended_run_shows_oscillatory_tail():
     sched = deterministic_schedule(243)
     cfg = config(3, 5, sched, marked=7)
-    traj = run_extended(cfg, 40 - sched.steps)
+    traj = run_search(cfg, steps=40)
     assert len(traj.populations) == 41
     assert traj.populations.max() >= 1 - 1e-6
     assert traj.populations[sched.steps + 1 :].min() < 0.05
 
 
 def test_extended_zero_extra_matches_run_search():
-    cfg = config(3, 3, quiet_deterministic(27), marked=5)
+    cfg = config(3, 3, deterministic_schedule(27), marked=5)
     np.testing.assert_array_equal(
-        run_extended(cfg, 0).populations, run_search(cfg).populations
+        run_search(cfg, steps=cfg.schedule.steps).populations,
+        run_search(cfg).populations,
     )
     with pytest.raises(ValueError, match=">= 0"):
-        run_extended(cfg, -1)
+        run_search(cfg, steps=-1)
 
 
 def test_single_qubit_pi_populations_repeat_with_period_three():
     # N=2 is a quarter-turn rotation; populations settle into a cycle
     cfg = config(2, 1, canonical_schedule(2))
-    traj = run_extended(cfg, 20)
+    traj = run_search(cfg, steps=cfg.schedule.steps + 20)
     pops = traj.populations
     for k in range(len(pops) - 3):
         assert pops[k] == pytest.approx(pops[k + 3], abs=1e-9)
@@ -129,7 +114,7 @@ def test_dense_matrix_matches_hand_built_n4():
 
 
 def test_dense_matrix_unitary_n81():
-    cfg = config(3, 4, quiet_deterministic(81), marked=3)
+    cfg = config(3, 4, deterministic_schedule(81), marked=3)
     g = dense_grover_matrix(cfg)
     assert np.max(np.abs(g.conj().T @ g - np.eye(81))) < 1e-10
 
@@ -140,7 +125,7 @@ def test_matrix_power_trajectory_matches_kernel(phi_mode):
     if phi_mode == "pi":
         sched = custom_schedule(81, math.pi, 12)
     else:
-        sched = custom_schedule(81, quiet_deterministic(81).phi, 12)
+        sched = custom_schedule(81, deterministic_schedule(81).phi, 12)
     cfg = config(3, 4, sched, marked=17)
     g = dense_grover_matrix(cfg)
     v = superposition_register(shape, householder_f(3)).amps
@@ -151,7 +136,7 @@ def test_matrix_power_trajectory_matches_kernel(phi_mode):
 
 
 def test_dense_matrix_size_limit():
-    cfg = config(2, 11, quiet_deterministic(2048))
+    cfg = config(2, 11, deterministic_schedule(2048))
     with pytest.raises(ValueError, match="1024"):
         dense_grover_matrix(cfg)
 
@@ -202,6 +187,15 @@ def test_pulse_style_custom_gate_override():
     np.testing.assert_allclose(base.populations, run_search(cfg).populations, atol=1e-12)
     alt = run_search(cfg, f_gate=dft(3))
     np.testing.assert_allclose(base.populations, alt.populations, atol=1e-9)
+
+
+def test_explicit_gate_must_meet_f_contract():
+    # every first-column modulus is 1/sqrt(3), but the columns are equal,
+    # so the gate is not unitary
+    cfg = config(3, 2, deterministic_schedule(9))
+    gate = FGate(np.full((3, 3), 3**-0.5), "custom")
+    with pytest.raises(ValueError, match="contract"):
+        run_search(cfg, f_gate=gate)
 
 
 # ---- config validation --------------------------------------------------------------

@@ -16,6 +16,7 @@ from quditsearch.multipod import (
     verify_f_pulse,
     wrap_phase,
 )
+from quditsearch.reflections import unitarity_defect
 
 TWO_PI = 2 * math.pi
 
@@ -77,6 +78,15 @@ def test_pulse_job_validation():
         PulseJob(couplings=np.ones(3), detuning=0.0, rms_area=TWO_PI, width=0.0)
     with pytest.raises(ValueError, match="zero"):
         PulseJob(couplings=np.zeros(2), detuning=0.0, rms_area=TWO_PI)
+    for field in (
+        {"detuning": math.nan},
+        {"rms_area": math.inf},
+        {"width": math.nan},
+        {"couplings": np.array([1.0, math.nan, 1.0])},
+    ):
+        kw = {"couplings": np.ones(3), "detuning": 0.0, "rms_area": TWO_PI, **field}
+        with pytest.raises(ValueError, match="finite"):
+            PulseJob(**kw)
 
 
 def test_peak_rms_rabi():
@@ -116,7 +126,7 @@ def test_dark_states_do_not_evolve():
 def test_propagator_unitarity_and_dark_space_grid(d, area, delta_t):
     job = sech_job(d, delta_t, area)
     prop = propagate(job)
-    assert prop.unitarity_defect() < 1e-8
+    assert unitarity_defect(prop.matrix) < 1e-8
     # the dark subspace must ride through untouched, whatever the job
     dark = morris_shore(job.couplings).dark
     sub = dark.conj().T @ prop.qudit_block @ dark

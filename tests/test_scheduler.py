@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +12,6 @@ from quditsearch.scheduler import (
     matched_phase,
     predicted_population,
 )
-
-
-def quiet_deterministic(N):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return deterministic_schedule(N)
 
 
 # ---- deterministic_schedule -------------------------------------------------
@@ -35,9 +28,8 @@ def test_deterministic_n243():
 
 def test_deterministic_n4_boundary():
     # pi/(4 beta) + 1/2 is exactly 2 in real arithmetic; the double floor
-    # is unstable there and the high-precision fallback must kick in.
-    with pytest.warns(RuntimeWarning, match="unstable"):
-        sched = deterministic_schedule(4)
+    # is unstable there, so j is returned exactly, with no warning.
+    sched = deterministic_schedule(4)
     assert sched.beta == pytest.approx(math.pi / 6, abs=1e-15)
     assert sched.j == 2
     assert sched.steps == 3  # (2j-1) beta = pi/2 exactly
@@ -51,19 +43,20 @@ def test_deterministic_rejects_small_n():
 
 def test_phase_in_range_and_steps_near_j():
     for N in list(range(2, 200)) + [500, 1000, 4096, 10**6]:
-        sched = quiet_deterministic(N)
+        sched = deterministic_schedule(N)
         assert 0.0 < sched.phi <= math.pi + 1e-15
         assert sched.steps in (sched.j, sched.j + 1)
 
 
 def test_matched_phase_arcsin_domain_guard():
-    # the arcsin argument stays <= 1 across sizes; spot-check a wide sweep
+    # the arcsin argument stays <= 1 and the floor guard never raises:
+    # every N up to 2^16, then a spot-check of larger sizes
     rng = np.random.default_rng(123)
-    sample = set(range(2, 4097))
-    sample.update(int(x) for x in np.geomspace(4097, 10**6, 200))
-    sample.update(int(x) for x in rng.integers(4097, 10**6, 300))
+    sample = set(range(2, 2**16 + 1))
+    sample.update(int(x) for x in np.geomspace(2**16 + 1, 10**6, 200))
+    sample.update(int(x) for x in rng.integers(2**16 + 1, 10**6, 300))
     for N in sorted(sample):
-        sched = quiet_deterministic(N)
+        sched = deterministic_schedule(N)
         assert math.isfinite(sched.phi)
 
 
@@ -73,9 +66,9 @@ def test_matched_phase_below_minimum_steps():
 
 
 def test_monotone_setup():
-    prev = quiet_deterministic(2)
+    prev = deterministic_schedule(2)
     for N in range(3, 1025):
-        sched = quiet_deterministic(N)
+        sched = deterministic_schedule(N)
         assert sched.beta < prev.beta
         assert sched.j >= prev.j
         prev = sched
@@ -86,9 +79,7 @@ def test_monotone_setup():
 
 def test_canonical_step_counts():
     assert canonical_schedule(243).steps == 12
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert canonical_schedule(4).steps == 2
+    assert canonical_schedule(4).steps == 2
     assert canonical_schedule(2).steps == 1
     assert canonical_schedule(243).phi == math.pi
 
@@ -106,6 +97,9 @@ def test_custom_schedule_fields():
     assert (sched.N, sched.phi, sched.steps, sched.mode) == (9, 1.5, 7, "custom")
     with pytest.raises(ValueError, match=">= 0"):
         custom_schedule(9, 1.5, -1)
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            custom_schedule(9, phi, 2)
 
 
 # ---- predicted_population ------------------------------------------------------
@@ -139,7 +133,7 @@ def test_predicted_rejects_negative_steps():
 def test_two_state_model_matches_simulation(n):
     shape = QuditShape(3, n)
     N = shape.N
-    for sched in (quiet_deterministic(N), canonical_schedule(N)):
+    for sched in (deterministic_schedule(N), canonical_schedule(N)):
         cfg = ExperimentConfig(
             shape=shape,
             marked=BasisIndex.from_flat(shape, N // 2),
@@ -155,13 +149,12 @@ def test_two_state_model_matches_simulation(n):
 def test_determinism_guarantee_full_simulation():
     # every N in [4, 1024] as a single-qudit register of dimension N
     for N in range(4, 1025):
-        sched = quiet_deterministic(N)
+        sched = deterministic_schedule(N)
         shape = QuditShape(N, 1)
         cfg = ExperimentConfig(
             shape=shape,
             marked=BasisIndex.from_flat(shape, N // 2),
             schedule=sched,
-            record=False,
         )
         final = run_search(cfg).populations[-1]
         assert final >= 1 - 1e-6, f"N={N}: final population {final}"
