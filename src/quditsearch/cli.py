@@ -21,7 +21,9 @@ import sys
 
 from .engine import ExperimentConfig, Trajectory, run_search
 from .fgates import coupling_design, make_f, validate_f
-from .multipod import PulseJob, analytic_sech_phase, extract_reflection, propagate
+from .multipod import (
+    PULSE_SHAPES, PulseJob, analytic_sech_phase, extract_reflection, propagate,
+)
 from .register import BasisIndex, QuditShape
 from .scheduler import (
     SearchSchedule,
@@ -34,7 +36,6 @@ _SEARCH_DEFAULTS = {
     "marked": 0,
     "mode": "deterministic",
     "f": "householder",
-    "diffusion": "direct",
     "format": "csv",
 }
 
@@ -98,19 +99,15 @@ def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
 
 
 def _resolve_schedule(N: int, mode: str, phi, steps) -> SearchSchedule:
-    if mode == "deterministic":
-        if phi is not None or steps is not None:
-            raise ValueError("--phi/--steps are only valid with --mode custom")
-        return deterministic_schedule(N)
-    if mode == "pi":
-        if phi is not None or steps is not None:
-            raise ValueError("--phi/--steps are only valid with --mode custom")
-        return canonical_schedule(N)
     if mode == "custom":
         if phi is None or steps is None:
             raise ValueError("--mode custom requires both --phi and --steps")
         return custom_schedule(N, float(phi), int(steps))
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("deterministic", "pi"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if phi is not None or steps is not None:
+        raise ValueError("--phi/--steps are only valid with --mode custom")
+    return deterministic_schedule(N) if mode == "deterministic" else canonical_schedule(N)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -123,9 +120,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("search requires --d and --n (flags or config file)")
     shape = QuditShape(int(opts["d"]), int(opts["n"]))
     schedule = _resolve_schedule(shape.N, opts["mode"], opts["phi"], opts["steps"])
-    diffusion = {"direct": "direct", "gates": "via_gates"}.get(opts["diffusion"])
-    if diffusion is None:
-        raise ValueError(f"unknown diffusion path {opts['diffusion']!r}")
 
     def build(marked_flat: int) -> ExperimentConfig:
         return ExperimentConfig(
@@ -133,7 +127,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             marked=BasisIndex.from_flat(shape, int(marked_flat)),
             schedule=schedule,
             f_kind=opts["f"],
-            diffusion_path=diffusion,
         )
 
     if opts["sweep"] is not None:
@@ -238,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, help="phase in radians (custom mode only)")
     p.add_argument("--steps", type=int, help="step count (custom mode only)")
     p.add_argument("--f", help="householder | dft | random:SEED")
-    p.add_argument("--diffusion", choices=["direct", "gates"])
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--config", help="JSON file with the same keys; flags override")
@@ -257,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--deltaT", type=float, default=0.0, help="detuning-width product")
     p.add_argument("--area", type=float, default=2.0 * math.pi, help="RMS pulse area")
-    p.add_argument("--shape", choices=["sech", "gaussian"], default="sech")
+    p.add_argument("--shape", choices=PULSE_SHAPES, default="sech")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pulse_check)

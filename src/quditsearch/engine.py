@@ -1,10 +1,10 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
 A run prepares |0...0>, applies F to every qudit, then iterates the
-Grover step.  The diffusion axis F^(x)n |0> is precomputed once; the
-default path applies it as a rank-1 update (two O(N) passes per step),
-while the via-gates path rebuilds the diffusion from 2n local-gate
-sweeps and exists for cross-validation.
+Grover step.  The diffusion axis F^(x)n |0> is precomputed once and
+applied as a rank-1 update (two O(N) passes per step).  The local-gate
+sandwich ``reflections.diffusion_via_gates`` is not a run path; tests
+compare against it.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgates import FGate, make_f, validate_f
-from .reflections import apply_local_gate, diffusion_via_gates, grover_step, oracle
+from .reflections import apply_local_gate, grover_step
 from .register import BasisIndex, QuditShape, StateVector, basis_state, population
 from .scheduler import SearchSchedule
-
-DIFFUSION_PATHS = ("direct", "via_gates")
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,6 @@ class ExperimentConfig:
     marked: BasisIndex
     schedule: SearchSchedule
     f_kind: str = "householder"
-    diffusion_path: str = "direct"
 
     def __post_init__(self) -> None:
         if not 0 <= self.marked.flat < self.shape.N:
@@ -39,10 +36,6 @@ class ExperimentConfig:
         if self.schedule.N != self.shape.N:
             raise ValueError(
                 f"schedule is for N={self.schedule.N}, register has N={self.shape.N}"
-            )
-        if self.diffusion_path not in DIFFUSION_PATHS:
-            raise ValueError(
-                f"diffusion path {self.diffusion_path!r} not in {DIFFUSION_PATHS}"
             )
 
 
@@ -104,11 +97,7 @@ def run_search(
     marked = cfg.marked.flat
     populations = [population(state, marked)]
     for _ in range(steps):
-        if cfg.diffusion_path == "direct":
-            grover_step(state, marked, phi, phi, axis)
-        else:
-            oracle(state, marked, phi)
-            diffusion_via_gates(state, f.matrix, phi)
+        grover_step(state, marked, phi, phi, axis)
         populations.append(population(state, marked))
     return Trajectory.from_populations(populations)
 

@@ -10,8 +10,8 @@ from quditsearch.engine import (
     superposition_register,
 )
 from quditsearch.fgates import FGate, dft, householder_f
-from quditsearch.register import BasisIndex, QuditShape
-from quditsearch.reflections import grover_step
+from quditsearch.register import BasisIndex, QuditShape, population
+from quditsearch.reflections import diffusion_via_gates, grover_step, oracle
 from quditsearch.scheduler import (
     canonical_schedule,
     custom_schedule,
@@ -154,10 +154,17 @@ def test_marked_element_independence():
 
 
 def test_diffusion_path_equivalence():
+    # the rank-1 diffusion in run_search against the local-gate sandwich
     sched = deterministic_schedule(27)
-    direct = run_search(config(3, 3, sched, marked=11, diffusion_path="direct"))
-    gates = run_search(config(3, 3, sched, marked=11, diffusion_path="via_gates"))
-    np.testing.assert_allclose(direct.populations, gates.populations, atol=1e-9)
+    direct = run_search(config(3, 3, sched, marked=11))
+    f = householder_f(3)
+    state = superposition_register(QuditShape(3, 3), f)
+    gates = [population(state, 11)]
+    for _ in range(sched.steps):
+        oracle(state, 11, sched.phi)
+        diffusion_via_gates(state, f.matrix, sched.phi)
+        gates.append(population(state, 11))
+    np.testing.assert_allclose(direct.populations, gates, atol=1e-9)
 
 
 def test_trajectory_invariant_across_f_kinds():
@@ -218,17 +225,6 @@ def test_config_rejects_schedule_size_mismatch():
             shape=shape,
             marked=BasisIndex.from_flat(shape, 0),
             schedule=deterministic_schedule(27),
-        )
-
-
-def test_config_rejects_unknown_diffusion_path():
-    shape = QuditShape(3, 2)
-    with pytest.raises(ValueError, match="diffusion"):
-        ExperimentConfig(
-            shape=shape,
-            marked=BasisIndex.from_flat(shape, 0),
-            schedule=deterministic_schedule(9),
-            diffusion_path="magic",
         )
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from quditsearch.fgates import coupling_design, householder_f
@@ -132,6 +133,38 @@ def test_propagator_unitarity_and_dark_space_grid(d, area, delta_t):
     sub = dark.conj().T @ prop.qudit_block @ dark
     gamma = np.angle(np.mean(np.diag(sub)))
     assert np.max(np.abs(sub - np.exp(1j * gamma) * np.eye(d - 1))) < 1e-6
+
+
+def column_reference(job):
+    """Propagator integrated one basis column at a time, at tight tolerances."""
+    d = job.d
+    unit = job.couplings / np.linalg.norm(job.couplings)
+    h_couple = np.zeros((d + 1, d + 1), dtype=np.complex128)
+    h_couple[:d, d] = unit
+    h_couple[d, :d] = unit.conj()
+    h_couple *= job.rms_area / (2 * math.pi)  # sech envelope integral is pi
+    h_detune = np.zeros((d + 1, d + 1), dtype=np.complex128)
+    h_detune[d, d] = job.detuning * job.width
+
+    def rhs(t, y):
+        return -1j * ((h_couple / np.cosh(t) + h_detune) @ y)
+
+    columns = []
+    for col in np.eye(d + 1, dtype=np.complex128):
+        sol = solve_ivp(
+            rhs, (-job.t_max, job.t_max), col, method="DOP853", rtol=1e-13, atol=1e-15
+        )
+        columns.append(sol.y[:, -1])
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI])
+@pytest.mark.parametrize("delta_t", [0.0, 2.0])
+def test_propagator_matches_column_reference(d, area, delta_t):
+    job = sech_job(d, delta_t, area)
+    error = np.max(np.abs(propagate(job).matrix - column_reference(job)))
+    assert error < 2e-10
 
 
 # ---- extract_reflection ----------------------------------------------------------
