@@ -1,20 +1,23 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
-A run prepares |0...0>, applies F to every qudit, then iterates the
-Grover step.  The diffusion axis F^(x)n |0> is precomputed once and
-applied as a rank-1 update (two O(N) passes per step).  The local-gate
-sandwich ``reflections.diffusion_via_gates`` is not a run path; tests
-compare against it.
+A run prepares F^(x)n |0...0> as the Kronecker power of F's first
+column, then iterates the Grover step.  That state is also the diffusion
+axis, copied once and applied as a rank-1 update (two O(N) passes per
+step).  The local-gate sandwich ``reflections.diffusion_via_gates`` is
+not a run path; tests compare against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .fgates import FGate, make_f, validate_f
-from .reflections import apply_local_gate, grover_step
+# apply_local_gate is unused here but kept importable under this name: the
+# benchmark tracer (benchmark/run.py) wraps quditsearch.engine.apply_local_gate.
+from .reflections import apply_local_gate, grover_step  # noqa: F401
 from .register import BasisIndex, QuditShape, StateVector, basis_state, population
 from .scheduler import SearchSchedule
 
@@ -55,12 +58,20 @@ class Trajectory:
 
 
 def superposition_register(shape: QuditShape, f: FGate | np.ndarray) -> StateVector:
-    """F^(x)n |0>: the equal-weight starting superposition."""
+    """F^(x)n |0>: the equal-weight starting superposition.
+
+    Built as the Kronecker power of F's first column: each amplitude is the
+    same chain of complex products that n ``apply_local_gate`` passes on
+    |0...0> would form, in one O(N) pass instead of n.  For a real first
+    column (Householder, DFT) the two agree to the bit; for a complex one
+    they can differ in the last bits, because numpy's vectorized complex
+    multiply may fuse a multiply-add that the einsum loop rounds twice.
+    """
     matrix = f.matrix if isinstance(f, FGate) else np.asarray(f, dtype=np.complex128)
-    state = basis_state(shape, 0)
-    for k in range(shape.n):
-        apply_local_gate(state, matrix, k)
-    return state
+    if matrix.shape != (shape.d, shape.d):
+        raise ValueError(f"gate has shape {matrix.shape}, expected ({shape.d}, {shape.d})")
+    column = np.array(matrix[:, 0], dtype=np.complex128)  # a copy the state may own
+    return StateVector(shape, reduce(np.kron, [column] * shape.n))
 
 
 def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:

@@ -29,9 +29,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fgates import FGate, coupling_design, householder_f
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use.
+
+    Importing scipy.integrate takes most of a fresh interpreter's import
+    time, and only the pulse commands integrate.  ``propagate`` looks this
+    name up in the module globals, so it can be wrapped from outside.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 # shape -> (unit-peak envelope of dimensionless time, its integral)
 _ENVELOPES = {

@@ -13,8 +13,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
-# Dense storage only; anything bigger than this is refused outright.
-MAX_STATES = 2**31
+# Dense storage only; anything bigger than this is refused outright.  The
+# step's BLAS kernels (scipy's zdotc/zaxpy) take a 32-bit int length.
+MAX_STATES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class QuditShape:
         if self.d**self.n > MAX_STATES:
             raise ValueError(
                 f"database size d**n = {self.d}**{self.n} exceeds the "
-                f"dense-storage limit 2**31"
+                f"dense-storage limit 2**31 - 1"
             )
 
     @property

@@ -314,3 +314,16 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "search" in out
+
+
+def test_cli_import_leaves_integrator_unloaded():
+    # only the pulse commands integrate; the others must not pay its import
+    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
+    probe = "import sys, quditsearch.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditsearch.engine import (
     ExperimentConfig,
@@ -9,9 +11,9 @@ from quditsearch.engine import (
     run_search,
     superposition_register,
 )
-from quditsearch.fgates import FGate, dft, householder_f
-from quditsearch.register import BasisIndex, QuditShape, population
-from quditsearch.reflections import diffusion_via_gates, grover_step, oracle
+from quditsearch.fgates import FGate, dft, householder_f, make_f
+from quditsearch.register import BasisIndex, QuditShape, basis_state, population
+from quditsearch.reflections import apply_local_gate, diffusion_via_gates, grover_step, oracle
 from quditsearch.scheduler import (
     canonical_schedule,
     custom_schedule,
@@ -239,3 +241,50 @@ def test_superposition_register_equal_moduli():
         shape = QuditShape(3, n)
         s = superposition_register(shape, householder_f(3))
         np.testing.assert_allclose(np.abs(s.amps), shape.N**-0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["householder", "dft", "random:7"])
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 1), (2, 5), (3, 4), (5, 3)])
+def test_superposition_register_matches_local_gates(kind, d, n):
+    shape = QuditShape(d, n)
+    f = make_f(d, kind)
+    reference = basis_state(shape, 0)
+    for k in range(n):
+        apply_local_gate(reference, f.matrix, k)
+    kron = superposition_register(shape, f).amps
+    if np.all(f.matrix[:, 0].imag == 0):
+        # real first column: every product is exact to the bit
+        np.testing.assert_array_equal(kron, reference.amps)
+    else:
+        # numpy's vectorized complex multiply may fuse a multiply-add that
+        # einsum's scalar loop rounds twice, so the last bits can differ
+        np.testing.assert_allclose(kron, reference.amps, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_superposition_register_owns_its_amplitudes():
+    # n = 1 is F's first column itself; the state must not alias the gate
+    f = householder_f(3)
+    before = f.matrix.copy()
+    s = superposition_register(QuditShape(3, 1), f)
+    s.amps[:] = 0
+    np.testing.assert_array_equal(f.matrix, before)
+
+
+SMALL_SHAPES = [(d, n) for d in range(2, 6) for n in range(1, 13) if d**n <= 4096]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dn=st.sampled_from(SMALL_SHAPES),
+    data=st.data(),
+    phi=st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True),
+)
+def test_run_search_matches_two_state_model(dn, data, phi):
+    d, n = dn
+    shape = QuditShape(d, n)
+    marked = data.draw(st.integers(0, shape.N - 1), label="marked")
+    steps = data.draw(st.integers(0, 30), label="steps")
+    cfg = config(d, n, custom_schedule(shape.N, phi, steps), marked=marked)
+    traj = run_search(cfg)
+    for k, pop in enumerate(traj.populations):
+        assert pop == pytest.approx(predicted_population(shape.N, k, phi), abs=1e-9)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from quditsearch.engine import superposition_register
 from quditsearch.fgates import householder_f
 from quditsearch.register import QuditShape, StateVector, basis_state
 from quditsearch.reflections import (
@@ -250,6 +253,29 @@ def test_diffusion_direct_own_axis():
     np.testing.assert_allclose(s.amps, np.exp(1j * phi) * axis.amps, atol=1e-14)
 
 
+def test_diffusion_direct_updates_contiguous_state_in_place():
+    shape = QuditShape(3, 4)
+    axis = random_state(shape, 60)
+    s = random_state(shape, 61)
+    buffer = s.amps
+    diffusion_direct(s, axis, 1.3)
+    assert s.amps is buffer
+
+
+def test_diffusion_direct_non_contiguous_view_matches_reference():
+    shape = QuditShape(3, 4)
+    axis = random_state(shape, 62)
+    s = random_state(shape, 63)
+    backing = np.zeros(2 * shape.N, dtype=complex)
+    backing[::2] = s.amps
+    s.amps = backing[::2]  # a strided view, as a caller may assign
+    assert not s.amps.flags.c_contiguous
+    phi = 2.4
+    expected = s.amps + (np.exp(1j * phi) - 1) * np.vdot(axis.amps, s.amps) * axis.amps
+    diffusion_direct(s, axis, phi)
+    np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
+
+
 # ---- grover_step ---------------------------------------------------------
 
 
@@ -269,6 +295,22 @@ def test_grover_step_zero_phases_is_identity():
     before = s.amps.copy()
     grover_step(s, 1, 0.0, 0.0, axis)
     np.testing.assert_allclose(s.amps, before, atol=1e-15)
+
+
+def test_grover_step_allocates_under_one_mebibyte():
+    # the overlap and the in-place update make no N-sized temporary
+    shape = QuditShape(3, 12)
+    axis = superposition_register(shape, householder_f(3))
+    s = axis.copy()
+    grover_step(s, 12345, 2.0, 2.0, axis)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        grover_step(s, 12345, 2.0, 2.0, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline < 1 << 20, f"step allocated {peak - baseline} bytes"
 
 
 def test_state_stays_in_two_dimensional_subspace():

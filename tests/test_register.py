@@ -23,6 +23,10 @@ def test_shape_validation():
 def test_shape_rejects_oversized_register():
     with pytest.raises(ValueError, match="2\\*\\*31"):
         QuditShape(2, 40)
+    # the BLAS step kernels take a 32-bit length: N = 2**31 is one too many
+    with pytest.raises(ValueError, match="2\\*\\*31 - 1"):
+        QuditShape(2, 31)
+    assert QuditShape(3, 19).N == 3**19
 
 
 def test_basis_state_qutrit_ground():
