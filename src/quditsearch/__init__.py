@@ -42,7 +42,6 @@ from .reflections import (
     diffusion_direct,
     diffusion_via_gates,
     grover_step,
-    hadamard,
     oracle,
     unitarity_defect,
 )
@@ -51,7 +50,6 @@ from .register import (
     QuditShape,
     StateVector,
     basis_state,
-    inner_product,
     population,
 )
 from .scheduler import (
@@ -94,9 +92,7 @@ __all__ = [
     "diffusion_via_gates",
     "extract_reflection",
     "grover_step",
-    "hadamard",
     "householder_f",
-    "inner_product",
     "make_f",
     "matched_phase",
     "morris_shore",

@@ -1,25 +1,34 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
-A run prepares F^(x)n |0...0> as the Kronecker power of F's first
+A run prepares a = F^(x)n |0...0> as the Kronecker power of F's first
 column, then iterates the Grover step.  That state is also the diffusion
-axis, copied once and applied as a rank-1 update (two O(N) passes per
-step).  The local-gate sandwich ``reflections.diffusion_via_gates`` is
-not a run path; tests compare against it.
+axis, copied once and applied as a rank-1 update.  The update's only
+global quantity, the overlap <a|s>, is carried from step to step by its
+exact O(1) recurrence, so a step is one elementwise zaxpy pass over the
+state.  No multi-threaded reduction feeds the trajectory, so it does not
+depend on the BLAS thread count.  One zdotc after the last step checks the
+carried overlap against the state.  The local-gate sandwich
+``reflections.diffusion_via_gates`` is not a run path; tests compare
+against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .fgates import FGate, make_f, validate_f
+from .fgates import FGate, f_constructor, make_f, validate_f
 # apply_local_gate is unused here but kept importable under this name: the
 # benchmark tracer (benchmark/run.py) wraps quditsearch.engine.apply_local_gate.
-from .reflections import apply_local_gate, grover_step  # noqa: F401
+from .reflections import apply_local_gate, grover_step, zdotc  # noqa: F401
 from .register import BasisIndex, QuditShape, StateVector, basis_state, population
 from .scheduler import SearchSchedule
+
+# Largest |carried - measured| axis overlap a run accepts after its last step.
+OVERLAP_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"schedule is for N={self.schedule.N}, register has N={self.shape.N}"
             )
+        f_constructor(self.f_kind)  # an unknown tag fails here, not at run start
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,19 @@ def superposition_register(shape: QuditShape, f: FGate | np.ndarray) -> StateVec
     return StateVector(shape, reduce(np.kron, [column] * shape.n))
 
 
+def _squared_norm(amps: np.ndarray) -> float:
+    """sum_x |amps_x|^2, accurate to a few ulp and independent of BLAS threads.
+
+    numpy sums each block pairwise on one thread and fsum adds the block
+    sums exactly, with no N-sized temporary.  BLAS zdotc is neither: at
+    N=3^12 its sequential sum is off by about 7e-13, by a different amount
+    on one thread than on two.
+    """
+    x = amps.view(np.float64)
+    block = 1 << 13  # 64 KiB of squares at a time
+    return math.fsum(float(np.sum(np.square(x[i:i + block]))) for i in range(0, x.size, block))
+
+
 def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:
     """The explicit gate if given (it must meet the F contract), else cfg.f_kind."""
     if f_gate is None:
@@ -95,7 +118,9 @@ def run_search(
 
     ``steps`` defaults to the schedule's step count; more steps expose the
     oscillatory tail past the schedule.  An explicit ``f_gate`` (e.g. a
-    pulse-synthesized matrix) overrides the config's f_kind tag.
+    pulse-synthesized matrix) overrides the config's f_kind tag.  Raises
+    RuntimeError if the overlap carried across the steps is more than
+    ``OVERLAP_TOLERANCE`` off the one measured after the last step.
     """
     if steps is None:
         steps = cfg.schedule.steps
@@ -106,10 +131,28 @@ def run_search(
     axis = state.copy()
     phi = cfg.schedule.phi
     marked = cfg.marked.flat
+    kick = complex(np.exp(1j * phi)) - 1.0
+    # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
+    # measured, not assumed to be 1; any error in it compounds every step.
+    norm2 = _squared_norm(axis.amps)
+    gain = 1.0 + kick * norm2
+    axis_m = axis.amps.item(marked).conjugate()
+    overlap = complex(norm2)  # <a|s>: the state starts on the axis
     populations = [population(state, marked)]
     for _ in range(steps):
-        grover_step(state, marked, phi, phi, axis)
+        # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
+        overlap += kick * state.amps.item(marked) * axis_m
+        grover_step(state, marked, phi, phi, axis, overlap)
+        # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
+        overlap *= gain
         populations.append(population(state, marked))
+    # Measured only here, never fed back: every step stays an elementwise pass.
+    drift = abs(zdotc(axis.amps, state.amps) - overlap)
+    if drift > OVERLAP_TOLERANCE:
+        raise RuntimeError(
+            f"carried axis overlap is {drift:.3e} off the measured one after "
+            f"{steps} steps (tolerance {OVERLAP_TOLERANCE:.0e})"
+        )
     return Trajectory.from_populations(populations)
 
 

@@ -18,6 +18,8 @@ F^(x)n |0>.  Three constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -114,14 +116,22 @@ def validate_f(f: FGate | np.ndarray) -> FValidation:
     return FValidation(d, unit_defect, col_dev, unit_defect < 1e-10 and col_dev < 1e-10)
 
 
-def make_f(d: int, kind: str) -> FGate:
-    """Build an F gate from a tag: 'householder', 'dft', or 'random:SEED'."""
+def f_constructor(kind: str) -> Callable[[int], FGate]:
+    """The d -> FGate function an F tag names; parses the tag, builds no gate."""
     if kind == "householder":
-        return householder_f(d)
+        return householder_f
     if kind == "dft":
-        return dft(d)
+        return dft
     if kind.startswith("random:"):
-        return random_phase_f(d, int(kind.split(":", 1)[1]))
+        seed = int(kind.split(":", 1)[1])
+        if seed < 0:
+            raise ValueError(f"random:SEED needs a seed >= 0, got {seed}")
+        return partial(random_phase_f, seed=seed)
     raise ValueError(
         f"unknown F kind {kind!r}; expected 'householder', 'dft', or 'random:SEED'"
     )
+
+
+def make_f(d: int, kind: str) -> FGate:
+    """Build an F gate from a tag: 'householder', 'dft', or 'random:SEED'."""
+    return f_constructor(kind)(d)

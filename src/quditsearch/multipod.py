@@ -211,11 +211,6 @@ def wrap_phase(x: float) -> float:
     return y
 
 
-def phase_distance(a: float, b: float) -> float:
-    """Distance between angles on the circle."""
-    return abs(float(np.angle(np.exp(1j * (a - b)))))
-
-
 @dataclass(frozen=True)
 class ReflectionFit:
     """Best fit of a qudit block to e^{i gamma} M(axis, phase)."""

@@ -8,6 +8,11 @@ special cases drive the search:
 * diffusion: chi is the equal-weight register superposition F^(x)n |0>,
   either applied directly as a rank-1 update or assembled from local
   gates as F^(x)n M(0, phi) (F^dagger)^(x)n.
+
+The direct diffusion needs one global number, the overlap <chi|s>.  A
+caller that knows it (the search loop carries it from step to step in
+O(1)) passes it in, and the step is one elementwise zaxpy pass;
+otherwise it is measured with zdotc.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .register import IndexLike, StateVector, _flat
+
+
 # Both step kernels come from scipy's BLAS.  numpy's wheel and scipy's wheel
 # each bundle their own OpenBLAS (scipy-openblas64 0.3.31 for numpy,
 # scipy-openblas32 0.3.30 for scipy), and each library keeps its own pool of
@@ -23,16 +31,26 @@ import numpy as np
 # two pools fight over the cores: on a 2-core machine a step at N=3^12 took
 # 8.0 ms that way against 0.8 ms with both kernels from scipy.  Keep the
 # overlap and the update on one library.
-from scipy.linalg.blas import zaxpy, zdotc
+#
+# scipy.linalg is imported on first use, not with this module: it costs a
+# fresh interpreter about 0.3 s, which schedule and validate-f never need.
+# The first call rebinds both names below to scipy's kernels, so the step
+# finds BLAS in this module's globals with no import statement per call.
+def _load_blas() -> None:
+    global zaxpy, zdotc
+    from scipy.linalg.blas import zaxpy, zdotc
 
-from .register import IndexLike, StateVector, _flat
 
-SQRT2_INV = 1.0 / np.sqrt(2.0)
+def zdotc(x: np.ndarray, y: np.ndarray) -> complex:
+    """sum_i conj(x_i) y_i by scipy's BLAS, imported on first use."""
+    _load_blas()
+    return zdotc(x, y)
 
 
-def hadamard() -> np.ndarray:
-    """The 2x2 Hadamard matrix (1/sqrt(2)) [[1, 1], [1, -1]]."""
-    return SQRT2_INV * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128)
+def zaxpy(x: np.ndarray, y: np.ndarray, a: complex) -> np.ndarray:
+    """y + a x by scipy's BLAS, imported on first use."""
+    _load_blas()
+    return zaxpy(x, y, a=a)
 
 
 def unitarity_defect(g: np.ndarray) -> float:
@@ -106,19 +124,26 @@ def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVecto
     return s
 
 
-def diffusion_direct(s: StateVector, axis_state: StateVector, phi: float) -> StateVector:
+def diffusion_direct(
+    s: StateVector,
+    axis_state: StateVector,
+    phi: float,
+    overlap: complex | None = None,
+) -> StateVector:
     """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>.
 
-    The axis is assumed unit-norm (it is F^(x)n |0> in the search loop);
-    no per-call normalization check, to keep the step at two O(N) passes:
-    one BLAS zdotc for the overlap, one zaxpy for the update.
+    ``overlap`` is <chi|s> if the caller knows it; the update is then one
+    elementwise zaxpy pass.  With none given it is measured with zdotc
+    first.  The axis is assumed unit-norm up to rounding (it is
+    F^(x)n |0> in the search loop); no per-call normalization check.
     """
     if axis_state.shape != s.shape:
         raise ValueError(f"shape mismatch: axis {axis_state.shape} vs state {s.shape}")
-    coef = (np.exp(1j * phi) - 1.0) * zdotc(axis_state.amps, s.amps)
+    if overlap is None:
+        overlap = zdotc(axis_state.amps, s.amps)
     # zaxpy updates a contiguous complex128 array in place and returns it;
     # for any other array f2py returns an updated copy, so assign it back.
-    s.amps = zaxpy(axis_state.amps, s.amps, a=coef)
+    s.amps = zaxpy(axis_state.amps, s.amps, a=(np.exp(1j * phi) - 1.0) * overlap)
     return s
 
 
@@ -128,8 +153,13 @@ def grover_step(
     phi_m: float,
     phi_a: float,
     axis: StateVector,
+    overlap: complex | None = None,
 ) -> StateVector:
-    """One search iteration: oracle at the marked index, then diffusion."""
+    """One search iteration: oracle at the marked index, then diffusion.
+
+    ``overlap`` is passed on to the diffusion: <axis|O s>, the overlap
+    after the oracle kick, if the caller carries it.
+    """
     oracle(s, marked, phi_m)
-    diffusion_direct(s, axis, phi_a)
+    diffusion_direct(s, axis, phi_a, overlap)
     return s

@@ -122,13 +122,6 @@ def basis_state(shape: QuditShape, x: IndexLike) -> StateVector:
     return StateVector(shape, amps)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_x conj(a_x) b_x."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def population(s: StateVector, x: IndexLike) -> float:
     """|amplitude_x|^2 of basis state x."""
     flat = _flat(x)

@@ -21,11 +21,10 @@ from quditsearch.multipod import (
     PulseJob,
     analytic_sech_phase,
     extract_reflection,
-    phase_distance,
     propagate,
     verify_f_pulse,
 )
-from quditsearch.reflections import grover_step, hadamard
+from quditsearch.reflections import grover_step
 from quditsearch.register import BasisIndex, QuditShape
 from quditsearch.scheduler import (
     canonical_schedule,
@@ -33,6 +32,8 @@ from quditsearch.scheduler import (
     deterministic_schedule,
     predicted_population,
 )
+
+from helpers import hadamard, phase_distance
 
 
 def report(criterion: int, message: str) -> None:

@@ -316,14 +316,38 @@ def test_help_exits_zero(capsys):
     assert "search" in out
 
 
-def test_cli_import_leaves_integrator_unloaded():
-    # only the pulse commands integrate; the others must not pay its import
+def run_python(code, **env):
+    """Run code in a fresh interpreter on this package; its stdout."""
     src = os.path.dirname(os.path.dirname(quditsearch.__file__))
-    probe = "import sys, quditsearch.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **env},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_integrator_unloaded():
+    # only the pulse commands integrate; the others must not pay its import
+    probe = "import sys, quditsearch.cli; print('scipy.integrate' in sys.modules)"
+    assert run_python(probe).strip() == "False"
+
+
+def test_cli_import_leaves_blas_unloaded():
+    # only a stepped state vector needs scipy's BLAS; schedule and validate-f do not
+    probe = "import sys, quditsearch.cli; print('scipy.linalg' in sys.modules)"
+    assert run_python(probe).strip() == "False"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["--d", "2", "--n", "16", "--marked", "40000"], 203),
+    (["--d", "3", "--n", "9", "--marked", "100", "--f", "random:5"], 112),
+])
+def test_search_output_independent_of_blas_threads(argv, lines):
+    # every step is an elementwise zaxpy; no multi-threaded sum feeds the trajectory
+    search = f"from quditsearch.cli import main; main(['search', *{argv!r}])"
+    one = run_python(search, OPENBLAS_NUM_THREADS="1")
+    two = run_python(search, OPENBLAS_NUM_THREADS="2")
+    assert one.count("\n") == lines
+    assert one == two

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditsearch import engine, reflections
 from quditsearch.engine import (
     ExperimentConfig,
     dense_grover_matrix,
     run_search,
     superposition_register,
 )
-from quditsearch.fgates import FGate, dft, householder_f, make_f
+from quditsearch.fgates import FGate, dft, householder_f, make_f, validate_f
 from quditsearch.register import BasisIndex, QuditShape, basis_state, population
 from quditsearch.reflections import apply_local_gate, diffusion_via_gates, grover_step, oracle
 from quditsearch.scheduler import (
@@ -230,10 +231,13 @@ def test_config_rejects_schedule_size_mismatch():
         )
 
 
-def test_unknown_f_kind_surfaces_at_run():
-    cfg = config(3, 2, deterministic_schedule(9), f_kind="haar")
+def test_unknown_f_kind_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown F kind"):
-        run_search(cfg)
+        config(3, 2, deterministic_schedule(9), f_kind="haar")
+    with pytest.raises(ValueError, match="invalid literal"):
+        config(3, 2, deterministic_schedule(9), f_kind="random:seven")
+    with pytest.raises(ValueError, match="seed >= 0"):
+        config(3, 2, deterministic_schedule(9), f_kind="random:-1")
 
 
 def test_superposition_register_equal_moduli():
@@ -288,3 +292,43 @@ def test_run_search_matches_two_state_model(dn, data, phi):
     traj = run_search(cfg)
     for k, pop in enumerate(traj.populations):
         assert pop == pytest.approx(predicted_population(shape.N, k, phi), abs=1e-9)
+
+
+# ---- carried overlap ------------------------------------------------------------------
+
+
+def off_norm_gate():
+    # passes validate_f, but its first column has squared norm 1 + 6e-11
+    matrix = householder_f(3).matrix.copy()
+    matrix[:, 0] *= 1.0 + 3e-11
+    return FGate(matrix, "custom")
+
+
+@pytest.mark.parametrize("gate", ["random:11", "off-norm"])
+def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
+    f = off_norm_gate() if gate == "off-norm" else make_f(3, gate)
+    assert validate_f(f).passed
+    column_norm2 = float(np.sum(np.abs(f.matrix[:, 0]) ** 2))
+    if gate == "off-norm":
+        assert abs(column_norm2 - 1.0) > 1e-11
+    steps, phi, marked = 2000, 1.9, 1234
+    cfg = config(3, 7, custom_schedule(3**7, phi, steps), marked=marked)
+    # run_search raises if its final carried-vs-measured gap exceeds this
+    monkeypatch.setattr(engine, "OVERLAP_TOLERANCE", 1e-11)
+    traj = run_search(cfg, f_gate=f)
+    # reference: the overlap measured with zdotc in every step
+    state = superposition_register(cfg.shape, f)
+    axis = state.copy()
+    reference = [population(state, marked)]
+    for _ in range(steps):
+        grover_step(state, marked, phi, phi, axis)
+        reference.append(population(state, marked))
+    np.testing.assert_allclose(traj.populations, reference, rtol=0, atol=1e-12)
+
+
+def test_wrong_carried_overlap_raises(monkeypatch):
+    # an oracle that skips its kick leaves the carried overlap wrong
+    monkeypatch.setattr(reflections, "oracle", lambda s, marked, phi: s)
+    cfg = config(3, 3, deterministic_schedule(27), marked=5)
+    with pytest.raises(RuntimeError, match="carried axis overlap"):
+        run_search(cfg)

@@ -10,7 +10,8 @@ from quditsearch.fgates import (
     random_phase_f,
     validate_f,
 )
-from quditsearch.reflections import hadamard
+
+from helpers import hadamard
 
 ALL_KINDS = ["householder", "dft", "random:7"]
 

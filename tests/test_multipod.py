@@ -12,12 +12,13 @@ from quditsearch.multipod import (
     analytic_sech_phase,
     extract_reflection,
     morris_shore,
-    phase_distance,
     propagate,
     verify_f_pulse,
     wrap_phase,
 )
 from quditsearch.reflections import unitarity_defect
+
+from helpers import phase_distance
 
 TWO_PI = 2 * math.pi
 

@@ -13,10 +13,11 @@ from quditsearch.reflections import (
     diffusion_direct,
     diffusion_via_gates,
     grover_step,
-    hadamard,
     oracle,
     unitarity_defect,
 )
+
+from helpers import hadamard
 
 
 def random_state(shape, seed):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from quditsearch.register import (
+    MAX_STATES,
     BasisIndex,
     QuditShape,
     StateVector,
     basis_state,
-    inner_product,
     population,
 )
+
+from helpers import inner_product
 
 
 def test_shape_validation():
@@ -69,6 +73,18 @@ def test_mixed_radix_round_trip_exhaustive(d, n):
         assert shape.to_flat(digits) == flat
         assert all(0 <= q < d for q in digits)
         assert BasisIndex.from_flat(shape, flat).digits == digits
+
+
+@given(d=st.integers(2, 64), n=st.integers(1, 31), data=st.data())
+def test_mixed_radix_round_trip_property(d, n, data):
+    assume(d**n <= MAX_STATES)
+    shape = QuditShape(d, n)
+    flat = data.draw(st.integers(0, shape.N - 1), label="flat")
+    digits = shape.to_digits(flat)
+    assert len(digits) == n and all(0 <= q < d for q in digits)
+    assert shape.to_flat(digits) == flat
+    drawn = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="digits")
+    assert shape.to_digits(shape.to_flat(drawn)) == tuple(drawn)
 
 
 def test_inner_product_unit_state():
