@@ -32,11 +32,18 @@ from .scheduler import (
     deterministic_schedule,
 )
 
-_SEARCH_DEFAULTS = {
-    "marked": 0,
-    "mode": "deterministic",
-    "f": "householder",
-    "format": "csv",
+# search flag -> (what a --config value for it may be: one of these JSON
+# types or choices; its default when neither the file nor a flag sets it)
+_SEARCH_OPTIONS = {
+    "d": ((int,), None),
+    "n": ((int,), None),
+    "marked": ((int,), 0),
+    "mode": (("deterministic", "pi", "custom"), "deterministic"),
+    "phi": ((int, float), None),
+    "steps": ((int,), None),
+    "f": ((str,), "householder"),
+    "format": (("csv", "json"), "csv"),
+    "sweep": ((str,), None),
 }
 
 
@@ -81,18 +88,24 @@ def _trajectory_csv(traj: Trajectory, prefix: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
-    """Overlay: hard defaults < config file < explicit flags."""
-    merged = dict(keys)
-    if getattr(args, "config", None):
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Search options, overlaid: hard defaults < config file < explicit flags."""
+    merged = {key: default for key, (_, default) in _SEARCH_OPTIONS.items()}
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(keys)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file holds {type(loaded).__name__}, not an object")
+        unknown = set(loaded) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            allowed = _SEARCH_OPTIONS[key][0]  # exact types: a bool is no int
+            if type(value) not in allowed and value not in allowed:
+                raise ValueError(f"config value {value!r} is not valid for --{key}")
         merged.update(loaded)
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in merged:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -103,19 +116,13 @@ def _resolve_schedule(N: int, mode: str, phi, steps) -> SearchSchedule:
         if phi is None or steps is None:
             raise ValueError("--mode custom requires both --phi and --steps")
         return custom_schedule(N, float(phi), int(steps))
-    if mode not in ("deterministic", "pi"):
-        raise ValueError(f"unknown mode {mode!r}")
     if phi is not None or steps is not None:
         raise ValueError("--phi/--steps are only valid with --mode custom")
     return deterministic_schedule(N) if mode == "deterministic" else canonical_schedule(N)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        {"d": None, "n": None, "phi": None, "steps": None, "sweep": None,
-         **_SEARCH_DEFAULTS},
-    )
+    opts = _merge_config(args)
     if opts["d"] is None or opts["n"] is None:
         raise ValueError("search requires --d and --n (flags or config file)")
     shape = QuditShape(int(opts["d"]), int(opts["n"]))

@@ -142,7 +142,7 @@ def run_search(
     for _ in range(steps):
         # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
         overlap += kick * state.amps.item(marked) * axis_m
-        grover_step(state, marked, phi, phi, axis, overlap)
+        grover_step(state, marked, phi, axis, overlap)
         # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
         overlap *= gain
         populations.append(population(state, marked))
@@ -170,6 +170,6 @@ def dense_grover_matrix(
     matrix = np.zeros((N, N), dtype=np.complex128)
     for col in range(N):
         state = basis_state(cfg.shape, col)
-        grover_step(state, marked, phi, phi, axis)
+        grover_step(state, marked, phi, axis)
         matrix[:, col] = state.amps
     return matrix

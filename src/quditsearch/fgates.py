@@ -38,16 +38,11 @@ class FGate:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class FValidation:
     """Result of checking the F-gate contract."""
 
-    d: int
     unitarity_defect: float
     column_deviation: float
     passed: bool
@@ -113,7 +108,7 @@ def validate_f(f: FGate | np.ndarray) -> FValidation:
     d = matrix.shape[0]
     unit_defect = unitarity_defect(matrix)
     col_dev = float(np.max(np.abs(np.abs(matrix[:, 0]) - d**-0.5)))
-    return FValidation(d, unit_defect, col_dev, unit_defect < 1e-10 and col_dev < 1e-10)
+    return FValidation(unit_defect, col_dev, unit_defect < 1e-10 and col_dev < 1e-10)
 
 
 def f_constructor(kind: str) -> Callable[[int], FGate]:

@@ -18,9 +18,10 @@ Hamiltonian convention (hbar = 1, rotating frame):
 
     H(t) = (1/2) Omega_rms(t) sum_k (u_k |k><c| + h.c.) + Delta |c><c|
 
-with u the unit coupling vector and Omega_rms(t) = peak * f(t) scaled
-so the area A = integral Omega_rms dt.  The +Delta sign on the ancilla
-makes the sech phase decrease with increasing Delta T.
+with u the unit coupling vector and Omega_rms(t) = peak * f(t/T) scaled
+so the area A = integral Omega_rms dt.  Time runs in pulse widths T over
+the fixed window [-20, 20], so the detuning enters as the number Delta T.
+The +Delta sign on the ancilla makes the sech phase decrease with Delta T.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _ENVELOPES = {
 PULSE_SHAPES = tuple(_ENVELOPES)
 
 LEAKAGE_LIMIT = 1e-4
+T_MAX = 20.0  # window half-width in pulse widths: sech tail below 5e-9 of peak
 
 
 class LeakageError(RuntimeError):
@@ -71,8 +73,8 @@ class MorrisShoreBasis:
 def morris_shore(couplings: np.ndarray) -> MorrisShoreBasis:
     """Reduce a multipod to one bright state plus d-1 dark states.
 
-    The bright state carries conjugate coupling weights; the dark columns
-    complete it to an orthonormal basis of the qudit manifold.
+    The bright state is u = couplings / |couplings|, which ``propagate``
+    couples to |c>; dark columns complete it to an orthonormal qudit basis.
     """
     couplings = np.asarray(couplings, dtype=np.complex128)
     if couplings.ndim != 1 or couplings.size < 1:
@@ -80,7 +82,7 @@ def morris_shore(couplings: np.ndarray) -> MorrisShoreBasis:
     rms = float(np.linalg.norm(couplings))
     if rms == 0.0:
         raise ValueError("all couplings are zero; no bright state exists")
-    bright = couplings.conj() / rms
+    bright = couplings / rms
     d = couplings.size
     # QR of [bright | e_0 .. e_{d-2}]: column 0 spans bright, the rest
     # form a deterministic orthonormal completion.
@@ -96,18 +98,15 @@ def morris_shore(couplings: np.ndarray) -> MorrisShoreBasis:
 class PulseJob:
     """One multipod pulse: coupling pattern, detuning, shape, and RMS area.
 
-    ``detuning`` is in units of 1/width, so the physics depends on the
-    products ``rms_area`` and ``detuning * width`` only.  The window
-    [-t_max, t_max] is in units of the width; t_max >= 20 keeps the sech
-    tail truncation below 5e-9 of the peak.
+    ``detuning`` is the dimensionless product Delta T of the ancilla
+    detuning and the pulse width T.  Every pulse is integrated over the
+    fixed window [-T_MAX, T_MAX] = [-20, 20] in units of T.
     """
 
     couplings: np.ndarray
     detuning: float
     rms_area: float
-    width: float = 1.0
     shape: str = "sech"
-    t_max: float = 20.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -115,13 +114,9 @@ class PulseJob:
         )
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"pulse shape {self.shape!r} not in {PULSE_SHAPES}")
-        scalars = (self.detuning, self.rms_area, self.width)
+        scalars = (self.detuning, self.rms_area)
         if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.couplings))):
-            raise ValueError("pulse detuning, area, width and couplings must be finite")
-        if self.width <= 0:
-            raise ValueError("pulse width must be positive")
-        if self.t_max < 20.0:
-            raise ValueError("integration window t_max must be >= 20 pulse widths")
+            raise ValueError("pulse detuning, area and couplings must be finite")
         if np.linalg.norm(self.couplings) == 0.0:
             raise ValueError("all couplings are zero")
 
@@ -129,46 +124,28 @@ class PulseJob:
     def d(self) -> int:
         return self.couplings.size
 
-    @property
-    def peak_rms_rabi(self) -> float:
-        """Peak RMS Rabi frequency, area / (envelope integral * width)."""
-        return self.rms_area / (_ENVELOPES[self.shape][1] * self.width)
-
 
 @dataclass(frozen=True)
 class Propagator:
     """(d+1) x (d+1) propagator; basis order: qudit states 0..d-1, then ancilla."""
 
     matrix: np.ndarray
-    job: PulseJob
 
     @property
     def qudit_block(self) -> np.ndarray:
-        d = self.job.d
-        return self.matrix[:d, :d]
-
-    @property
-    def ancilla_leakage(self) -> float:
-        """Total amplitude leaked to the ancilla from the qudit manifold.
-
-        The 2-norm of the ancilla row over qudit columns; it equals the
-        bright-state transition amplitude and bounds every per-column
-        |<c|U|k>|.
-        """
-        d = self.job.d
-        return float(np.linalg.norm(self.matrix[d, :d]))
+        return self.matrix[:-1, :-1]
 
 
 def propagate(job: PulseJob, rtol: float = 3e-12, atol: float = 3e-14) -> Propagator:
     """Integrate the multipod Schrodinger equation over the pulse.
 
-    Works in dimensionless time t/width, where the Hamiltonian is
-    (A / (2 I_f)) f(t) K + (Delta T) |c><c| with K the coupling block and
-    I_f the envelope integral.  The whole propagator is one matrix ODE,
-    dU/dt = -i H(t) U from U = 1, integrated in a single adaptive
-    8th-order Runge-Kutta solve.  Its error norm averages over all
-    (d+1)^2 entries, hence tolerances tighter than a per-column solve
-    would need for the same entry error.
+    Works in dimensionless time t/T over [-T_MAX, T_MAX], where the
+    Hamiltonian is (A / (2 I_f)) f(t) K + (Delta T) |c><c| with K the
+    coupling block and I_f the envelope integral.  The whole propagator
+    is one matrix ODE, dU/dt = -i H(t) U from U = 1, integrated in a
+    single adaptive 8th-order Runge-Kutta solve.  Its error norm averages
+    over all (d+1)^2 entries, hence tolerances tighter than a per-column
+    solve would need for the same entry error.
     """
     d = job.d
     dim = d + 1
@@ -177,7 +154,7 @@ def propagate(job: PulseJob, rtol: float = 3e-12, atol: float = 3e-14) -> Propag
     coupling_block[:d, d] = unit
     coupling_block[d, :d] = unit.conj()
     ancilla = np.zeros((dim, dim), dtype=np.complex128)
-    ancilla[d, d] = job.detuning * job.width
+    ancilla[d, d] = job.detuning
 
     f, integral = _ENVELOPES[job.shape]
     coef = job.rms_area / (2.0 * integral)
@@ -188,10 +165,10 @@ def propagate(job: PulseJob, rtol: float = 3e-12, atol: float = 3e-14) -> Propag
 
     sol = solve_ivp(
         rhs,
-        (-job.t_max, job.t_max),
+        (-T_MAX, T_MAX),
         np.eye(dim, dtype=np.complex128).ravel(),
         method="DOP853",
-        t_eval=(job.t_max,),
+        t_eval=(T_MAX,),
         rtol=rtol,
         atol=atol,
     )
@@ -200,7 +177,7 @@ def propagate(job: PulseJob, rtol: float = 3e-12, atol: float = 3e-14) -> Propag
             f"propagator failed to converge: {sol.message} "
             f"({sol.nfev} right-hand-side evaluations)"
         )
-    return Propagator(sol.y[:, -1].reshape(dim, dim), job)
+    return Propagator(sol.y[:, -1].reshape(dim, dim))
 
 
 def wrap_phase(x: float) -> float:
@@ -213,9 +190,8 @@ def wrap_phase(x: float) -> float:
 
 @dataclass(frozen=True)
 class ReflectionFit:
-    """Best fit of a qudit block to e^{i gamma} M(axis, phase)."""
+    """Best fit of a qudit block to e^{i gamma} M(u, phase), u the unit couplings."""
 
-    axis: np.ndarray
     phase: float
     global_phase: float
     residual: float
@@ -257,7 +233,7 @@ def extract_reflection(
     phase = wrap_phase(float(np.angle(axis.conj() @ block @ axis)) - gamma)
     model = np.eye(d) + (np.exp(1j * phase) - 1.0) * projector
     residual = float(np.max(np.abs(block - np.exp(1j * gamma) * model)))
-    return ReflectionFit(axis, phase, gamma, residual, leakage)
+    return ReflectionFit(phase, gamma, residual, leakage)
 
 
 def analytic_sech_phase(delta_t: float) -> float:
@@ -269,19 +245,19 @@ def analytic_sech_phase(delta_t: float) -> float:
 class PulseGateReport:
     """Comparison of a pulse-synthesized gate against its closed form."""
 
-    d: int
     deviation: float
     passed: bool
     gate: FGate
     fit: ReflectionFit
 
 
-def verify_f_pulse(d: int, tolerance: float = 1e-5) -> PulseGateReport:
+def verify_f_pulse(d: int) -> PulseGateReport:
     """Synthesize F with one resonant 2 pi sech pulse and check it.
 
     Propagates the multipod with the coupling design for dimension d at
     zero detuning, extracts the qudit block, and compares it (modulo a
-    single global phase) against the closed-form Householder F.
+    single global phase) against the closed-form Householder F: it
+    passes if every entry is within 1e-5.
     """
     couplings = coupling_design(d)
     job = PulseJob(couplings=couplings, detuning=0.0, rms_area=2.0 * math.pi)
@@ -293,4 +269,4 @@ def verify_f_pulse(d: int, tolerance: float = 1e-5) -> PulseGateReport:
     aligned = block * np.exp(-1j * gamma)
     deviation = float(np.max(np.abs(aligned - target)))
     gate = FGate(aligned, "custom")
-    return PulseGateReport(d, deviation, deviation < tolerance, gate, fit)
+    return PulseGateReport(deviation, deviation < 1e-5, gate, fit)

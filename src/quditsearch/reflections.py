@@ -17,8 +17,6 @@ otherwise it is measured with zdotc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .register import IndexLike, StateVector, _flat
@@ -57,26 +55,6 @@ def unitarity_defect(g: np.ndarray) -> float:
     """Max entrywise deviation of G^dagger G from the identity."""
     g = np.asarray(g)
     return float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))))
-
-
-@dataclass
-class Reflection:
-    """Axis state |chi> plus a phase phi, defining M(chi, phi)."""
-
-    axis: StateVector
-    phase: float
-
-    def __post_init__(self) -> None:
-        if abs(self.axis.norm() - 1.0) > 1e-12:
-            raise ValueError(f"reflection axis is not unit norm: {self.axis.norm()}")
-
-    def inverse(self) -> "Reflection":
-        return Reflection(self.axis, -self.phase)
-
-
-def apply_reflection(s: StateVector, r: Reflection) -> StateVector:
-    """Apply M(chi, phi) in place; the axis norm was checked by Reflection."""
-    return diffusion_direct(s, r.axis, r.phase)
 
 
 def oracle(s: StateVector, marked: IndexLike, phi: float) -> StateVector:
@@ -150,16 +128,15 @@ def diffusion_direct(
 def grover_step(
     s: StateVector,
     marked: IndexLike,
-    phi_m: float,
-    phi_a: float,
+    phi: float,
     axis: StateVector,
     overlap: complex | None = None,
 ) -> StateVector:
-    """One search iteration: oracle at the marked index, then diffusion.
+    """One search iteration: oracle at the marked index, then diffusion, both at phi.
 
     ``overlap`` is passed on to the diffusion: <axis|O s>, the overlap
     after the oracle kick, if the caller carries it.
     """
-    oracle(s, marked, phi_m)
-    diffusion_direct(s, axis, phi_a, overlap)
+    oracle(s, marked, phi)
+    diffusion_direct(s, axis, phi, overlap)
     return s

@@ -220,7 +220,7 @@ def test_criterion_10_performance():
     timings = []
     for _ in range(5):
         t0 = time.perf_counter()
-        grover_step(state, marked, sched.phi, sched.phi, axis)
+        grover_step(state, marked, sched.phi, axis)
         timings.append(time.perf_counter() - t0)
     best = min(timings)
     assert best < 0.050, f"grover step took {best * 1e3:.1f} ms"
@@ -228,7 +228,7 @@ def test_criterion_10_performance():
     state_bytes = state.amps.nbytes
     tracemalloc.start()
     baseline, _ = tracemalloc.get_traced_memory()
-    grover_step(state, marked, sched.phi, sched.phi, axis)
+    grover_step(state, marked, sched.phi, axis)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     extra = peak - baseline

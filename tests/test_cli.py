@@ -154,6 +154,38 @@ def test_search_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param("5", id="number-file"),
+    pytest.param("[1, 2]", id="list-file"),
+    pytest.param('{"d": [3], "n": 2}', id="list-for-int"),
+    pytest.param('{"d": 3, "n": 2, "f": 5}', id="int-for-string"),
+    pytest.param('{"d": 3, "n": 2, "phi": [1], "mode": "custom", "steps": 3}',
+                 id="list-for-float"),
+    pytest.param('{"d": 3.7, "n": 2}', id="float-for-int"),
+    pytest.param('{"d": true, "n": 2}', id="bool-for-int"),
+    pytest.param('{"d": 3, "n": 2, "marked": null}', id="null"),
+    pytest.param('{"d": 3, "n": 2, "format": "xml"}', id="not-a-choice"),
+    pytest.param('{"d": 3, "n": 2, "sweep": [0, 1]}', id="list-for-string"),
+])
+def test_search_config_values_must_match_their_flags(tmp_path, capsys, content):
+    # each value must be one its flag would accept; anything else is a usage error
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(content)
+    code, out, err = run_cli(capsys, "search", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_search_config_takes_an_integer_phase(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"d": 3, "n": 2, "mode": "custom", "phi": 3, "steps": 2}')
+    code, out, _ = run_cli(capsys, "search", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "search", "--d", "3", "--n", "2", "--mode", "custom",
+                          "--phi", "3", "--steps", "2")[1]
+
+
 def test_search_sweep_ordered_output(capsys):
     code, out, _ = run_cli(capsys, "search", "--d", "2", "--n", "3",
                            "--sweep", "0,3,5")

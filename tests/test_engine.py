@@ -186,7 +186,7 @@ def test_norm_preserved_over_long_run():
     state = superposition_register(shape, householder_f(3))
     axis = state.copy()
     for _ in range(100):
-        grover_step(state, 100, sched.phi, sched.phi, axis)
+        grover_step(state, 100, sched.phi, axis)
     assert abs(state.norm() - 1.0) < 1e-9
 
 
@@ -321,7 +321,7 @@ def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
     axis = state.copy()
     reference = [population(state, marked)]
     for _ in range(steps):
-        grover_step(state, marked, phi, phi, axis)
+        grover_step(state, marked, phi, axis)
         reference.append(population(state, marked))
     np.testing.assert_allclose(traj.populations, reference, rtol=0, atol=1e-12)
 

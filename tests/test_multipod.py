@@ -9,6 +9,7 @@ from quditsearch.fgates import coupling_design, householder_f
 from quditsearch.multipod import (
     LeakageError,
     PulseJob,
+    T_MAX,
     analytic_sech_phase,
     extract_reflection,
     morris_shore,
@@ -25,6 +26,11 @@ TWO_PI = 2 * math.pi
 
 def sech_job(d, delta_t, area=TWO_PI):
     return PulseJob(couplings=coupling_design(d), detuning=delta_t, rms_area=area)
+
+
+def complex_couplings(d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
 # ---- morris_shore -----------------------------------------------------------
@@ -57,10 +63,14 @@ def test_morris_shore_coupling_design_quadripod():
     assert basis.rms_rabi == pytest.approx(1.0, abs=1e-14)
 
 
-def test_morris_shore_conjugates_complex_weights():
-    om = np.array([1.0j, 1.0]) / np.sqrt(2)
+def test_morris_shore_bright_state_is_unit_couplings():
+    # propagate couples u_k |k><c|, so |c> talks to sum_k u_k |k> = u, not conj(u)
+    om = complex_couplings(3, 11)
+    unit = om / np.linalg.norm(om)
     basis = morris_shore(om)
-    np.testing.assert_allclose(basis.bright, om.conj(), atol=1e-15)
+    np.testing.assert_allclose(basis.bright, unit, atol=1e-15)
+    # the dark states have no matrix element <c|H|D> ~ conj(u) . D
+    np.testing.assert_allclose(unit.conj() @ basis.dark, 0.0, atol=1e-15)
 
 
 def test_morris_shore_rejects_zero_couplings():
@@ -74,30 +84,16 @@ def test_morris_shore_rejects_zero_couplings():
 def test_pulse_job_validation():
     with pytest.raises(ValueError, match="shape"):
         PulseJob(couplings=np.ones(3), detuning=0.0, rms_area=TWO_PI, shape="square")
-    with pytest.raises(ValueError, match="t_max"):
-        PulseJob(couplings=np.ones(3), detuning=0.0, rms_area=TWO_PI, t_max=5.0)
-    with pytest.raises(ValueError, match="width"):
-        PulseJob(couplings=np.ones(3), detuning=0.0, rms_area=TWO_PI, width=0.0)
     with pytest.raises(ValueError, match="zero"):
         PulseJob(couplings=np.zeros(2), detuning=0.0, rms_area=TWO_PI)
     for field in (
         {"detuning": math.nan},
         {"rms_area": math.inf},
-        {"width": math.nan},
         {"couplings": np.array([1.0, math.nan, 1.0])},
     ):
         kw = {"couplings": np.ones(3), "detuning": 0.0, "rms_area": TWO_PI, **field}
         with pytest.raises(ValueError, match="finite"):
             PulseJob(**kw)
-
-
-def test_peak_rms_rabi():
-    job = sech_job(3, 0.0)
-    assert job.peak_rms_rabi == pytest.approx(2.0, abs=1e-14)  # A/(pi T)
-    gauss = PulseJob(
-        couplings=coupling_design(3), detuning=0.0, rms_area=TWO_PI, shape="gaussian"
-    )
-    assert gauss.peak_rms_rabi == pytest.approx(TWO_PI / math.sqrt(math.pi), abs=1e-12)
 
 
 # ---- propagate ----------------------------------------------------------------
@@ -122,11 +118,17 @@ def test_dark_states_do_not_evolve():
     assert np.max(np.abs(sub - np.exp(1j * gamma) * np.eye(2))) < 1e-6
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "d, seed",
+    [(2, None), (3, None), (4, None), (3, 5), (4, 6)],
+    ids=["2", "3", "4", "3-complex", "4-complex"],
+)
 @pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI])
 @pytest.mark.parametrize("delta_t", [0.0, 0.5, 1.0, 2.0])
-def test_propagator_unitarity_and_dark_space_grid(d, area, delta_t):
-    job = sech_job(d, delta_t, area)
+def test_propagator_unitarity_and_dark_space_grid(d, seed, area, delta_t):
+    # seeded complex couplings catch a bright state taken as conj(u)
+    couplings = coupling_design(d) if seed is None else complex_couplings(d, seed)
+    job = PulseJob(couplings=couplings, detuning=delta_t, rms_area=area)
     prop = propagate(job)
     assert unitarity_defect(prop.matrix) < 1e-8
     # the dark subspace must ride through untouched, whatever the job
@@ -145,7 +147,7 @@ def column_reference(job):
     h_couple[d, :d] = unit.conj()
     h_couple *= job.rms_area / (2 * math.pi)  # sech envelope integral is pi
     h_detune = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    h_detune[d, d] = job.detuning * job.width
+    h_detune[d, d] = job.detuning
 
     def rhs(t, y):
         return -1j * ((h_couple / np.cosh(t) + h_detune) @ y)
@@ -153,7 +155,7 @@ def column_reference(job):
     columns = []
     for col in np.eye(d + 1, dtype=np.complex128):
         sol = solve_ivp(
-            rhs, (-job.t_max, job.t_max), col, method="DOP853", rtol=1e-13, atol=1e-15
+            rhs, (-T_MAX, T_MAX), col, method="DOP853", rtol=1e-13, atol=1e-15
         )
         columns.append(sol.y[:, -1])
     return np.column_stack(columns)
@@ -288,7 +290,7 @@ def tuned_gaussian():
             shape="gaussian",
         )
         prop = propagate(job, rtol=1e-9, atol=1e-11)
-        return prop.ancilla_leakage
+        return np.linalg.norm(prop.matrix[-1, :-1])  # ancilla row, qudit columns
 
     result = minimize(
         leakage,

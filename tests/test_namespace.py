@@ -1,0 +1,51 @@
+"""The package root serves the README's API example and the benchmark's lookups."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import quditsearch
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_api_example_runs_in_a_fresh_namespace(capsys):
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["0.9999999999999876", "12"]
+
+
+def qs_attributes(path):
+    """Names the file reads as ``qs.<name>`` or ``<obj>.qs.<name>``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "qs":
+                names.add(node.attr)
+            elif isinstance(owner, ast.Attribute) and owner.attr == "qs":
+                names.add(node.attr)
+    return names
+
+
+def trace_points(path):
+    """(module, attribute) pairs of the TRACE_POINTS table."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TRACE_POINTS":
+            return [(t.elts[0].value, t.elts[1].value) for t in node.value.elts]
+    raise AssertionError(f"no TRACE_POINTS in {path}")
+
+
+def test_benchmark_lookups_exist():
+    bench = ROOT / "benchmark"
+    names = qs_attributes(bench / "workloads.py") | qs_attributes(bench / "run.py")
+    assert "engine" in names and "run_search" in names
+    missing = sorted(name for name in names if not hasattr(quditsearch, name))
+    points = trace_points(bench / "run.py")
+    assert ("quditsearch", "verify_f_pulse") in points
+    missing += [f"{module}.{attr}" for module, attr in points
+                if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -2,14 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quditsearch.engine import superposition_register
 from quditsearch.fgates import householder_f
 from quditsearch.register import QuditShape, StateVector, basis_state
 from quditsearch.reflections import (
-    Reflection,
     apply_local_gate,
-    apply_reflection,
     diffusion_direct,
     diffusion_via_gates,
     grover_step,
@@ -31,14 +32,14 @@ def dense_reflection(axis, phi):
     return np.eye(axis.size) + (np.exp(1j * phi) - 1) * np.outer(axis, axis.conj())
 
 
-# ---- apply_reflection -------------------------------------------------
+# ---- diffusion_direct as a general reflection M(chi, phi) --------------------
 
 
 def test_reflection_zero_phase_is_identity():
     shape = QuditShape(3, 2)
     s = random_state(shape, 1)
     before = s.amps.copy()
-    apply_reflection(s, Reflection(random_state(shape, 2), 0.0))
+    diffusion_direct(s, random_state(shape, 2), 0.0)
     np.testing.assert_allclose(s.amps, before, atol=1e-15)
 
 
@@ -46,7 +47,7 @@ def test_reflection_of_its_own_axis():
     shape = QuditShape(2, 2)
     m = basis_state(shape, 2)
     s = basis_state(shape, 2)
-    apply_reflection(s, Reflection(m, np.pi))
+    diffusion_direct(s, m, np.pi)
     np.testing.assert_allclose(s.amps, -m.amps, atol=1e-15)
 
 
@@ -55,33 +56,39 @@ def test_reflection_matches_hand_built_2x2():
     shape = QuditShape(2, 1)
     axis = StateVector(shape, np.array([1.0, 1.0]) / np.sqrt(2))
     s = StateVector(shape, np.array([1.0, 0.0]))
-    apply_reflection(s, Reflection(axis, np.pi))
+    diffusion_direct(s, axis, np.pi)
     np.testing.assert_allclose(s.amps, [0.0, -1.0], atol=1e-15)
-
-
-def test_reflection_requires_unit_axis():
-    shape = QuditShape(2, 1)
-    with pytest.raises(ValueError, match="unit norm"):
-        Reflection(StateVector(shape, np.array([1.0, 1.0])), np.pi)
 
 
 def test_reflection_shape_mismatch():
     s = basis_state(QuditShape(2, 2), 0)
-    r = Reflection(basis_state(QuditShape(2, 3), 0), np.pi)
     with pytest.raises(ValueError, match="shape mismatch"):
-        apply_reflection(s, r)
+        diffusion_direct(s, basis_state(QuditShape(2, 3), 0), np.pi)
 
 
-def test_reflection_then_inverse_restores_state():
-    shape = QuditShape(3, 3)
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        s = random_state(shape, 100 + trial)
-        before = s.amps.copy()
-        r = Reflection(random_state(shape, 200 + trial), rng.uniform(0, 2 * np.pi))
-        apply_reflection(s, r)
-        apply_reflection(s, r.inverse())
-        assert np.max(np.abs(s.amps - before)) < 1e-10
+def unit_state(data, shape, label):
+    """A drawn unit vector of the register's size."""
+    amps = data.draw(arrays(np.complex128, shape.N, elements=st.complex_numbers(max_magnitude=1.0)),
+                     label=label)
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    return StateVector(shape, amps / norm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 4), n=st.integers(1, 2), phi=st.floats(-2 * np.pi, 2 * np.pi),
+       data=st.data())
+def test_reflection_then_inverse_property(d, n, phi, data):
+    # M(chi, -phi) undoes M(chi, phi), and each keeps the state on the unit sphere
+    shape = QuditShape(d, n)
+    s = unit_state(data, shape, "state")
+    axis = unit_state(data, shape, "axis")
+    before = s.amps.copy()
+    diffusion_direct(s, axis, phi)
+    assert abs(s.norm() - 1.0) < 1e-12
+    diffusion_direct(s, axis, -phi)
+    assert abs(s.norm() - 1.0) < 1e-12
+    assert np.max(np.abs(s.amps - before)) < 1e-12
 
 
 def test_norm_preserved_over_many_random_reflections():
@@ -91,7 +98,7 @@ def test_norm_preserved_over_many_random_reflections():
     for _ in range(10_000):
         amps = rng.normal(size=shape.N) + 1j * rng.normal(size=shape.N)
         axis = StateVector(shape, amps / np.linalg.norm(amps))
-        apply_reflection(s, Reflection(axis, rng.uniform(0, 2 * np.pi)))
+        diffusion_direct(s, axis, rng.uniform(0, 2 * np.pi))
     assert abs(s.norm() - 1.0) < 1e-9
 
 
@@ -285,7 +292,7 @@ def test_grover_step_perfect_single_iteration_n4():
     shape = QuditShape(2, 2)
     axis = StateVector(shape, np.full(4, 0.5, dtype=complex))
     s = axis.copy()
-    grover_step(s, 3, np.pi, np.pi, axis)
+    grover_step(s, 3, np.pi, axis)
     assert abs(s.amps[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -294,7 +301,7 @@ def test_grover_step_zero_phases_is_identity():
     axis = StateVector(shape, np.full(4, 0.5, dtype=complex))
     s = random_state(shape, 58)
     before = s.amps.copy()
-    grover_step(s, 1, 0.0, 0.0, axis)
+    grover_step(s, 1, 0.0, axis)
     np.testing.assert_allclose(s.amps, before, atol=1e-15)
 
 
@@ -303,11 +310,11 @@ def test_grover_step_allocates_under_one_mebibyte():
     shape = QuditShape(3, 12)
     axis = superposition_register(shape, householder_f(3))
     s = axis.copy()
-    grover_step(s, 12345, 2.0, 2.0, axis)
+    grover_step(s, 12345, 2.0, axis)
     tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
-        grover_step(s, 12345, 2.0, 2.0, axis)
+        grover_step(s, 12345, 2.0, axis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -327,7 +334,7 @@ def test_state_stays_in_two_dimensional_subspace():
     basis = np.linalg.qr(np.column_stack([m.amps, axis.amps]))[0]
     phi = 2.0
     for _ in range(30):
-        grover_step(s, marked, phi, phi, axis)
+        grover_step(s, marked, phi, axis)
         residual = s.amps - basis @ (basis.conj().T @ s.amps)
         assert np.linalg.norm(residual) < 1e-9
 
