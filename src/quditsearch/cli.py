@@ -33,25 +33,36 @@ from .scheduler import (
 )
 
 # search flag -> (what a --config value for it may be: one of these JSON
-# types or choices; its default when neither the file nor a flag sets it)
+# types, the last of which also converts the flag, or one of these choices;
+# its default when neither the file nor a flag sets it; its help text)
 _SEARCH_OPTIONS = {
-    "d": ((int,), None),
-    "n": ((int,), None),
-    "marked": ((int,), 0),
-    "mode": (("deterministic", "pi", "custom"), "deterministic"),
-    "phi": ((int, float), None),
-    "steps": ((int,), None),
-    "f": ((str,), "householder"),
-    "format": (("csv", "json"), "csv"),
-    "sweep": ((str,), None),
+    "d": ((int,), None, "levels per qudit (>= 2)"),
+    "n": ((int,), None, "number of qudits (>= 1)"),
+    "marked": ((int,), None, "flat index of the marked state"),
+    "mode": (("deterministic", "pi", "custom"), "deterministic", None),
+    "phi": ((int, float), None, "phase in radians (custom mode only)"),
+    "steps": ((int,), None, "step count (custom mode only)"),
+    "f": ((str,), "householder", "householder | dft | random:SEED"),
+    "format": (("csv", "json"), "csv", None),
+    "sweep": ((str,), None, "comma-separated marked indices, run in order"),
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".12g")
+    return "" if v is None else str(v)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(fmt: str, out: str | None, doc, header: str, rows) -> None:
+    """Write ``doc`` as JSON, or as CSV: ``header``, then a key,value line per row.
+
+    A key that spans several columns (a sweep's ``marked,step``) comes pre-joined.
+    """
+    if fmt == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        text = header + "\n" + "".join(f"{key},{_cell(value)}\n" for key, value in rows)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -59,38 +70,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_fields(fields: dict, fmt: str, out: str | None) -> None:
-    """Write flat fields as JSON or as key,value CSV."""
-    if fmt == "json":
-        _emit(json.dumps(fields, indent=2) + "\n", out)
-        return
-
-    def cell(v) -> str:
-        if isinstance(v, float):
-            return _fmt(v)
-        return "" if v is None else str(v)
-
-    body = "".join(f"{k},{cell(v)}\n" for k, v in fields.items())
-    _emit("key,value\n" + body, out)
-
-
-def _trajectory_dict(schedule: SearchSchedule, traj: Trajectory) -> dict:
+def _trajectory_dict(schedule: dict, traj: Trajectory) -> dict:
     return {
-        "schedule": dataclasses.asdict(schedule),
-        "trajectory": [float(p) for p in traj.populations],
+        "schedule": schedule,
+        "trajectory": traj.populations.tolist(),
         "peak_step": traj.peak_step,
         "peak_population": float(traj.peak_population),
     }
 
 
-def _trajectory_csv(traj: Trajectory, prefix: str = "") -> str:
-    lines = [f"{prefix}{k},{_fmt(p)}" for k, p in enumerate(traj.populations)]
-    return "\n".join(lines) + "\n"
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
     """Search options, overlaid: hard defaults < config file < explicit flags."""
-    merged = {key: default for key, (_, default) in _SEARCH_OPTIONS.items()}
+    merged = {key: default for key, (_, default, _) in _SEARCH_OPTIONS.items()}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -136,31 +127,22 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f_kind=opts["f"],
         )
 
-    if opts["sweep"] is not None:
-        if args.marked is not None:
-            raise ValueError("--sweep and --marked are mutually exclusive")
-        marks = [int(tok) for tok in str(opts["sweep"]).split(",") if tok != ""]
-        if not marks:
-            raise ValueError("--sweep needs a comma-separated list of marked indices")
-        trajectories = [run_search(build(m)) for m in marks]
-        if opts["format"] == "json":
-            payload = [
-                {"marked": m, **_trajectory_dict(schedule, t)}
-                for m, t in zip(marks, trajectories)
-            ]
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        else:
-            body = "".join(
-                _trajectory_csv(t, prefix=f"{m},") for m, t in zip(marks, trajectories)
-            )
-            _emit("marked,step,population\n" + body, args.out)
+    schedule_doc = dataclasses.asdict(schedule)  # shared by a sweep's runs
+    if opts["sweep"] is None:
+        traj = run_search(build(0 if opts["marked"] is None else opts["marked"]))
+        doc = _trajectory_dict(schedule_doc, traj)
+        rows = enumerate(traj.populations.tolist())
+        _emit(opts["format"], args.out, doc, "step,population", rows)
         return 0
-
-    traj = run_search(build(opts["marked"]))
-    if opts["format"] == "json":
-        _emit(json.dumps(_trajectory_dict(schedule, traj), indent=2) + "\n", args.out)
-    else:
-        _emit("step,population\n" + _trajectory_csv(traj), args.out)
+    if opts["marked"] is not None:
+        raise ValueError("--sweep and --marked are mutually exclusive")
+    marks = [int(tok) for tok in opts["sweep"].split(",") if tok != ""]
+    if not marks:
+        raise ValueError("--sweep needs a comma-separated list of marked indices")
+    runs = [(m, run_search(build(m))) for m in marks]
+    doc = [{"marked": m, **_trajectory_dict(schedule_doc, t)} for m, t in runs]
+    rows = ((f"{m},{k}", p) for m, t in runs for k, p in enumerate(t.populations.tolist()))
+    _emit(opts["format"], args.out, doc, "marked,step,population", rows)
     return 0
 
 
@@ -183,7 +165,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         "steps": det.steps,
         "canonical_steps": canonical.steps,
     }
-    _emit_fields(fields, args.format, args.out)
+    _emit(args.format, args.out, fields, "key,value", fields.items())
     return 0
 
 
@@ -205,7 +187,7 @@ def _cmd_pulse_check(args: argparse.Namespace) -> int:
         "residual": fit.residual,
         "leakage": fit.leakage,
     }
-    _emit_fields(fields, args.format, args.out)
+    _emit(args.format, args.out, fields, "key,value", fields.items())
     return 0 if fit.residual < 1e-4 else 1
 
 
@@ -218,7 +200,7 @@ def _cmd_validate_f(args: argparse.Namespace) -> int:
         "column_deviation": report.column_deviation,
         "passed": report.passed,
     }
-    _emit_fields(fields, args.format, args.out)
+    _emit(args.format, args.out, fields, "key,value", fields.items())
     return 0 if report.passed else 1
 
 
@@ -231,17 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="run a search and write the trajectory")
-    p.add_argument("--d", type=int, help="levels per qudit (>= 2)")
-    p.add_argument("--n", type=int, help="number of qudits (>= 1)")
-    p.add_argument("--marked", type=int, help="flat index of the marked state")
-    p.add_argument("--mode", choices=["deterministic", "pi", "custom"])
-    p.add_argument("--phi", type=float, help="phase in radians (custom mode only)")
-    p.add_argument("--steps", type=int, help="step count (custom mode only)")
-    p.add_argument("--f", help="householder | dft | random:SEED")
-    p.add_argument("--format", choices=["csv", "json"])
+    for key, (allowed, _, help_text) in _SEARCH_OPTIONS.items():
+        if isinstance(allowed[-1], type):
+            p.add_argument(f"--{key}", type=allowed[-1], help=help_text)
+        else:
+            p.add_argument(f"--{key}", choices=allowed, help=help_text)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--config", help="JSON file with the same keys; flags override")
-    p.add_argument("--sweep", help="comma-separated marked indices, run in order")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("schedule", help="print phase-matching parameters")

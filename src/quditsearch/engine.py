@@ -67,7 +67,7 @@ class Trajectory:
         return cls(pops, peak, float(pops[peak]))
 
 
-def superposition_register(shape: QuditShape, f: FGate | np.ndarray) -> StateVector:
+def superposition_register(shape: QuditShape, f: FGate) -> StateVector:
     """F^(x)n |0>: the equal-weight starting superposition.
 
     Built as the Kronecker power of F's first column: each amplitude is the
@@ -77,10 +77,9 @@ def superposition_register(shape: QuditShape, f: FGate | np.ndarray) -> StateVec
     they can differ in the last bits, because numpy's vectorized complex
     multiply may fuse a multiply-add that the einsum loop rounds twice.
     """
-    matrix = f.matrix if isinstance(f, FGate) else np.asarray(f, dtype=np.complex128)
-    if matrix.shape != (shape.d, shape.d):
-        raise ValueError(f"gate has shape {matrix.shape}, expected ({shape.d}, {shape.d})")
-    column = np.array(matrix[:, 0], dtype=np.complex128)  # a copy the state may own
+    if f.matrix.shape != (shape.d, shape.d):
+        raise ValueError(f"gate has shape {f.matrix.shape}, expected ({shape.d}, {shape.d})")
+    column = np.array(f.matrix[:, 0], dtype=np.complex128)  # a copy the state may own
     return StateVector(shape, reduce(np.kron, [column] * shape.n))
 
 
@@ -111,21 +110,16 @@ def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:
     return f_gate
 
 
-def run_search(
-    cfg: ExperimentConfig, f_gate: FGate | None = None, steps: int | None = None
-) -> Trajectory:
-    """Run Grover steps and record the marked-state population after each.
+def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory:
+    """Run the schedule's steps and record the marked-state population after each.
 
-    ``steps`` defaults to the schedule's step count; more steps expose the
-    oscillatory tail past the schedule.  An explicit ``f_gate`` (e.g. a
-    pulse-synthesized matrix) overrides the config's f_kind tag.  Raises
-    RuntimeError if the overlap carried across the steps is more than
-    ``OVERLAP_TOLERANCE`` off the one measured after the last step.
+    A schedule with more steps (``custom_schedule``) exposes the oscillatory
+    tail.  An explicit ``f_gate`` (e.g. a pulse-synthesized matrix)
+    overrides the config's f_kind tag.  Raises RuntimeError if the overlap
+    carried across the steps is more than ``OVERLAP_TOLERANCE`` off the one
+    measured after the last step.
     """
-    if steps is None:
-        steps = cfg.schedule.steps
-    elif steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = cfg.schedule.steps
     f = _resolve_f(cfg, f_gate)
     state = superposition_register(cfg.shape, f)
     axis = state.copy()

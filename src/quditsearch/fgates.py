@@ -31,7 +31,6 @@ class FGate:
     """A d x d unitary with an equal-moduli first column."""
 
     matrix: np.ndarray
-    kind: str  # householder | dft | custom
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128)
@@ -70,7 +69,7 @@ def householder_f(d: int) -> FGate:
     """
     xi = coupling_design(d)
     matrix = np.eye(d) - 2.0 * np.outer(xi, xi)
-    return FGate(matrix, "householder")
+    return FGate(matrix)
 
 
 def dft(d: int) -> FGate:
@@ -79,7 +78,7 @@ def dft(d: int) -> FGate:
         raise ValueError(f"dft needs d >= 2, got d={d}")
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     matrix = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
-    return FGate(matrix, "dft")
+    return FGate(matrix)
 
 
 def random_phase_f(d: int, seed: int) -> FGate:
@@ -93,16 +92,16 @@ def random_phase_f(d: int, seed: int) -> FGate:
     rng = np.random.default_rng(int(seed))
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=d)
     matrix = householder_f(d).matrix * np.exp(1j * thetas)[np.newaxis, :]
-    return FGate(matrix, "custom")
+    return FGate(matrix)
 
 
-def validate_f(f: FGate | np.ndarray) -> FValidation:
+def validate_f(f: FGate) -> FValidation:
     """Check unitarity and the equal-moduli first-column contract.
 
     Passes iff both the unitarity defect (max entrywise |F^dagger F - 1|)
     and the first-column moduli deviation from 1/sqrt(d) are below 1e-10.
     """
-    matrix = f.matrix if isinstance(f, FGate) else np.asarray(f, dtype=np.complex128)
+    matrix = f.matrix
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"F must be a square matrix, got shape {matrix.shape}")
     d = matrix.shape[0]

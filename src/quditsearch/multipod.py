@@ -3,12 +3,12 @@
 A multipod couples the d qudit states |0>..|d-1> to one ancilla |c>
 with simultaneous fields of Rabi amplitudes Omega_k and a common
 detuning Delta on the ancilla.  In the Morris-Shore picture only the
-bright superposition of qudit states talks to |c>, with the RMS Rabi
-frequency; the d-1 dark states are frozen.  When the RMS pulse area is
-2(2l+1)pi the population returns to the qudit manifold and the qudit
-block of the propagator is the generalized reflection M(chi, phi) with
-chi the normalized coupling vector.  For a sech pulse of area 2 pi the
-acquired phase is phi = pi - 2 arctan(Delta T).
+bright superposition of qudit states, u = Omega / |Omega|, talks to |c>
+with the RMS Rabi frequency |Omega|; the d-1 dark states, which span the
+complement of u, are frozen.  When the RMS pulse area is 2(2l+1)pi the
+population returns to the qudit manifold and the qudit block of the
+propagator is the generalized reflection M(chi, phi) with chi = u.  For
+a sech pulse of area 2 pi the acquired phase is phi = pi - 2 arctan(Delta T).
 
 The propagator is obtained by direct numerical integration of the full
 (d+1)-level Schrodinger equation (no Morris-Shore shortcut), so the
@@ -55,43 +55,11 @@ PULSE_SHAPES = tuple(_ENVELOPES)
 
 LEAKAGE_LIMIT = 1e-4
 T_MAX = 20.0  # window half-width in pulse widths: sech tail below 5e-9 of peak
+RTOL, ATOL = 3e-12, 3e-14  # the integrator's relative and absolute tolerances
 
 
 class LeakageError(RuntimeError):
     """Pulse left population on the ancilla; no reflection to extract."""
-
-
-@dataclass(frozen=True)
-class MorrisShoreBasis:
-    """Bright/dark decomposition of the qudit manifold for given couplings."""
-
-    bright: np.ndarray  # unit vector, length d
-    dark: np.ndarray  # d x (d-1), orthonormal columns orthogonal to bright
-    rms_rabi: float
-
-
-def morris_shore(couplings: np.ndarray) -> MorrisShoreBasis:
-    """Reduce a multipod to one bright state plus d-1 dark states.
-
-    The bright state is u = couplings / |couplings|, which ``propagate``
-    couples to |c>; dark columns complete it to an orthonormal qudit basis.
-    """
-    couplings = np.asarray(couplings, dtype=np.complex128)
-    if couplings.ndim != 1 or couplings.size < 1:
-        raise ValueError("couplings must be a 1-D array")
-    rms = float(np.linalg.norm(couplings))
-    if rms == 0.0:
-        raise ValueError("all couplings are zero; no bright state exists")
-    bright = couplings / rms
-    d = couplings.size
-    # QR of [bright | e_0 .. e_{d-2}]: column 0 spans bright, the rest
-    # form a deterministic orthonormal completion.
-    q, _ = np.linalg.qr(np.column_stack([bright, np.eye(d, d - 1)]))
-    phase = np.vdot(q[:, 0], bright)
-    dark = q[:, 1:].copy()
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise AssertionError("QR completion failed to align with the bright state")
-    return MorrisShoreBasis(bright, dark, rms)
 
 
 @dataclass(frozen=True)
@@ -136,16 +104,17 @@ class Propagator:
         return self.matrix[:-1, :-1]
 
 
-def propagate(job: PulseJob, rtol: float = 3e-12, atol: float = 3e-14) -> Propagator:
+def propagate(job: PulseJob) -> Propagator:
     """Integrate the multipod Schrodinger equation over the pulse.
 
     Works in dimensionless time t/T over [-T_MAX, T_MAX], where the
     Hamiltonian is (A / (2 I_f)) f(t) K + (Delta T) |c><c| with K the
     coupling block and I_f the envelope integral.  The whole propagator
     is one matrix ODE, dU/dt = -i H(t) U from U = 1, integrated in a
-    single adaptive 8th-order Runge-Kutta solve.  Its error norm averages
-    over all (d+1)^2 entries, hence tolerances tighter than a per-column
-    solve would need for the same entry error.
+    single adaptive 8th-order Runge-Kutta solve at the fixed tolerances
+    RTOL = 3e-12 and ATOL = 3e-14.  Its error norm averages over all
+    (d+1)^2 entries, hence tolerances tighter than a per-column solve
+    would need for the same entry error.
     """
     d = job.d
     dim = d + 1
@@ -169,8 +138,8 @@ def propagate(job: PulseJob, rtol: float = 3e-12, atol: float = 3e-14) -> Propag
         np.eye(dim, dtype=np.complex128).ravel(),
         method="DOP853",
         t_eval=(T_MAX,),
-        rtol=rtol,
-        atol=atol,
+        rtol=RTOL,
+        atol=ATOL,
     )
     if not sol.success:
         raise RuntimeError(
@@ -193,14 +162,11 @@ class ReflectionFit:
     """Best fit of a qudit block to e^{i gamma} M(u, phase), u the unit couplings."""
 
     phase: float
-    global_phase: float
     residual: float
     leakage: float
 
 
-def extract_reflection(
-    u: Propagator | np.ndarray, couplings: np.ndarray
-) -> ReflectionFit:
+def extract_reflection(u: Propagator, couplings: np.ndarray) -> ReflectionFit:
     """Fit the qudit block of a propagator to a generalized reflection.
 
     The axis is the normalized coupling vector; the global phase gamma is
@@ -212,10 +178,7 @@ def extract_reflection(
     """
     couplings = np.asarray(couplings, dtype=np.complex128)
     d = couplings.size
-    if isinstance(u, Propagator):
-        matrix = u.matrix
-    else:
-        matrix = np.asarray(u, dtype=np.complex128)
+    matrix = u.matrix
     if matrix.shape != (d + 1, d + 1):
         raise ValueError(
             f"propagator has shape {matrix.shape}, expected ({d + 1}, {d + 1})"
@@ -233,7 +196,7 @@ def extract_reflection(
     phase = wrap_phase(float(np.angle(axis.conj() @ block @ axis)) - gamma)
     model = np.eye(d) + (np.exp(1j * phase) - 1.0) * projector
     residual = float(np.max(np.abs(block - np.exp(1j * gamma) * model)))
-    return ReflectionFit(phase, gamma, residual, leakage)
+    return ReflectionFit(phase, residual, leakage)
 
 
 def analytic_sech_phase(delta_t: float) -> float:
@@ -268,5 +231,5 @@ def verify_f_pulse(d: int) -> PulseGateReport:
     gamma = np.angle(np.trace(target.conj().T @ block))
     aligned = block * np.exp(-1j * gamma)
     deviation = float(np.max(np.abs(aligned - target)))
-    gate = FGate(aligned, "custom")
+    gate = FGate(aligned)
     return PulseGateReport(deviation, deviation < 1e-5, gate, fit)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .register import IndexLike, StateVector, _flat
+from .register import StateVector
 
 
 # Both step kernels come from scipy's BLAS.  numpy's wheel and scipy's wheel
@@ -57,12 +57,11 @@ def unitarity_defect(g: np.ndarray) -> float:
     return float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))))
 
 
-def oracle(s: StateVector, marked: IndexLike, phi: float) -> StateVector:
+def oracle(s: StateVector, marked: int, phi: float) -> StateVector:
     """Multiply the marked amplitude by e^{i phi}; O(1), all others untouched."""
-    flat = _flat(marked)
-    if not 0 <= flat < s.shape.N:
-        raise ValueError(f"marked index {flat} outside [0, {s.shape.N})")
-    s.amps[flat] *= np.exp(1j * phi)
+    if not 0 <= marked < s.shape.N:
+        raise ValueError(f"marked index {marked} outside [0, {s.shape.N})")
+    s.amps[marked] *= np.exp(1j * phi)
     return s
 
 
@@ -127,7 +126,7 @@ def diffusion_direct(
 
 def grover_step(
     s: StateVector,
-    marked: IndexLike,
+    marked: int,
     phi: float,
     axis: StateVector,
     overlap: complex | None = None,

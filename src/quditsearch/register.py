@@ -9,7 +9,7 @@ Amplitudes are stored as a dense complex128 array of length N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +30,9 @@ class QuditShape:
             raise ValueError(f"qudits need d >= 2 levels, got d={self.d}")
         if self.n < 1:
             raise ValueError(f"register needs n >= 1 qudits, got n={self.n}")
-        if self.d**self.n > MAX_STATES:
+        # d >= 2, so n > 31 is too big already; check it before the power,
+        # whose cost grows with n.
+        if self.n > 31 or self.d**self.n > MAX_STATES:
             raise ValueError(
                 f"database size d**n = {self.d}**{self.n} exceeds the "
                 f"dense-storage limit 2**31 - 1"
@@ -83,13 +85,6 @@ class BasisIndex:
         return cls(digits, shape.to_flat(digits))
 
 
-IndexLike = Union[BasisIndex, int]
-
-
-def _flat(x: IndexLike) -> int:
-    return x.flat if isinstance(x, BasisIndex) else int(x)
-
-
 @dataclass
 class StateVector:
     """Dense amplitude vector over the N basis states of a register."""
@@ -112,9 +107,8 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def basis_state(shape: QuditShape, x: IndexLike) -> StateVector:
-    """Computational basis state |x> (unit amplitude at one index)."""
-    flat = _flat(x)
+def basis_state(shape: QuditShape, flat: int) -> StateVector:
+    """Computational basis state |flat> (unit amplitude at one index)."""
     if not 0 <= flat < shape.N:
         raise ValueError(f"basis index {flat} outside [0, {shape.N})")
     amps = np.zeros(shape.N, dtype=np.complex128)
@@ -122,9 +116,8 @@ def basis_state(shape: QuditShape, x: IndexLike) -> StateVector:
     return StateVector(shape, amps)
 
 
-def population(s: StateVector, x: IndexLike) -> float:
-    """|amplitude_x|^2 of basis state x."""
-    flat = _flat(x)
+def population(s: StateVector, flat: int) -> float:
+    """|amplitude|^2 of basis state |flat>."""
     if not 0 <= flat < s.shape.N:
         raise ValueError(f"basis index {flat} outside [0, {s.shape.N})")
     return float(abs(s.amps[flat]) ** 2)

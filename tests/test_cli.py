@@ -186,6 +186,26 @@ def test_search_config_takes_an_integer_phase(tmp_path, capsys):
                           "--phi", "3", "--steps", "2")[1]
 
 
+@pytest.mark.parametrize("config, flags", [
+    pytest.param({"d": 3, "n": 2, "mode": "custom", "phi": 3, "steps": 2, "f": "dft",
+                  "format": "json"},
+                 ["--d", "3", "--n", "2", "--mode", "custom", "--phi", "3", "--steps", "2",
+                  "--f", "dft", "--format", "json"], id="custom-dft-json"),
+    pytest.param({"d": 2, "n": 3, "sweep": "0,5", "f": "random:4"},
+                 ["--d", "2", "--n", "3", "--sweep", "0,5", "--f", "random:4"],
+                 id="sweep-random"),
+    pytest.param({"d": 2, "n": 3, "marked": 4, "mode": "pi"},
+                 ["--d", "2", "--n", "3", "--marked", "4", "--mode", "pi"], id="marked-pi"),
+])
+def test_search_config_matches_the_same_flags(tmp_path, capsys, config, flags):
+    # the config check and the flags come from one table: same values, same bytes
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "search", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "search", *flags)[1]
+
+
 def test_search_sweep_ordered_output(capsys):
     code, out, _ = run_cli(capsys, "search", "--d", "2", "--n", "3",
                            "--sweep", "0,3,5")
@@ -204,6 +224,21 @@ def test_search_sweep_conflicts_with_marked(capsys):
     code, _, err = run_cli(capsys, "search", "--d", "2", "--n", "3",
                            "--marked", "1", "--sweep", "0,1")
     assert code == 2
+    assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize("config, flags", [
+    pytest.param({"marked": 1, "sweep": "0,1"}, [], id="config-config"),
+    pytest.param({"marked": 1}, ["--sweep", "0,1"], id="config-flag"),
+    pytest.param({"sweep": "0,1"}, ["--marked", "1"], id="flag-config"),
+])
+def test_search_sweep_conflicts_with_configured_marked(tmp_path, capsys, config, flags):
+    # marked and sweep exclude each other wherever each is set
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"d": 2, "n": 3, **config}))
+    code, out, err = run_cli(capsys, "search", "--config", str(cfg), *flags)
+    assert code == 2
+    assert out == ""
     assert "mutually exclusive" in err
 
 
@@ -294,6 +329,19 @@ def test_pulse_check_rejects_non_finite(flag, value):
     )
     assert proc.returncode == 2
     assert "finite" in proc.stderr
+
+
+def test_search_refuses_a_huge_register_fast():
+    # d**n is never formed for an n that cannot fit; a fresh interpreter with a
+    # timeout, so a slow refusal fails the test
+    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quditsearch", "search", "--d", "3", "--n", "1000000000"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "dense-storage limit" in proc.stderr
 
 
 def test_pulse_check_gaussian_has_no_analytic_phase(capsys):

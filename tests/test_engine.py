@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,12 @@ def config(d, n, schedule, marked=0, **kw):
     )
 
 
+def extended(cfg, steps):
+    """cfg with its schedule's phase run for ``steps`` steps instead."""
+    schedule = custom_schedule(cfg.shape.N, cfg.schedule.phi, steps)
+    return dataclasses.replace(cfg, schedule=schedule)
+
+
 # ---- run_search -----------------------------------------------------------
 
 
@@ -63,7 +70,7 @@ def test_zero_step_schedule():
 def test_populations_within_unit_bound():
     for d, n in [(2, 4), (3, 3), (5, 2)]:
         cfg = config(d, n, deterministic_schedule(d**n), marked=1)
-        traj = run_search(cfg, steps=cfg.schedule.steps + 20)
+        traj = run_search(extended(cfg, cfg.schedule.steps + 20))
         assert np.all(traj.populations <= 1 + 1e-12)
         assert np.all(traj.populations >= 0)
         assert traj.peak_population >= 1 - 1e-6
@@ -75,7 +82,7 @@ def test_populations_within_unit_bound():
 def test_extended_run_shows_oscillatory_tail():
     sched = deterministic_schedule(243)
     cfg = config(3, 5, sched, marked=7)
-    traj = run_search(cfg, steps=40)
+    traj = run_search(extended(cfg, 40))
     assert len(traj.populations) == 41
     assert traj.populations.max() >= 1 - 1e-6
     assert traj.populations[sched.steps + 1 :].min() < 0.05
@@ -84,17 +91,15 @@ def test_extended_run_shows_oscillatory_tail():
 def test_extended_zero_extra_matches_run_search():
     cfg = config(3, 3, deterministic_schedule(27), marked=5)
     np.testing.assert_array_equal(
-        run_search(cfg, steps=cfg.schedule.steps).populations,
+        run_search(extended(cfg, cfg.schedule.steps)).populations,
         run_search(cfg).populations,
     )
-    with pytest.raises(ValueError, match=">= 0"):
-        run_search(cfg, steps=-1)
 
 
 def test_single_qubit_pi_populations_repeat_with_period_three():
     # N=2 is a quarter-turn rotation; populations settle into a cycle
     cfg = config(2, 1, canonical_schedule(2))
-    traj = run_search(cfg, steps=cfg.schedule.steps + 20)
+    traj = run_search(extended(cfg, cfg.schedule.steps + 20))
     pops = traj.populations
     for k in range(len(pops) - 3):
         assert pops[k] == pytest.approx(pops[k + 3], abs=1e-9)
@@ -203,7 +208,7 @@ def test_explicit_gate_must_meet_f_contract():
     # every first-column modulus is 1/sqrt(3), but the columns are equal,
     # so the gate is not unitary
     cfg = config(3, 2, deterministic_schedule(9))
-    gate = FGate(np.full((3, 3), 3**-0.5), "custom")
+    gate = FGate(np.full((3, 3), 3**-0.5))
     with pytest.raises(ValueError, match="contract"):
         run_search(cfg, f_gate=gate)
 
@@ -301,7 +306,7 @@ def off_norm_gate():
     # passes validate_f, but its first column has squared norm 1 + 6e-11
     matrix = householder_f(3).matrix.copy()
     matrix[:, 0] *= 1.0 + 3e-11
-    return FGate(matrix, "custom")
+    return FGate(matrix)
 
 
 @pytest.mark.parametrize("gate", ["random:11", "off-norm"])

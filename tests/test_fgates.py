@@ -114,7 +114,7 @@ def test_validate_householder_passes():
 
 
 def test_validate_identity_fails_column_contract():
-    report = validate_f(np.eye(3, dtype=complex))
+    report = validate_f(FGate(np.eye(3)))
     assert not report.passed
     assert report.unitarity_defect < 1e-15
     assert report.column_deviation > 0.4
@@ -126,7 +126,7 @@ def test_validate_dft_passes():
 
 def test_validate_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
-        validate_f(np.ones((2, 3), dtype=complex))
+        validate_f(FGate(np.ones((2, 3))))
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -141,9 +141,12 @@ def test_equal_moduli_contract(d, kind):
 
 
 def test_make_f_parses_random_seed():
-    assert make_f(3, "random:9").kind == "custom"
-    assert make_f(3, "householder").kind == "householder"
-    assert make_f(3, "dft").kind == "dft"
+    for kind, built in [
+        ("random:9", random_phase_f(3, 9)),
+        ("householder", householder_f(3)),
+        ("dft", dft(3)),
+    ]:
+        np.testing.assert_array_equal(make_f(3, kind).matrix, built.matrix)
 
 
 def test_make_f_rejects_unknown_kind():

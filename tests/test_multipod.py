@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 from quditsearch.fgates import coupling_design, householder_f
 from quditsearch.multipod import (
     LeakageError,
+    Propagator,
     PulseJob,
     T_MAX,
     analytic_sech_phase,
     extract_reflection,
-    morris_shore,
     propagate,
     verify_f_pulse,
     wrap_phase,
@@ -33,49 +34,9 @@ def complex_couplings(d, seed):
     return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
-# ---- morris_shore -----------------------------------------------------------
-
-
-def test_morris_shore_single_coupling():
-    basis = morris_shore(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(basis.bright, [1.0, 0.0], atol=1e-15)
-    assert basis.rms_rabi == pytest.approx(1.0)
-    assert basis.dark.shape == (2, 1)
-    np.testing.assert_allclose(np.abs(basis.dark[:, 0]), [0.0, 1.0], atol=1e-12)
-
-
-def test_morris_shore_symmetric_tripod():
-    om = np.ones(3) / np.sqrt(3)
-    basis = morris_shore(om)
-    np.testing.assert_allclose(basis.bright, om, atol=1e-14)
-    assert basis.rms_rabi == pytest.approx(1.0, abs=1e-14)
-    # dark columns orthonormal and orthogonal to bright
-    overlaps = basis.dark.conj().T @ basis.bright
-    np.testing.assert_allclose(overlaps, 0.0, atol=1e-12)
-    np.testing.assert_allclose(
-        basis.dark.conj().T @ basis.dark, np.eye(2), atol=1e-12
-    )
-
-
-def test_morris_shore_coupling_design_quadripod():
-    basis = morris_shore(coupling_design(4))
-    np.testing.assert_allclose(basis.bright, [0.5, 0.5, 0.5, 0.5], atol=1e-14)
-    assert basis.rms_rabi == pytest.approx(1.0, abs=1e-14)
-
-
-def test_morris_shore_bright_state_is_unit_couplings():
-    # propagate couples u_k |k><c|, so |c> talks to sum_k u_k |k> = u, not conj(u)
-    om = complex_couplings(3, 11)
-    unit = om / np.linalg.norm(om)
-    basis = morris_shore(om)
-    np.testing.assert_allclose(basis.bright, unit, atol=1e-15)
-    # the dark states have no matrix element <c|H|D> ~ conj(u) . D
-    np.testing.assert_allclose(unit.conj() @ basis.dark, 0.0, atol=1e-15)
-
-
-def test_morris_shore_rejects_zero_couplings():
-    with pytest.raises(ValueError, match="zero"):
-        morris_shore(np.zeros(3))
+def dark_space(couplings):
+    """Orthonormal columns D with <c|H|D> ~ conj(u) . D = 0: the dark states."""
+    return null_space(couplings.conj()[np.newaxis])
 
 
 # ---- PulseJob ---------------------------------------------------------------
@@ -112,8 +73,8 @@ def test_resonant_pulse_realizes_reflection():
 def test_dark_states_do_not_evolve():
     job = sech_job(3, 1.5)
     prop = propagate(job)
-    basis = morris_shore(job.couplings)
-    sub = basis.dark.conj().T @ prop.qudit_block @ basis.dark
+    dark = dark_space(job.couplings)
+    sub = dark.conj().T @ prop.qudit_block @ dark
     gamma = np.angle(np.mean(np.diag(sub)))
     assert np.max(np.abs(sub - np.exp(1j * gamma) * np.eye(2))) < 1e-6
 
@@ -132,7 +93,7 @@ def test_propagator_unitarity_and_dark_space_grid(d, seed, area, delta_t):
     prop = propagate(job)
     assert unitarity_defect(prop.matrix) < 1e-8
     # the dark subspace must ride through untouched, whatever the job
-    dark = morris_shore(job.couplings).dark
+    dark = dark_space(job.couplings)
     sub = dark.conj().T @ prop.qudit_block @ dark
     gamma = np.angle(np.mean(np.diag(sub)))
     assert np.max(np.abs(sub - np.exp(1j * gamma) * np.eye(d - 1))) < 1e-6
@@ -219,7 +180,7 @@ def test_off_return_area_is_rejected():
 def test_extract_shape_check():
     job = sech_job(3, 0.0)
     with pytest.raises(ValueError, match="shape"):
-        extract_reflection(np.eye(3), job.couplings)
+        extract_reflection(Propagator(np.eye(3)), job.couplings)
 
 
 # ---- analytic_sech_phase ----------------------------------------------------------
@@ -289,7 +250,7 @@ def tuned_gaussian():
             rms_area=area,
             shape="gaussian",
         )
-        prop = propagate(job, rtol=1e-9, atol=1e-11)
+        prop = propagate(job)
         return np.linalg.norm(prop.matrix[-1, :-1])  # ancilla row, qudit columns
 
     result = minimize(

@@ -43,7 +43,7 @@ def test_basis_state_big_endian_digits():
     shape = QuditShape(3, 2)
     x = BasisIndex.from_digits(shape, [1, 0])
     assert x.flat == 3
-    s = basis_state(shape, x)
+    s = basis_state(shape, x.flat)
     assert s.amps[3] == 1.0
     assert np.count_nonzero(s.amps) == 1
 
