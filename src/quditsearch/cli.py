@@ -4,11 +4,13 @@ Four subcommands: ``search`` runs a full state-vector search and writes
 the trajectory (CSV or JSON), ``schedule`` prints the phase-matching
 parameters for a database size, ``pulse-check`` integrates a multipod
 pulse and reports the extracted reflection, and ``validate-f`` checks
-the equal-superposition gate contract.  Angles are radians everywhere;
-floats are printed with 12 significant digits.
+the equal-superposition gate contract.  Every value comes from a flag;
+the only file the CLI touches is the one ``--out`` names.  Angles are
+radians everywhere; floats are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 runtime failure (e.g. pulse left population on
-the ancilla), 2 usage, validation or file error.
+the ancilla, or a gate too large for memory), 2 usage, validation or
+file error.
 """
 
 from __future__ import annotations
@@ -31,21 +33,6 @@ from .scheduler import (
     custom_schedule,
     deterministic_schedule,
 )
-
-# search flag -> (what a --config value for it may be: one of these JSON
-# types, the last of which also converts the flag, or one of these choices;
-# its default when neither the file nor a flag sets it; its help text)
-_SEARCH_OPTIONS = {
-    "d": ((int,), None, "levels per qudit (>= 2)"),
-    "n": ((int,), None, "number of qudits (>= 1)"),
-    "marked": ((int,), None, "flat index of the marked state"),
-    "mode": (("deterministic", "pi", "custom"), "deterministic", None),
-    "phi": ((int, float), None, "phase in radians (custom mode only)"),
-    "steps": ((int,), None, "step count (custom mode only)"),
-    "f": ((str,), "householder", "householder | dft | random:SEED"),
-    "format": (("csv", "json"), "csv", None),
-    "sweep": ((str,), None, "comma-separated marked indices, run in order"),
-}
 
 
 def _cell(v) -> str:
@@ -79,86 +66,50 @@ def _trajectory_dict(schedule: dict, traj: Trajectory) -> dict:
     }
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Search options, overlaid: hard defaults < config file < explicit flags."""
-    merged = {key: default for key, (_, default, _) in _SEARCH_OPTIONS.items()}
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file holds {type(loaded).__name__}, not an object")
-        unknown = set(loaded) - set(merged)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            allowed = _SEARCH_OPTIONS[key][0]  # exact types: a bool is no int
-            if type(value) not in allowed and value not in allowed:
-                raise ValueError(f"config value {value!r} is not valid for --{key}")
-        merged.update(loaded)
-    for key in merged:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _resolve_schedule(N: int, mode: str, phi, steps) -> SearchSchedule:
     if mode == "custom":
         if phi is None or steps is None:
             raise ValueError("--mode custom requires both --phi and --steps")
-        return custom_schedule(N, float(phi), int(steps))
+        return custom_schedule(N, phi, steps)
     if phi is not None or steps is not None:
         raise ValueError("--phi/--steps are only valid with --mode custom")
     return deterministic_schedule(N) if mode == "deterministic" else canonical_schedule(N)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    opts = _merge_config(args)
-    if opts["d"] is None or opts["n"] is None:
-        raise ValueError("search requires --d and --n (flags or config file)")
-    shape = QuditShape(int(opts["d"]), int(opts["n"]))
-    schedule = _resolve_schedule(shape.N, opts["mode"], opts["phi"], opts["steps"])
+    shape = QuditShape(args.d, args.n)
+    schedule = _resolve_schedule(shape.N, args.mode, args.phi, args.steps)
 
     def build(marked_flat: int) -> ExperimentConfig:
         return ExperimentConfig(
             shape=shape,
-            marked=BasisIndex.from_flat(shape, int(marked_flat)),
+            marked=BasisIndex.from_flat(shape, marked_flat),
             schedule=schedule,
-            f_kind=opts["f"],
+            f_kind=args.f,
         )
 
     schedule_doc = dataclasses.asdict(schedule)  # shared by a sweep's runs
-    if opts["sweep"] is None:
-        traj = run_search(build(0 if opts["marked"] is None else opts["marked"]))
+    if args.sweep is None:
+        traj = run_search(build(0 if args.marked is None else args.marked))
         doc = _trajectory_dict(schedule_doc, traj)
         rows = enumerate(traj.populations.tolist())
-        _emit(opts["format"], args.out, doc, "step,population", rows)
+        _emit(args.format, args.out, doc, "step,population", rows)
         return 0
-    if opts["marked"] is not None:
-        raise ValueError("--sweep and --marked are mutually exclusive")
-    marks = [int(tok) for tok in opts["sweep"].split(",") if tok != ""]
+    marks = [int(tok) for tok in args.sweep.split(",") if tok != ""]
     if not marks:
         raise ValueError("--sweep needs a comma-separated list of marked indices")
     runs = [(m, run_search(build(m))) for m in marks]
     doc = [{"marked": m, **_trajectory_dict(schedule_doc, t)} for m, t in runs]
     rows = ((f"{m},{k}", p) for m, t in runs for k, p in enumerate(t.populations.tolist()))
-    _emit(opts["format"], args.out, doc, "marked,step,population", rows)
+    _emit(args.format, args.out, doc, "marked,step,population", rows)
     return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    if args.N is not None:
-        if args.d is not None or args.n is not None:
-            raise ValueError("give either --N or --d/--n, not both")
-        N = args.N
-    elif args.d is not None and args.n is not None:
-        N = QuditShape(args.d, args.n).N
-    else:
-        raise ValueError("schedule requires --N or both --d and --n")
-    det = deterministic_schedule(N)
-    canonical = canonical_schedule(N)
+    det = deterministic_schedule(args.N)
+    canonical = canonical_schedule(args.N)
     fields = {
-        "N": N,
+        "N": args.N,
         "beta": det.beta,
         "j": det.j,
         "phi": det.phi,
@@ -210,40 +161,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grover search on d-level registers: simulation, "
         "phase-matching schedules, and pulse-level gate checks.",
     )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
+    output.add_argument("--out", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("search", help="run a search and write the trajectory")
-    for key, (allowed, _, help_text) in _SEARCH_OPTIONS.items():
-        if isinstance(allowed[-1], type):
-            p.add_argument(f"--{key}", type=allowed[-1], help=help_text)
-        else:
-            p.add_argument(f"--{key}", choices=allowed, help=help_text)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--config", help="JSON file with the same keys; flags override")
+    p = sub.add_parser("search", parents=[output],
+                       help="run a search and write the trajectory")
+    p.add_argument("--d", type=int, required=True, help="levels per qudit (>= 2)")
+    p.add_argument("--n", type=int, required=True, help="number of qudits (>= 1)")
+    p.add_argument("--mode", choices=["deterministic", "pi", "custom"],
+                   default="deterministic")
+    p.add_argument("--phi", type=float, help="phase in radians (custom mode only)")
+    p.add_argument("--steps", type=int, help="step count (custom mode only)")
+    p.add_argument("--f", default="householder", help="householder | dft | random:SEED")
+    which = p.add_mutually_exclusive_group()
+    # default None: argparse would take a --marked 0 equal to a default 0 as unset
+    which.add_argument("--marked", type=int, help="flat index of the marked state (default 0)")
+    which.add_argument("--sweep", help="comma-separated marked indices, run in order")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("schedule", help="print phase-matching parameters")
-    p.add_argument("--N", type=int, help="database size (>= 2)")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
+    p = sub.add_parser("schedule", parents=[output], help="print phase-matching parameters")
+    p.add_argument("--N", type=int, required=True, help="database size (>= 2)")
     p.set_defaults(func=_cmd_schedule)
 
-    p = sub.add_parser("pulse-check", help="integrate a multipod pulse and fit it")
+    p = sub.add_parser("pulse-check", parents=[output],
+                       help="integrate a multipod pulse and fit it")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--deltaT", type=float, default=0.0, help="detuning-width product")
     p.add_argument("--area", type=float, default=2.0 * math.pi, help="RMS pulse area")
     p.add_argument("--shape", choices=PULSE_SHAPES, default="sech")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_pulse_check)
 
-    p = sub.add_parser("validate-f", help="check the equal-superposition gate")
+    p = sub.add_parser("validate-f", parents=[output],
+                       help="check the equal-superposition gate")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--f", default="householder", help="householder | dft | random:SEED")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_validate_f)
 
     return parser
@@ -260,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

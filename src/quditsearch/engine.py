@@ -142,7 +142,7 @@ def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory
         populations.append(population(state, marked))
     # Measured only here, never fed back: every step stays an elementwise pass.
     drift = abs(zdotc(axis.amps, state.amps) - overlap)
-    if drift > OVERLAP_TOLERANCE:
+    if not drift <= OVERLAP_TOLERANCE:  # a NaN drift fails too
         raise RuntimeError(
             f"carried axis overlap is {drift:.3e} off the measured one after "
             f"{steps} steps (tolerance {OVERLAP_TOLERANCE:.0e})"

@@ -26,7 +26,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SearchSchedule:
-    """Iteration plan: rotation half-angle beta, phase phi, and step count."""
+    """Iteration plan: rotation half-angle beta, a finite phase phi, steps >= 0."""
 
     N: int
     beta: float
@@ -35,11 +35,22 @@ class SearchSchedule:
     steps: int
     mode: str
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"step count must be >= 0, got {self.steps}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase must be finite, got {self.phi}")
+
 
 def _beta(N: int) -> float:
     if N < 2:
         raise ValueError(f"database size must be >= 2, got N={N}")
-    return math.asin(N**-0.5)
+    try:
+        return math.asin(N**-0.5)
+    except OverflowError:  # N does not fit a float
+        raise ValueError(
+            f"database size is too large for a float: N has {N.bit_length()} bits"
+        ) from None
 
 
 def _floor_step_index(N: int, beta: float) -> int:
@@ -97,10 +108,6 @@ def canonical_schedule(N: int) -> SearchSchedule:
 def custom_schedule(N: int, phi: float, steps: int) -> SearchSchedule:
     """User-supplied phase and step count; no optimality claims."""
     beta = _beta(N)
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
     j = _floor_step_index(N, beta)
     return SearchSchedule(N, beta, j, float(phi), int(steps), "custom")
 

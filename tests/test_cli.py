@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -15,6 +16,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*args, timeout=60, env=None, **kw):
+    """Run the interpreter with ``args`` on this package in a fresh process."""
+    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})}, **kw,
+    )
 
 
 def parse_csv(text):
@@ -119,91 +129,12 @@ def test_search_out_file(tmp_path, capsys):
     assert len(rows) >= 2
 
 
-def test_search_config_file_with_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"d": 3, "n": 3, "marked": 5, "format": "json"}))
-    code, out, _ = run_cli(capsys, "search", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["schedule"]["N"] == 27
-    # flag overrides the file
-    code, out, _ = run_cli(capsys, "search", "--config", str(cfg), "--n", "2")
-    assert code == 0
-    assert json.loads(out)["schedule"]["N"] == 9
-
-
-def test_search_missing_config_file_is_usage_error(tmp_path, capsys):
-    missing = tmp_path / "missing.json"
-    code, _, err = run_cli(capsys, "search", "--config", str(missing))
-    assert code == 2
-    assert err.startswith("error:")
-
-
 def test_search_unwritable_out_is_usage_error(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run_cli(capsys, "search", "--d", "2", "--n", "2",
                            "--out", str(target))
     assert code == 2
     assert err.startswith("error:")
-
-
-def test_search_config_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"d": 3, "n": 3, "qudits": 7}))
-    code, _, err = run_cli(capsys, "search", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config keys" in err
-
-
-@pytest.mark.parametrize("content", [
-    pytest.param("5", id="number-file"),
-    pytest.param("[1, 2]", id="list-file"),
-    pytest.param('{"d": [3], "n": 2}', id="list-for-int"),
-    pytest.param('{"d": 3, "n": 2, "f": 5}', id="int-for-string"),
-    pytest.param('{"d": 3, "n": 2, "phi": [1], "mode": "custom", "steps": 3}',
-                 id="list-for-float"),
-    pytest.param('{"d": 3.7, "n": 2}', id="float-for-int"),
-    pytest.param('{"d": true, "n": 2}', id="bool-for-int"),
-    pytest.param('{"d": 3, "n": 2, "marked": null}', id="null"),
-    pytest.param('{"d": 3, "n": 2, "format": "xml"}', id="not-a-choice"),
-    pytest.param('{"d": 3, "n": 2, "sweep": [0, 1]}', id="list-for-string"),
-])
-def test_search_config_values_must_match_their_flags(tmp_path, capsys, content):
-    # each value must be one its flag would accept; anything else is a usage error
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(content)
-    code, out, err = run_cli(capsys, "search", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-
-
-def test_search_config_takes_an_integer_phase(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text('{"d": 3, "n": 2, "mode": "custom", "phi": 3, "steps": 2}')
-    code, out, _ = run_cli(capsys, "search", "--config", str(cfg))
-    assert code == 0
-    assert out == run_cli(capsys, "search", "--d", "3", "--n", "2", "--mode", "custom",
-                          "--phi", "3", "--steps", "2")[1]
-
-
-@pytest.mark.parametrize("config, flags", [
-    pytest.param({"d": 3, "n": 2, "mode": "custom", "phi": 3, "steps": 2, "f": "dft",
-                  "format": "json"},
-                 ["--d", "3", "--n", "2", "--mode", "custom", "--phi", "3", "--steps", "2",
-                  "--f", "dft", "--format", "json"], id="custom-dft-json"),
-    pytest.param({"d": 2, "n": 3, "sweep": "0,5", "f": "random:4"},
-                 ["--d", "2", "--n", "3", "--sweep", "0,5", "--f", "random:4"],
-                 id="sweep-random"),
-    pytest.param({"d": 2, "n": 3, "marked": 4, "mode": "pi"},
-                 ["--d", "2", "--n", "3", "--marked", "4", "--mode", "pi"], id="marked-pi"),
-])
-def test_search_config_matches_the_same_flags(tmp_path, capsys, config, flags):
-    # the config check and the flags come from one table: same values, same bytes
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
-    code, out, _ = run_cli(capsys, "search", "--config", str(cfg))
-    assert code == 0
-    assert out == run_cli(capsys, "search", *flags)[1]
 
 
 def test_search_sweep_ordered_output(capsys):
@@ -220,26 +151,14 @@ def test_search_sweep_ordered_output(capsys):
     np.testing.assert_allclose(pops[0], pops[1], atol=1e-9)
 
 
-def test_search_sweep_conflicts_with_marked(capsys):
-    code, _, err = run_cli(capsys, "search", "--d", "2", "--n", "3",
-                           "--marked", "1", "--sweep", "0,1")
-    assert code == 2
-    assert "mutually exclusive" in err
-
-
-@pytest.mark.parametrize("config, flags", [
-    pytest.param({"marked": 1, "sweep": "0,1"}, [], id="config-config"),
-    pytest.param({"marked": 1}, ["--sweep", "0,1"], id="config-flag"),
-    pytest.param({"sweep": "0,1"}, ["--marked", "1"], id="flag-config"),
-])
-def test_search_sweep_conflicts_with_configured_marked(tmp_path, capsys, config, flags):
-    # marked and sweep exclude each other wherever each is set
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"d": 2, "n": 3, **config}))
-    code, out, err = run_cli(capsys, "search", "--config", str(cfg), *flags)
+@pytest.mark.parametrize("marked", ["0", "1"])
+def test_search_sweep_conflicts_with_marked(capsys, marked):
+    # "0" too: argparse would take a marked equal to a default 0 as unset
+    code, out, err = run_cli(capsys, "search", "--d", "2", "--n", "3",
+                             "--marked", marked, "--sweep", "0,1")
     assert code == 2
     assert out == ""
-    assert "mutually exclusive" in err
+    assert "not allowed with" in err
 
 
 def test_search_missing_required(capsys):
@@ -271,17 +190,14 @@ def test_schedule_n4(capsys):
     assert float(values["phi"]) == pytest.approx(0.922442026906, abs=1e-10)
 
 
-def test_schedule_from_register_geometry(capsys):
-    code, out, _ = run_cli(capsys, "schedule", "--d", "3", "--n", "5",
-                           "--format", "json")
-    assert code == 0
-    assert json.loads(out)["N"] == 243
-
-
 def test_schedule_rejects_n1(capsys):
     code, _, err = run_cli(capsys, "schedule", "--N", "1")
     assert code == 2
     assert ">= 2" in err
+    # an N past the float range is refused, not an OverflowError traceback
+    code, _, err = run_cli(capsys, "schedule", "--N", str(2**1100))
+    assert code == 2
+    assert err.startswith("error:") and "too large" in err
 
 
 def test_schedule_requires_size(capsys):
@@ -321,12 +237,7 @@ def test_pulse_check_off_return_area_fails(capsys):
 @pytest.mark.parametrize("flag,value", [("--deltaT", "nan"), ("--area", "inf")])
 def test_pulse_check_rejects_non_finite(flag, value):
     # a fresh interpreter with a timeout, so a hanging integration fails the test
-    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quditsearch", "pulse-check", "--d", "3", flag, value],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_fresh("-m", "quditsearch", "pulse-check", "--d", "3", flag, value)
     assert proc.returncode == 2
     assert "finite" in proc.stderr
 
@@ -334,14 +245,27 @@ def test_pulse_check_rejects_non_finite(flag, value):
 def test_search_refuses_a_huge_register_fast():
     # d**n is never formed for an n that cannot fit; a fresh interpreter with a
     # timeout, so a slow refusal fails the test
-    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quditsearch", "search", "--d", "3", "--n", "1000000000"],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_fresh("-m", "quditsearch", "search", "--d", "3", "--n", "1000000000",
+                     timeout=10)
     assert proc.returncode == 2
     assert "dense-storage limit" in proc.stderr
+
+
+def cap_address_space():
+    limit = 4 << 30  # 4 GiB: a failed allocation, never a host out of memory
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["validate-f", "--d", "3000000"], id="validate-f"),
+    pytest.param(["search", "--d", "3000000", "--n", "1"], id="search"),
+])
+def test_gate_too_large_for_memory_is_a_runtime_error(argv):
+    # F is a dense d x d matrix: 65.5 TiB at this d
+    proc = run_fresh("-m", "quditsearch", *argv, preexec_fn=cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_pulse_check_gaussian_has_no_analytic_phase(capsys):
@@ -390,6 +314,18 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["search", "--d", "2", "--n", "2", "--config", "x.json"], id="search-config"),
+    pytest.param(["schedule", "--N", "243", "--d", "3", "--n", "5"], id="schedule-d-n"),
+])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    # every value has one way in: its flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -398,12 +334,7 @@ def test_help_exits_zero(capsys):
 
 def run_python(code, **env):
     """Run code in a fresh interpreter on this package; its stdout."""
-    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src, **env},
-    )
+    proc = run_fresh("-c", code, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -337,3 +337,12 @@ def test_wrong_carried_overlap_raises(monkeypatch):
     cfg = config(3, 3, deterministic_schedule(27), marked=5)
     with pytest.raises(RuntimeError, match="carried axis overlap"):
         run_search(cfg)
+
+    # one that writes NaN leaves a NaN drift, which must fail the check too
+    def nan_oracle(s, marked, phi):
+        s.amps[marked] = np.nan
+        return s
+
+    monkeypatch.setattr(reflections, "oracle", nan_oracle)
+    with pytest.raises(RuntimeError, match="carried axis overlap"):
+        run_search(cfg)

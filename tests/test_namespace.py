@@ -1,11 +1,13 @@
-"""The package root serves the README's API example and the benchmark's lookups."""
+"""The README's examples run as written; the benchmark's lookups exist."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import quditsearch
+from quditsearch.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,6 +18,23 @@ def test_readme_api_example_runs_in_a_fresh_namespace(capsys):
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["0.9999999999999876", "12"]
+
+
+def readme_cli_commands():
+    """argv of each ``quditsearch`` command in the README's CLI shell block."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("quditsearch ")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = readme_cli_commands()
+    assert commands
+    for argv in commands:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        assert main(argv) == 0, argv
 
 
 def qs_attributes(path):

@@ -6,6 +6,7 @@ import pytest
 from quditsearch.engine import ExperimentConfig, run_search
 from quditsearch.register import BasisIndex, QuditShape
 from quditsearch.scheduler import (
+    SearchSchedule,
     canonical_schedule,
     custom_schedule,
     deterministic_schedule,
@@ -100,6 +101,17 @@ def test_custom_schedule_fields():
     for phi in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             custom_schedule(9, phi, 2)
+
+
+@pytest.mark.parametrize("phi, steps, match", [
+    pytest.param(math.nan, 4, "finite", id="nan-phase"),
+    pytest.param(math.inf, 4, "finite", id="inf-phase"),
+    pytest.param(0.19, -3, ">= 0", id="negative-steps"),
+])
+def test_schedule_refuses_what_it_cannot_run(phi, steps, match):
+    # the type holds its own contract, however the schedule is built
+    with pytest.raises(ValueError, match=match):
+        SearchSchedule(27, 0.19, 2, phi, steps, "x")
 
 
 # ---- predicted_population ------------------------------------------------------
