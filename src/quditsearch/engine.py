@@ -2,12 +2,15 @@
 
 A run prepares a = F^(x)n |0...0> as the Kronecker power of F's first
 column, then iterates the Grover step.  That state is also the diffusion
-axis, copied once and applied as a rank-1 update.  The update's only
-global quantity, the overlap <a|s>, is carried from step to step by its
-exact O(1) recurrence, so a step is one elementwise zaxpy pass over the
-state.  No multi-threaded reduction feeds the trajectory, so it does not
-depend on the BLAS thread count.  One zdotc after the last step checks the
-carried overlap against the state.  The local-gate sandwich
+axis, kept as its two Kronecker halves a = kron(head, tail) (F's first
+column to the floor(n/2)-th and ceil(n/2)-th power, at most d^ceil(n/2)
+entries each) and applied as a rank-1 update.  The update's only global
+quantity, the overlap <a|s>, is carried from step to step by its exact
+O(1) recurrence, so a step is one in-place zgeru pass over the state,
+32 N bytes.  No multi-threaded reduction feeds the trajectory, so it does
+not depend on the BLAS thread count.  One contraction of the state with
+the two factors after the last step checks the carried overlap.  The
+local-gate sandwich
 ``reflections.diffusion_via_gates`` is not a run path; tests compare
 against it.
 """
@@ -16,14 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .fgates import FGate, f_constructor, make_f, validate_f
 # apply_local_gate is unused here but kept importable under this name: the
 # benchmark tracer (benchmark/run.py) wraps quditsearch.engine.apply_local_gate.
-from .reflections import apply_local_gate, grover_step, zdotc  # noqa: F401
+from .reflections import Axis, apply_local_gate, axis_overlap, grover_step  # noqa: F401
 from .register import BasisIndex, QuditShape, StateVector, basis_state, population
 from .scheduler import SearchSchedule
 
@@ -67,6 +69,25 @@ class Trajectory:
         return cls(pops, peak, float(pops[peak]))
 
 
+def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
+    """F's first column as a fresh complex128 array (one a state may own)."""
+    if f.matrix.shape != (shape.d, shape.d):
+        raise ValueError(f"gate has shape {f.matrix.shape}, expected ({shape.d}, {shape.d})")
+    return np.array(f.matrix[:, 0], dtype=np.complex128)
+
+
+def _kron_power(column: np.ndarray, k: int) -> np.ndarray:
+    """column^(x)k, multiplied left to right (ones(1) at k = 0).
+
+    np.multiply.outer forms the same products as np.kron at a fraction of
+    its per-call cost, which dominates at small N.
+    """
+    power = column if k else np.ones(1, dtype=np.complex128)
+    for _ in range(k - 1):
+        power = np.multiply.outer(power, column).ravel()
+    return power
+
+
 def superposition_register(shape: QuditShape, f: FGate) -> StateVector:
     """F^(x)n |0>: the equal-weight starting superposition.
 
@@ -77,10 +98,18 @@ def superposition_register(shape: QuditShape, f: FGate) -> StateVector:
     they can differ in the last bits, because numpy's vectorized complex
     multiply may fuse a multiply-add that the einsum loop rounds twice.
     """
-    if f.matrix.shape != (shape.d, shape.d):
-        raise ValueError(f"gate has shape {f.matrix.shape}, expected ({shape.d}, {shape.d})")
-    column = np.array(f.matrix[:, 0], dtype=np.complex128)  # a copy the state may own
-    return StateVector(shape, reduce(np.kron, [column] * shape.n))
+    return StateVector(shape, _kron_power(_first_column(shape, f), shape.n))
+
+
+def diffusion_axis(shape: QuditShape, f: FGate) -> Axis:
+    """F^(x)n |0> as the pair (head, tail) with F^(x)n |0> = kron(head, tail).
+
+    tail is F's first column to the ceil(n/2)-th Kronecker power and head to
+    the floor(n/2)-th (ones(1) at n = 1), so neither has more than
+    d^ceil(n/2) entries.
+    """
+    column = _first_column(shape, f)
+    return _kron_power(column, shape.n // 2), _kron_power(column, shape.n - shape.n // 2)
 
 
 def _squared_norm(amps: np.ndarray) -> float:
@@ -122,15 +151,16 @@ def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory
     steps = cfg.schedule.steps
     f = _resolve_f(cfg, f_gate)
     state = superposition_register(cfg.shape, f)
-    axis = state.copy()
+    axis = head, tail = diffusion_axis(cfg.shape, f)
     phi = cfg.schedule.phi
     marked = cfg.marked.flat
     kick = complex(np.exp(1j * phi)) - 1.0
     # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
     # measured, not assumed to be 1; any error in it compounds every step.
-    norm2 = _squared_norm(axis.amps)
+    norm2 = _squared_norm(head) * _squared_norm(tail)
     gain = 1.0 + kick * norm2
-    axis_m = axis.amps.item(marked).conjugate()
+    # a_m = head_j tail_i with m = j * tail.size + i
+    axis_m = (head.item(marked // tail.size) * tail.item(marked % tail.size)).conjugate()
     overlap = complex(norm2)  # <a|s>: the state starts on the axis
     populations = [population(state, marked)]
     for _ in range(steps):
@@ -140,8 +170,8 @@ def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory
         # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
         overlap *= gain
         populations.append(population(state, marked))
-    # Measured only here, never fed back: every step stays an elementwise pass.
-    drift = abs(zdotc(axis.amps, state.amps) - overlap)
+    # Measured only here, never fed back: every step stays one zgeru pass.
+    drift = abs(axis_overlap(state, axis) - overlap)
     if not drift <= OVERLAP_TOLERANCE:  # a NaN drift fails too
         raise RuntimeError(
             f"carried axis overlap is {drift:.3e} off the measured one after "
@@ -158,7 +188,7 @@ def dense_grover_matrix(
     if N > 1024:
         raise ValueError(f"dense matrix limited to N <= 1024, got N={N}")
     f = _resolve_f(cfg, f_gate)
-    axis = superposition_register(cfg.shape, f)
+    axis = diffusion_axis(cfg.shape, f)
     phi = cfg.schedule.phi
     marked = cfg.marked.flat
     matrix = np.zeros((N, N), dtype=np.complex128)

@@ -9,10 +9,15 @@ special cases drive the search:
   either applied directly as a rank-1 update or assembled from local
   gates as F^(x)n M(0, phi) (F^dagger)^(x)n.
 
-The direct diffusion needs one global number, the overlap <chi|s>.  A
-caller that knows it (the search loop carries it from step to step in
-O(1)) passes it in, and the step is one elementwise zaxpy pass;
-otherwise it is measured with zdotc.
+The direct diffusion takes its axis as a Kronecker pair (head, tail),
+chi = kron(head, tail).  Viewed as a Fortran (tail.size x head.size)
+matrix, the state then takes the update as one in-place zgeru with the
+two small factors: 32 N bytes moved (read and write the state), and no
+N-sized axis anywhere.  F^(x)n |0> splits this way by construction; a
+general axis chi is the pair (ones(1), chi).  The update's one global
+number, the overlap <chi|s>, is passed in by a caller that knows it (the
+search loop carries it from step to step in O(1)); otherwise it is
+measured as tail^dagger S conj(head) with zgemv and zdotc.
 """
 
 from __future__ import annotations
@@ -21,34 +26,53 @@ import numpy as np
 
 from .register import StateVector
 
+# (head, tail): the axis kron(head, tail) of a direct diffusion.
+Axis = tuple[np.ndarray, np.ndarray]
 
-# Both step kernels come from scipy's BLAS.  numpy's wheel and scipy's wheel
+
+# Every step kernel comes from scipy's BLAS.  numpy's wheel and scipy's wheel
 # each bundle their own OpenBLAS (scipy-openblas64 0.3.31 for numpy,
 # scipy-openblas32 0.3.30 for scipy), and each library keeps its own pool of
-# threads, one per core.  Pairing numpy's np.vdot with scipy's zaxpy makes the
+# threads, one per core.  Pairing numpy's np.vdot with scipy's zaxpy made the
 # two pools fight over the cores: on a 2-core machine a step at N=3^12 took
 # 8.0 ms that way against 0.8 ms with both kernels from scipy.  Keep the
-# overlap and the update on one library.
+# overlap (zgemv, zdotc) and the update (zgeru) on one library.
 #
 # scipy.linalg is imported on first use, not with this module: it costs a
 # fresh interpreter about 0.3 s, which schedule and validate-f never need.
-# The first call rebinds both names below to scipy's kernels, so the step
+# The first call rebinds the names below to scipy's kernels, so the step
 # finds BLAS in this module's globals with no import statement per call.
 def _load_blas() -> None:
-    global zaxpy, zdotc
-    from scipy.linalg.blas import zaxpy, zdotc
+    global zdotc, zgemv, zgeru
+    from scipy.linalg.blas import zdotc, zgemv, zgeru
 
 
-def zdotc(x: np.ndarray, y: np.ndarray) -> complex:
-    """sum_i conj(x_i) y_i by scipy's BLAS, imported on first use."""
-    _load_blas()
-    return zdotc(x, y)
+def _first_use(name: str):
+    """Stand-in for scipy's kernel ``name``: imports BLAS, then calls it."""
+    def kernel(*args, **kwargs):
+        _load_blas()
+        return globals()[name](*args, **kwargs)
+    return kernel
 
 
-def zaxpy(x: np.ndarray, y: np.ndarray, a: complex) -> np.ndarray:
-    """y + a x by scipy's BLAS, imported on first use."""
-    _load_blas()
-    return zaxpy(x, y, a=a)
+zdotc, zgemv, zgeru = (_first_use(name) for name in ("zdotc", "zgemv", "zgeru"))
+
+
+def _axis_view(s: StateVector, axis: Axis) -> np.ndarray:
+    """A view of the amplitudes as the Fortran (tail.size x head.size) matrix
+    S, with S[i, j] = s[j * tail.size + i]."""
+    head, tail = axis
+    if head.size * tail.size != s.amps.size:
+        raise ValueError(
+            f"shape mismatch: axis {head.size} x {tail.size} vs state N={s.amps.size}"
+        )
+    return s.amps.reshape((tail.size, head.size), order="F")
+
+
+def axis_overlap(s: StateVector, axis: Axis) -> complex:
+    """<kron(head, tail)|s> = tail^dagger S conj(head), S the state as a matrix."""
+    head, tail = axis
+    return complex(zdotc(tail, zgemv(1.0, _axis_view(s, axis), head.conj())))
 
 
 def unitarity_defect(g: np.ndarray) -> float:
@@ -103,24 +127,30 @@ def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVecto
 
 def diffusion_direct(
     s: StateVector,
-    axis_state: StateVector,
+    axis: Axis,
     phi: float,
     overlap: complex | None = None,
 ) -> StateVector:
-    """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>.
+    """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>, chi = kron(head, tail).
 
+    ``axis`` is the pair (head, tail); a general axis chi is (ones(1), chi).
     ``overlap`` is <chi|s> if the caller knows it; the update is then one
-    elementwise zaxpy pass.  With none given it is measured with zdotc
+    zgeru pass.  With none given it is measured with zgemv and zdotc
     first.  The axis is assumed unit-norm up to rounding (it is
     F^(x)n |0> in the search loop); no per-call normalization check.
     """
-    if axis_state.shape != s.shape:
-        raise ValueError(f"shape mismatch: axis {axis_state.shape} vs state {s.shape}")
+    head, tail = axis
+    view = _axis_view(s, axis)
     if overlap is None:
-        overlap = zdotc(axis_state.amps, s.amps)
-    # zaxpy updates a contiguous complex128 array in place and returns it;
-    # for any other array f2py returns an updated copy, so assign it back.
-    s.amps = zaxpy(axis_state.amps, s.amps, a=(np.exp(1j * phi) - 1.0) * overlap)
+        overlap = axis_overlap(s, axis)
+    # zgeru updates a Fortran-contiguous complex128 matrix in place and
+    # returns it; for any other array f2py returns an updated copy, so
+    # assign that back.  The arguments are positional, (alpha, x, y, incx,
+    # incy, a, overwrite_x, overwrite_y, overwrite_a): f2py takes about 1 us
+    # longer to parse keywords, a tenth of a step at N=3^9.
+    out = zgeru((np.exp(1j * phi) - 1.0) * overlap, tail, head, 1, 1, view, 1, 1, 1)
+    if out is not view:
+        s.amps = out.reshape(s.shape.N, order="F")
     return s
 
 
@@ -128,13 +158,14 @@ def grover_step(
     s: StateVector,
     marked: int,
     phi: float,
-    axis: StateVector,
+    axis: Axis,
     overlap: complex | None = None,
 ) -> StateVector:
     """One search iteration: oracle at the marked index, then diffusion, both at phi.
 
-    ``overlap`` is passed on to the diffusion: <axis|O s>, the overlap
-    after the oracle kick, if the caller carries it.
+    ``axis`` is the diffusion's (head, tail) pair.  ``overlap`` is passed
+    on to the diffusion: <axis|O s>, the overlap after the oracle kick, if
+    the caller carries it.
     """
     oracle(s, marked, phi)
     diffusion_direct(s, axis, phi, overlap)

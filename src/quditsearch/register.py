@@ -14,7 +14,10 @@ from typing import Iterable
 import numpy as np
 
 # Dense storage only; anything bigger than this is refused outright.  The
-# step's BLAS kernels (scipy's zdotc/zaxpy) take a 32-bit int length.
+# step's BLAS kernels are scipy's 32-bit-int builds: zgeru and zgemv take the
+# state matrix's m and n (each at most d^ceil(n/2) on the search path) as
+# 32-bit ints.  The limit stays at 2^31 - 1 all the same: a general axis
+# (ones(1), chi) makes m = N, and 2^31 amplitudes are already 32 GiB.
 MAX_STATES = 2**31 - 1
 
 

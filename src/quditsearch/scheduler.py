@@ -23,6 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Longest run custom_schedule accepts.  run_search keeps one Python float per
+# step, about 32 MB at this cap, and writes nothing until the last step.
+MAX_STEPS = 10**6
+
+# pi/(4 beta) + 1/2 grows like (pi/4) sqrt(N).  From 2**51 up its doubles are
+# spaced by 1/2 or more, so a 1-ulp change moves the floor of every one of
+# them; that first happens near this N.
+_MAX_RESOLVABLE_N = (2**53 / math.pi) ** 2
+
 
 @dataclass(frozen=True)
 class SearchSchedule:
@@ -59,11 +68,20 @@ def _floor_step_index(N: int, beta: float) -> int:
     The argument is an integer j only when sin^2(pi/(4j - 2)) = 1/N, which
     by Niven's theorem happens for N >= 2 only at N = 4 (j = 2); there
     the double-precision value can straddle 2, so it is returned exactly.
-    Any other N whose floor a 1-ulp perturbation would change raises.
+    Any other N whose floor a 1-ulp perturbation would change raises
+    RuntimeError; an N past double precision (the argument at or above
+    2**51, where one ulp is >= 1/2 and every value straddles) raises
+    ValueError.
     """
     if N == 4:
         return 2
     x = math.pi / (4.0 * beta) + 0.5
+    if x >= 2.0**51:
+        raise ValueError(
+            f"database size is past double precision: N has {N.bit_length()} "
+            f"bits, the largest N whose step index resolves is about "
+            f"{_MAX_RESOLVABLE_N:.2e} (2**{math.log2(_MAX_RESOLVABLE_N):.1f})"
+        )
     lo = math.floor(math.nextafter(x, -math.inf))
     hi = math.floor(math.nextafter(x, math.inf))
     if lo != hi:
@@ -106,10 +124,13 @@ def canonical_schedule(N: int) -> SearchSchedule:
 
 
 def custom_schedule(N: int, phi: float, steps: int) -> SearchSchedule:
-    """User-supplied phase and step count; no optimality claims."""
+    """User-supplied phase and step count (at most MAX_STEPS); no optimality claims."""
+    steps = int(steps)
+    if steps > MAX_STEPS:
+        raise ValueError(f"step count must be <= {MAX_STEPS}, got {steps}")
     beta = _beta(N)
     j = _floor_step_index(N, beta)
-    return SearchSchedule(N, beta, j, float(phi), int(steps), "custom")
+    return SearchSchedule(N, beta, j, float(phi), steps, "custom")
 
 
 def predicted_population(N: int, k: int, phi: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 from quditsearch.engine import (
     ExperimentConfig,
     dense_grover_matrix,
+    diffusion_axis,
     run_search,
     superposition_register,
 )
@@ -214,8 +215,9 @@ def test_criterion_10_performance():
     shape = QuditShape(3, 12)  # N = 531441
     sched = deterministic_schedule(shape.N)
     marked = 12345
-    axis = superposition_register(shape, make_f(3, "householder"))
-    state = axis.copy()
+    f = make_f(3, "householder")
+    axis = diffusion_axis(shape, f)
+    state = superposition_register(shape, f)
 
     timings = []
     for _ in range(5):

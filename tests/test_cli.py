@@ -200,6 +200,19 @@ def test_schedule_rejects_n1(capsys):
     assert err.startswith("error:") and "too large" in err
 
 
+@pytest.mark.parametrize("exponent, code", [(100, 0), (110, 2), (200, 2)])
+def test_schedule_past_double_precision_is_usage_error(capsys, exponent, code):
+    # 2**100 still resolves its step index (about 8.8e14 steps); past about
+    # 2**102.7 no double can, and the message names N's size, not its digits
+    status, out, err = run_cli(capsys, "schedule", "--N", str(2**exponent))
+    assert status == code
+    if code == 0:
+        assert "steps,884279719003555" in out
+    else:
+        assert out == ""
+        assert f"N has {exponent + 1} bits" in err and str(2**exponent) not in err
+
+
 def test_schedule_requires_size(capsys):
     code, _, err = run_cli(capsys, "schedule")
     assert code == 2
@@ -249,6 +262,16 @@ def test_search_refuses_a_huge_register_fast():
                      timeout=10)
     assert proc.returncode == 2
     assert "dense-storage limit" in proc.stderr
+
+
+def test_search_refuses_too_many_custom_steps_fast():
+    # 10^8 steps would run for minutes before the first output line; a fresh
+    # interpreter with a timeout, so a slow refusal fails the test
+    proc = run_fresh("-m", "quditsearch", "search", "--d", "2", "--n", "2", "--mode",
+                     "custom", "--phi", "1", "--steps", "100000000", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "<= 1000000" in proc.stderr
 
 
 def cap_address_space():
@@ -356,7 +379,8 @@ def test_cli_import_leaves_blas_unloaded():
     (["--d", "3", "--n", "9", "--marked", "100", "--f", "random:5"], 112),
 ])
 def test_search_output_independent_of_blas_threads(argv, lines):
-    # every step is an elementwise zaxpy; no multi-threaded sum feeds the trajectory
+    # every step is one zgeru, which forms each amplitude the same way on any
+    # number of threads; no multi-threaded sum feeds the trajectory
     search = f"from quditsearch.cli import main; main(['search', *{argv!r}])"
     one = run_python(search, OPENBLAS_NUM_THREADS="1")
     two = run_python(search, OPENBLAS_NUM_THREADS="2")

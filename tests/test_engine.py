@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from quditsearch import engine, reflections
 from quditsearch.engine import (
     ExperimentConfig,
     dense_grover_matrix,
+    diffusion_axis,
     run_search,
     superposition_register,
 )
@@ -189,10 +191,25 @@ def test_norm_preserved_over_long_run():
     shape = QuditShape(3, 5)
     sched = deterministic_schedule(243)
     state = superposition_register(shape, householder_f(3))
-    axis = state.copy()
+    axis = diffusion_axis(shape, householder_f(3))
     for _ in range(100):
         grover_step(state, 100, sched.phi, axis)
     assert abs(state.norm() - 1.0) < 1e-9
+
+
+def test_run_search_holds_one_state_sized_array():
+    # the axis is two factors of 729 entries, not a second N-sized vector;
+    # the state's Kronecker build holds N/3 more amplitudes while it runs
+    cfg = config(3, 12, deterministic_schedule(3**12), marked=12345)
+    run_search(cfg)  # scipy's BLAS is imported on the first step, not in the trace
+    tracemalloc.start()
+    try:
+        run_search(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state_bytes = 16 * cfg.shape.N
+    assert peak < 1.5 * state_bytes, f"run_search peaked at {peak / state_bytes:.2f}x the state"
 
 
 def test_pulse_style_custom_gate_override():
@@ -321,9 +338,9 @@ def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
     # run_search raises if its final carried-vs-measured gap exceeds this
     monkeypatch.setattr(engine, "OVERLAP_TOLERANCE", 1e-11)
     traj = run_search(cfg, f_gate=f)
-    # reference: the overlap measured with zdotc in every step
+    # reference: the overlap measured with zgemv and zdotc in every step
     state = superposition_register(cfg.shape, f)
-    axis = state.copy()
+    axis = diffusion_axis(cfg.shape, f)
     reference = [population(state, marked)]
     for _ in range(steps):
         grover_step(state, marked, phi, axis)

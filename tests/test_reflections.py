@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quditsearch.engine import superposition_register
+from quditsearch.engine import diffusion_axis, superposition_register
 from quditsearch.fgates import householder_f
 from quditsearch.register import QuditShape, StateVector, basis_state
 from quditsearch.reflections import (
@@ -27,6 +27,11 @@ def random_state(shape, seed):
     return StateVector(shape, amps / np.linalg.norm(amps))
 
 
+def flat(chi):
+    """A general axis chi as the Kronecker pair (ones(1), chi)."""
+    return np.ones(1), chi.amps
+
+
 def dense_reflection(axis, phi):
     axis = np.asarray(axis, dtype=complex)
     return np.eye(axis.size) + (np.exp(1j * phi) - 1) * np.outer(axis, axis.conj())
@@ -39,7 +44,7 @@ def test_reflection_zero_phase_is_identity():
     shape = QuditShape(3, 2)
     s = random_state(shape, 1)
     before = s.amps.copy()
-    diffusion_direct(s, random_state(shape, 2), 0.0)
+    diffusion_direct(s, flat(random_state(shape, 2)), 0.0)
     np.testing.assert_allclose(s.amps, before, atol=1e-15)
 
 
@@ -47,7 +52,7 @@ def test_reflection_of_its_own_axis():
     shape = QuditShape(2, 2)
     m = basis_state(shape, 2)
     s = basis_state(shape, 2)
-    diffusion_direct(s, m, np.pi)
+    diffusion_direct(s, flat(m), np.pi)
     np.testing.assert_allclose(s.amps, -m.amps, atol=1e-15)
 
 
@@ -56,14 +61,14 @@ def test_reflection_matches_hand_built_2x2():
     shape = QuditShape(2, 1)
     axis = StateVector(shape, np.array([1.0, 1.0]) / np.sqrt(2))
     s = StateVector(shape, np.array([1.0, 0.0]))
-    diffusion_direct(s, axis, np.pi)
+    diffusion_direct(s, flat(axis), np.pi)
     np.testing.assert_allclose(s.amps, [0.0, -1.0], atol=1e-15)
 
 
 def test_reflection_shape_mismatch():
     s = basis_state(QuditShape(2, 2), 0)
     with pytest.raises(ValueError, match="shape mismatch"):
-        diffusion_direct(s, basis_state(QuditShape(2, 3), 0), np.pi)
+        diffusion_direct(s, flat(basis_state(QuditShape(2, 3), 0)), np.pi)
 
 
 def unit_state(data, shape, label):
@@ -84,9 +89,9 @@ def test_reflection_then_inverse_property(d, n, phi, data):
     s = unit_state(data, shape, "state")
     axis = unit_state(data, shape, "axis")
     before = s.amps.copy()
-    diffusion_direct(s, axis, phi)
+    diffusion_direct(s, flat(axis), phi)
     assert abs(s.norm() - 1.0) < 1e-12
-    diffusion_direct(s, axis, -phi)
+    diffusion_direct(s, flat(axis), -phi)
     assert abs(s.norm() - 1.0) < 1e-12
     assert np.max(np.abs(s.amps - before)) < 1e-12
 
@@ -98,7 +103,7 @@ def test_norm_preserved_over_many_random_reflections():
     for _ in range(10_000):
         amps = rng.normal(size=shape.N) + 1j * rng.normal(size=shape.N)
         axis = StateVector(shape, amps / np.linalg.norm(amps))
-        diffusion_direct(s, axis, rng.uniform(0, 2 * np.pi))
+        diffusion_direct(s, flat(axis), rng.uniform(0, 2 * np.pi))
     assert abs(s.norm() - 1.0) < 1e-9
 
 
@@ -238,7 +243,7 @@ def test_diffusion_direct_agrees_with_via_gates():
         apply_local_gate(axis, f, k)
     a = random_state(shape, 57)
     b = a.copy()
-    diffusion_direct(a, axis, np.pi)
+    diffusion_direct(a, flat(axis), np.pi)
     diffusion_via_gates(b, f, np.pi)
     assert np.max(np.abs(a.amps - b.amps)) < 1e-10
 
@@ -248,7 +253,7 @@ def test_diffusion_direct_orthogonal_state_unchanged():
     axis = StateVector(shape, np.array([1.0, 1.0]) / np.sqrt(2))
     s = StateVector(shape, np.array([1.0, -1.0]) / np.sqrt(2))
     before = s.amps.copy()
-    diffusion_direct(s, axis, np.pi)
+    diffusion_direct(s, flat(axis), np.pi)
     np.testing.assert_allclose(s.amps, before, atol=1e-15)
 
 
@@ -257,7 +262,7 @@ def test_diffusion_direct_own_axis():
     axis = StateVector(shape, np.ones(3, dtype=complex) / np.sqrt(3))
     s = axis.copy()
     phi = 2.2
-    diffusion_direct(s, axis, phi)
+    diffusion_direct(s, flat(axis), phi)
     np.testing.assert_allclose(s.amps, np.exp(1j * phi) * axis.amps, atol=1e-14)
 
 
@@ -266,7 +271,7 @@ def test_diffusion_direct_updates_contiguous_state_in_place():
     axis = random_state(shape, 60)
     s = random_state(shape, 61)
     buffer = s.amps
-    diffusion_direct(s, axis, 1.3)
+    diffusion_direct(s, flat(axis), 1.3)
     assert s.amps is buffer
 
 
@@ -280,7 +285,30 @@ def test_diffusion_direct_non_contiguous_view_matches_reference():
     assert not s.amps.flags.c_contiguous
     phi = 2.4
     expected = s.amps + (np.exp(1j * phi) - 1) * np.vdot(axis.amps, s.amps) * axis.amps
-    diffusion_direct(s, axis, phi)
+    diffusion_direct(s, flat(axis), phi)
+    np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("overlap", ["measured", "passed"])
+@pytest.mark.parametrize("k", range(5))
+def test_factored_diffusion_matches_dense_formula(k, overlap, layout):
+    # chi = kron(head, tail) with head of 3**k entries; k = 0 is (ones(1), chi)
+    shape = QuditShape(3, 4)
+    rng = np.random.default_rng(70 + k)
+    head, tail = (np.ones(1) if m == 0 else rng.normal(size=m) + 1j * rng.normal(size=m)
+                  for m in (3**k if k else 0, 3 ** (4 - k)))
+    head, tail = head / np.linalg.norm(head), tail / np.linalg.norm(tail)
+    chi = np.kron(head, tail)
+    s = random_state(shape, 71)
+    if layout == "strided":
+        backing = np.zeros(2 * shape.N, dtype=complex)
+        backing[::2] = s.amps
+        s.amps = backing[::2]
+    phi = 2.1
+    known = np.vdot(chi, s.amps)
+    expected = s.amps + (np.exp(1j * phi) - 1) * known * chi
+    diffusion_direct(s, (head, tail), phi, known if overlap == "passed" else None)
     np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
 
 
@@ -292,7 +320,7 @@ def test_grover_step_perfect_single_iteration_n4():
     shape = QuditShape(2, 2)
     axis = StateVector(shape, np.full(4, 0.5, dtype=complex))
     s = axis.copy()
-    grover_step(s, 3, np.pi, axis)
+    grover_step(s, 3, np.pi, flat(axis))
     assert abs(s.amps[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -301,15 +329,15 @@ def test_grover_step_zero_phases_is_identity():
     axis = StateVector(shape, np.full(4, 0.5, dtype=complex))
     s = random_state(shape, 58)
     before = s.amps.copy()
-    grover_step(s, 1, 0.0, axis)
+    grover_step(s, 1, 0.0, flat(axis))
     np.testing.assert_allclose(s.amps, before, atol=1e-15)
 
 
 def test_grover_step_allocates_under_one_mebibyte():
     # the overlap and the in-place update make no N-sized temporary
     shape = QuditShape(3, 12)
-    axis = superposition_register(shape, householder_f(3))
-    s = axis.copy()
+    axis = diffusion_axis(shape, householder_f(3))
+    s = superposition_register(shape, householder_f(3))
     grover_step(s, 12345, 2.0, axis)
     tracemalloc.start()
     try:
@@ -334,7 +362,7 @@ def test_state_stays_in_two_dimensional_subspace():
     basis = np.linalg.qr(np.column_stack([m.amps, axis.amps]))[0]
     phi = 2.0
     for _ in range(30):
-        grover_step(s, marked, phi, axis)
+        grover_step(s, marked, phi, flat(axis))
         residual = s.amps - basis @ (basis.conj().T @ s.amps)
         assert np.linalg.norm(residual) < 1e-9
 

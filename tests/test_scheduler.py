@@ -6,6 +6,7 @@ import pytest
 from quditsearch.engine import ExperimentConfig, run_search
 from quditsearch.register import BasisIndex, QuditShape
 from quditsearch.scheduler import (
+    MAX_STEPS,
     SearchSchedule,
     canonical_schedule,
     custom_schedule,
@@ -101,6 +102,21 @@ def test_custom_schedule_fields():
     for phi in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             custom_schedule(9, phi, 2)
+
+
+def test_custom_schedule_step_cap():
+    assert custom_schedule(9, 1.5, MAX_STEPS).steps == MAX_STEPS
+    with pytest.raises(ValueError, match=f"<= {MAX_STEPS}"):
+        custom_schedule(9, 1.5, MAX_STEPS + 1)
+    # the cap is custom_schedule's: a deterministic schedule may be longer
+    assert deterministic_schedule(2**100).steps > MAX_STEPS
+
+
+def test_step_index_past_double_precision_is_value_error():
+    # from 2**51 up pi/(4 beta) + 1/2 has no resolvable floor
+    for N in (2**103, 2**110, 2**200):
+        with pytest.raises(ValueError, match=f"N has {N.bit_length()} bits"):
+            deterministic_schedule(N)
 
 
 @pytest.mark.parametrize("phi, steps, match", [
