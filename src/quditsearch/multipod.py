@@ -12,7 +12,12 @@ a sech pulse of area 2 pi the acquired phase is phi = pi - 2 arctan(Delta T).
 
 The propagator is obtained by direct numerical integration of the full
 (d+1)-level Schrodinger equation (no Morris-Shore shortcut), so the
-reflection fit is an independent check of the reduction.
+reflection fit is an independent check of the reduction.  Both pulse
+shapes are even in time and, after a diagonal phase gauge D, the
+Hamiltonian is real symmetric; so one solve over the half window [0, 20]
+gives V, and the whole pulse is U = D V V^T D^dag (see ``propagate``).
+The gauge only rephases basis states: it reduces neither the dimension
+nor the number of coupled levels.
 
 Hamiltonian convention (hbar = 1, rotating frame):
 
@@ -46,10 +51,11 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-# shape -> (unit-peak envelope of dimensionless time, its integral)
+# shape -> (unit-peak envelope of dimensionless time, its integral); every
+# envelope is even in t, which propagate's half-window solve relies on
 _ENVELOPES = {
-    "sech": (lambda t: 1.0 / np.cosh(t), math.pi),
-    "gaussian": (lambda t: np.exp(-t * t), math.sqrt(math.pi)),
+    "sech": (lambda t: 1.0 / math.cosh(t), math.pi),
+    "gaussian": (lambda t: math.exp(-t * t), math.sqrt(math.pi)),
 }
 PULSE_SHAPES = tuple(_ENVELOPES)
 
@@ -67,8 +73,8 @@ class PulseJob:
     """One multipod pulse: coupling pattern, detuning, shape, and RMS area.
 
     ``detuning`` is the dimensionless product Delta T of the ancilla
-    detuning and the pulse width T.  Every pulse is integrated over the
-    fixed window [-T_MAX, T_MAX] = [-20, 20] in units of T.
+    detuning and the pulse width T.  Every pulse spans the fixed window
+    [-T_MAX, T_MAX] = [-20, 20] in units of T.
     """
 
     couplings: np.ndarray
@@ -109,32 +115,44 @@ def propagate(job: PulseJob) -> Propagator:
 
     Works in dimensionless time t/T over [-T_MAX, T_MAX], where the
     Hamiltonian is (A / (2 I_f)) f(t) K + (Delta T) |c><c| with K the
-    coupling block and I_f the envelope integral.  The whole propagator
-    is one matrix ODE, dU/dt = -i H(t) U from U = 1, integrated in a
+    coupling block and I_f the envelope integral.  Only the half window
+    [0, T_MAX] is integrated; time-reversal symmetry gives the other half.
+
+    The gauge D = diag(u_k / |u_k|, 1) (any unit phase serves where
+    u_k = 0) turns K into the real symmetric K_r = D^dag K D, with |u| on
+    the coupling row and column, and leaves |c><c| alone.  The gauged
+    Hamiltonian H_r(t) is real and even in t, so U_r(-t, 0) =
+    conj(U_r(t, 0)).  With V = U_r(T_MAX, 0) the backward half is
+    U_r(0, -T_MAX) = conj(V)^-1 = V^T, and
+
+        U = D V V^T D^dag.
+
+    V is one matrix ODE, dV/dt = -i H_r(t) V from V = 1, integrated in a
     single adaptive 8th-order Runge-Kutta solve at the fixed tolerances
     RTOL = 3e-12 and ATOL = 3e-14.  Its error norm averages over all
     (d+1)^2 entries, hence tolerances tighter than a per-column solve
-    would need for the same entry error.
+    would need for the same entry error.  The full (d+1)-level equation is
+    still integrated; only the phases of the basis states change, so this
+    is not a Morris-Shore reduction and the reflection fit still checks it.
     """
     d = job.d
     dim = d + 1
     unit = job.couplings / np.linalg.norm(job.couplings)
-    coupling_block = np.zeros((dim, dim), dtype=np.complex128)
-    coupling_block[:d, d] = unit
-    coupling_block[d, :d] = unit.conj()
-    ancilla = np.zeros((dim, dim), dtype=np.complex128)
-    ancilla[d, d] = job.detuning
+    gauge = np.exp(1j * np.angle(np.append(unit, 1.0)))
 
     f, integral = _ENVELOPES[job.shape]
     coef = job.rms_area / (2.0 * integral)
+    coupling = np.zeros((dim, dim), dtype=np.complex128)  # -i coef K_r
+    coupling[:d, d] = coupling[d, :d] = -1j * coef * np.abs(unit)
+    detuning = np.zeros((dim, dim), dtype=np.complex128)  # -i (Delta T) |c><c|
+    detuning[d, d] = -1j * job.detuning
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        h = (coef * f(t)) * coupling_block + ancilla
-        return (-1j * (h @ y.reshape(dim, dim))).ravel()
+        return ((f(t) * coupling + detuning) @ y.reshape(dim, dim)).ravel()
 
     sol = solve_ivp(
         rhs,
-        (-T_MAX, T_MAX),
+        (0.0, T_MAX),
         np.eye(dim, dtype=np.complex128).ravel(),
         method="DOP853",
         t_eval=(T_MAX,),
@@ -146,7 +164,8 @@ def propagate(job: PulseJob) -> Propagator:
             f"propagator failed to converge: {sol.message} "
             f"({sol.nfev} right-hand-side evaluations)"
         )
-    return Propagator(sol.y[:, -1].reshape(dim, dim))
+    half = sol.y[:, -1].reshape(dim, dim)
+    return Propagator(gauge[:, None] * (half @ half.T) * gauge.conj())
 
 
 def wrap_phase(x: float) -> float:

@@ -68,25 +68,23 @@ def _floor_step_index(N: int, beta: float) -> int:
     The argument is an integer j only when sin^2(pi/(4j - 2)) = 1/N, which
     by Niven's theorem happens for N >= 2 only at N = 4 (j = 2); there
     the double-precision value can straddle 2, so it is returned exactly.
-    Any other N whose floor a 1-ulp perturbation would change raises
-    RuntimeError; an N past double precision (the argument at or above
-    2**51, where one ulp is >= 1/2 and every value straddles) raises
-    ValueError.
+    Any other N whose floor a 1-ulp perturbation would change is past
+    double precision and raises ValueError.  That is every N from about
+    2**102.7 (the argument at or above 2**51, where one ulp is >= 1/2)
+    and a share of N below it that grows as the argument's ulp does:
+    about 1 in 40 sampled N at 2**90 and 1 in 3 at 2**100.
     """
     if N == 4:
         return 2
     x = math.pi / (4.0 * beta) + 0.5
-    if x >= 2.0**51:
-        raise ValueError(
-            f"database size is past double precision: N has {N.bit_length()} "
-            f"bits, the largest N whose step index resolves is about "
-            f"{_MAX_RESOLVABLE_N:.2e} (2**{math.log2(_MAX_RESOLVABLE_N):.1f})"
-        )
     lo = math.floor(math.nextafter(x, -math.inf))
     hi = math.floor(math.nextafter(x, math.inf))
     if lo != hi:
-        raise RuntimeError(
-            f"floor of pi/(4 beta) + 1/2 is unstable to 1 ulp at N={N}"
+        raise ValueError(
+            f"database size is past double precision: N has {N.bit_length()} "
+            f"bits and the floor of pi/(4 beta) + 1/2 changes within 1 ulp; "
+            f"every N from about {_MAX_RESOLVABLE_N:.2e} "
+            f"(2**{math.log2(_MAX_RESOLVABLE_N):.1f}) is past it"
         )
     return math.floor(x)
 

@@ -6,8 +6,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
+from quditsearch import multipod
 from quditsearch.fgates import coupling_design, householder_f
 from quditsearch.multipod import (
+    PULSE_SHAPES,
+    _ENVELOPES,
     LeakageError,
     Propagator,
     PulseJob,
@@ -100,35 +103,84 @@ def test_propagator_unitarity_and_dark_space_grid(d, seed, area, delta_t):
 
 
 def column_reference(job):
-    """Propagator integrated one basis column at a time, at tight tolerances."""
+    """Propagator integrated one basis column at a time over the whole
+    window [-T_MAX, T_MAX], at tight tolerances, in the ungauged basis."""
     d = job.d
+    f, integral = _ENVELOPES[job.shape]
     unit = job.couplings / np.linalg.norm(job.couplings)
     h_couple = np.zeros((d + 1, d + 1), dtype=np.complex128)
     h_couple[:d, d] = unit
     h_couple[d, :d] = unit.conj()
-    h_couple *= job.rms_area / (2 * math.pi)  # sech envelope integral is pi
+    h_couple *= job.rms_area / (2 * integral)
     h_detune = np.zeros((d + 1, d + 1), dtype=np.complex128)
     h_detune[d, d] = job.detuning
 
     def rhs(t, y):
-        return -1j * ((h_couple / np.cosh(t) + h_detune) @ y)
+        return -1j * ((h_couple * f(t) + h_detune) @ y)
 
     columns = []
     for col in np.eye(d + 1, dtype=np.complex128):
-        sol = solve_ivp(
-            rhs, (-T_MAX, T_MAX), col, method="DOP853", rtol=1e-13, atol=1e-15
-        )
+        # In the Gaussian's exp(-400) tail the squared error norms of
+        # DOP853's estimate underflow and it divides 0 by 0; the step is
+        # then rejected and retried shorter, so the result is unaffected.
+        with np.errstate(invalid="ignore"):
+            sol = solve_ivp(
+                rhs, (-T_MAX, T_MAX), col, method="DOP853", rtol=1e-13, atol=1e-15
+            )
         columns.append(sol.y[:, -1])
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize(
+    "couplings, shape",
+    [
+        pytest.param(coupling_design(2), "sech", id="2"),
+        pytest.param(coupling_design(3), "sech", id="3"),
+        pytest.param(coupling_design(8), "sech", id="8"),
+        # complex couplings: the gauge's phases must be undone exactly
+        pytest.param(complex_couplings(3, 5), "sech", id="3-complex"),
+        pytest.param(complex_couplings(5, 7), "sech", id="5-complex"),
+        # an exact zero coupling takes the gauge's phase-1 case
+        pytest.param(np.array([0.6, 0.0, 0.3 - 0.7j]), "sech", id="3-zero-entry"),
+        pytest.param(coupling_design(3), "gaussian", id="3-gaussian"),
+    ],
+)
 @pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI])
 @pytest.mark.parametrize("delta_t", [0.0, 2.0])
-def test_propagator_matches_column_reference(d, area, delta_t):
-    job = sech_job(d, delta_t, area)
+def test_propagator_matches_column_reference(couplings, shape, area, delta_t):
+    job = PulseJob(couplings=couplings, detuning=delta_t, rms_area=area, shape=shape)
     error = np.max(np.abs(propagate(job).matrix - column_reference(job)))
     assert error < 2e-10
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_envelopes_are_even(shape):
+    f, _ = _ENVELOPES[shape]
+    for t in np.linspace(0.0, T_MAX, 401):
+        t = float(t)
+        assert f(-t) == f(t), (
+            f"{shape} envelope is not even at t={t}: propagate composes the "
+            f"window as U = D V V^T D^dag, which needs f(-t) = f(t)"
+        )
+
+
+def test_one_half_window_solve_per_propagator(monkeypatch):
+    # the right-hand-side count is deterministic, so this guards the
+    # half-window integration without timing anything
+    solves = []
+    solve_ivp_ = multipod.solve_ivp
+
+    def counting(fun, t_span, y0, **kwargs):
+        sol = solve_ivp_(fun, t_span, y0, **kwargs)
+        solves.append((tuple(t_span), sol.nfev))
+        return sol
+
+    monkeypatch.setattr(multipod, "solve_ivp", counting)
+    propagate(sech_job(3, 0.0))
+    assert len(solves) == 1
+    (t_span, nfev), = solves
+    assert t_span == (0.0, T_MAX)
+    assert nfev <= 700  # 1289 over the whole window
 
 
 # ---- extract_reflection ----------------------------------------------------------

@@ -119,6 +119,23 @@ def test_step_index_past_double_precision_is_value_error():
             deterministic_schedule(N)
 
 
+def test_step_index_straddle_is_value_error():
+    # below 2**102.7 a growing share of N puts pi/(4 beta) + 1/2 within
+    # 1 ulp of an integer: a precision limit, refused like the N above it
+    refused = 0
+    for p in range(90, 103):
+        for i in range(0, 200, 4):
+            N = 2**p + (2**p * i) // 200
+            try:
+                sched = deterministic_schedule(N)
+            except ValueError as exc:
+                assert f"N has {N.bit_length()} bits" in str(exc)
+                refused += 1
+            else:
+                assert sched.steps in (sched.j, sched.j + 1)
+    assert refused > 0
+
+
 @pytest.mark.parametrize("phi, steps, match", [
     pytest.param(math.nan, 4, "finite", id="nan-phase"),
     pytest.param(math.inf, 4, "finite", id="inf-phase"),
