@@ -16,8 +16,13 @@ reflection fit is an independent check of the reduction.  Both pulse
 shapes are even in time and, after a diagonal phase gauge D, the
 Hamiltonian is real symmetric; so one solve over the half window [0, 20]
 gives V, and the whole pulse is U = D V V^T D^dag (see ``propagate``).
-The gauge only rephases basis states: it reduces neither the dimension
-nor the number of coupled levels.
+That solve runs in the interaction picture of the detuning term: the
+ancilla's free phase exp(-i Delta T t) is left out of the integrated
+equation and restored exactly at t = 20, so the integrator no longer
+follows it after the envelope has died; up to |Delta T| = 1 a detuned
+pulse costs about what a resonant one does.  The gauge and the frame only
+rephase basis states: they reduce neither the dimension nor the number
+of coupled levels.
 
 Hamiltonian convention (hbar = 1, rotating frame):
 
@@ -60,6 +65,10 @@ _ENVELOPES = {
 PULSE_SHAPES = tuple(_ENVELOPES)
 
 LEAKAGE_LIMIT = 1e-4
+# input bounds that keep one pulse to about a second of integration; at
+# |Delta T| = 100 the sech phase is already within 0.02 rad of 0
+MAX_DETUNING = 100.0
+MAX_RMS_AREA = 1000.0
 T_MAX = 20.0  # window half-width in pulse widths: sech tail below 5e-9 of peak
 RTOL, ATOL = 3e-12, 3e-14  # the integrator's relative and absolute tolerances
 
@@ -74,7 +83,8 @@ class PulseJob:
 
     ``detuning`` is the dimensionless product Delta T of the ancilla
     detuning and the pulse width T.  Every pulse spans the fixed window
-    [-T_MAX, T_MAX] = [-20, 20] in units of T.
+    [-T_MAX, T_MAX] = [-20, 20] in units of T.  |detuning| is at most
+    MAX_DETUNING = 100 and |rms_area| at most MAX_RMS_AREA = 1000.
     """
 
     couplings: np.ndarray
@@ -91,6 +101,14 @@ class PulseJob:
         scalars = (self.detuning, self.rms_area)
         if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.couplings))):
             raise ValueError("pulse detuning, area and couplings must be finite")
+        if abs(self.detuning) > MAX_DETUNING:
+            raise ValueError(
+                f"|detuning| {abs(self.detuning):g} exceeds the limit {MAX_DETUNING:g}"
+            )
+        if abs(self.rms_area) > MAX_RMS_AREA:
+            raise ValueError(
+                f"|rms_area| {abs(self.rms_area):g} exceeds the limit {MAX_RMS_AREA:g}"
+            )
         if np.linalg.norm(self.couplings) == 0.0:
             raise ValueError("all couplings are zero")
 
@@ -127,13 +145,30 @@ def propagate(job: PulseJob) -> Propagator:
 
         U = D V V^T D^dag.
 
-    V is one matrix ODE, dV/dt = -i H_r(t) V from V = 1, integrated in a
-    single adaptive 8th-order Runge-Kutta solve at the fixed tolerances
-    RTOL = 3e-12 and ATOL = 3e-14.  Its error norm averages over all
-    (d+1)^2 entries, hence tolerances tighter than a per-column solve
-    would need for the same entry error.  The full (d+1)-level equation is
-    still integrated; only the phases of the basis states change, so this
-    is not a Morris-Shore reduction and the reflection fit still checks it.
+    V is computed in the interaction picture of H0 = (Delta T) |c><c|.
+    With V = exp(-i H0 T_MAX) W and coef = A / (2 I_f),
+
+        dW/dt = -i coef f(t) (e^{i Delta T t} |c><|u|| + h.c.) W,  W(0) = 1,
+
+    which holds only the coupling, rotating at the detuning.  In the lab
+    frame the adaptive solver must follow the ancilla's free phase
+    exp(-i Delta T t) to t = T_MAX, long after the envelope has died, so
+    its work grew linearly with Delta T; here that phase is restored
+    exactly by multiplying the ancilla row of W by exp(-i Delta T T_MAX).
+    The frame changes how V is computed, not what it is: V is still
+    U_r(T_MAX, 0) of the real, even H_r, so the identity above holds as
+    before.  The right-hand side splits the rotating coupling into
+    cos(Delta T t) and sin(Delta T t) parts, two fixed matrices with one
+    real scalar each; at Delta T = 0 it is the lab-frame coupling alone.
+
+    W is one matrix ODE integrated in a single adaptive 8th-order
+    Runge-Kutta solve at the fixed tolerances RTOL = 3e-12 and
+    ATOL = 3e-14.  Its error norm averages over all (d+1)^2 entries, hence
+    tolerances tighter than a per-column solve would need for the same
+    entry error.  The full (d+1)-level equation is still integrated: the
+    gauge rephases the basis states by constants and the frame rephases
+    the ancilla along the pulse, so this is not a Morris-Shore reduction
+    and the reflection fit still checks it.
     """
     d = job.d
     dim = d + 1
@@ -142,20 +177,24 @@ def propagate(job: PulseJob) -> Propagator:
 
     f, integral = _ENVELOPES[job.shape]
     coef = job.rms_area / (2.0 * integral)
+    delta_t = job.detuning
     coupling = np.zeros((dim, dim), dtype=np.complex128)  # -i coef K_r
     coupling[:d, d] = coupling[d, :d] = -1j * coef * np.abs(unit)
-    detuning = np.zeros((dim, dim), dtype=np.complex128)  # -i (Delta T) |c><c|
-    detuning[d, d] = -1j * job.detuning
+    quadrature = np.zeros((dim, dim), dtype=np.complex128)  # coef (|c><|u|| - h.c.)
+    quadrature[d, :d] = coef * np.abs(unit)
+    quadrature[:d, d] = -quadrature[d, :d]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return ((f(t) * coupling + detuning) @ y.reshape(dim, dim)).ravel()
+        envelope, angle = f(t), delta_t * t
+        in_phase = envelope * math.cos(angle)
+        out_of_phase = envelope * math.sin(angle)
+        return ((in_phase * coupling + out_of_phase * quadrature) @ y.reshape(dim, dim)).ravel()
 
     sol = solve_ivp(
         rhs,
         (0.0, T_MAX),
         np.eye(dim, dtype=np.complex128).ravel(),
         method="DOP853",
-        t_eval=(T_MAX,),
         rtol=RTOL,
         atol=ATOL,
     )
@@ -165,6 +204,7 @@ def propagate(job: PulseJob) -> Propagator:
             f"({sol.nfev} right-hand-side evaluations)"
         )
     half = sol.y[:, -1].reshape(dim, dim)
+    half[d] *= complex(math.cos(delta_t * T_MAX), -math.sin(delta_t * T_MAX))
     return Propagator(gauge[:, None] * (half @ half.T) * gauge.conj())
 
 

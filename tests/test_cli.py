@@ -255,6 +255,17 @@ def test_pulse_check_rejects_non_finite(flag, value):
     assert "finite" in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value,limit", [("--deltaT", "1e5", "100"),
+                                              ("--area", "-2000", "1000")])
+def test_pulse_check_refuses_inputs_past_the_limits(flag, value, limit):
+    # a fresh interpreter with a timeout: --deltaT 1e5 would integrate for
+    # tens of minutes if it were accepted
+    proc = run_fresh("-m", "quditsearch", "pulse-check", "--d", "3", flag, value)
+    assert proc.returncode == 2
+    assert f"exceeds the limit {limit}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_search_refuses_a_huge_register_fast():
     # d**n is never formed for an n that cannot fit; a fresh interpreter with a
     # timeout, so a slow refusal fails the test

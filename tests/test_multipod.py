@@ -12,6 +12,8 @@ from quditsearch.multipod import (
     PULSE_SHAPES,
     _ENVELOPES,
     LeakageError,
+    MAX_DETUNING,
+    MAX_RMS_AREA,
     Propagator,
     PulseJob,
     T_MAX,
@@ -58,6 +60,15 @@ def test_pulse_job_validation():
         kw = {"couplings": np.ones(3), "detuning": 0.0, "rms_area": TWO_PI, **field}
         with pytest.raises(ValueError, match="finite"):
             PulseJob(**kw)
+    # bounded so that no accepted pulse integrates for more than about a second
+    for field, limit in (
+        ({"detuning": -100.5}, "limit 100"),
+        ({"rms_area": 1000.5}, "limit 1000"),
+    ):
+        kw = {"couplings": np.ones(3), "detuning": 0.0, "rms_area": TWO_PI, **field}
+        with pytest.raises(ValueError, match=limit):
+            PulseJob(**kw)
+    PulseJob(couplings=np.ones(3), detuning=-MAX_DETUNING, rms_area=MAX_RMS_AREA)
 
 
 # ---- propagate ----------------------------------------------------------------
@@ -131,26 +142,37 @@ def column_reference(job):
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize(
-    "couplings, shape",
-    [
-        pytest.param(coupling_design(2), "sech", id="2"),
-        pytest.param(coupling_design(3), "sech", id="3"),
-        pytest.param(coupling_design(8), "sech", id="8"),
-        # complex couplings: the gauge's phases must be undone exactly
-        pytest.param(complex_couplings(3, 5), "sech", id="3-complex"),
-        pytest.param(complex_couplings(5, 7), "sech", id="5-complex"),
-        # an exact zero coupling takes the gauge's phase-1 case
-        pytest.param(np.array([0.6, 0.0, 0.3 - 0.7j]), "sech", id="3-zero-entry"),
-        pytest.param(coupling_design(3), "gaussian", id="3-gaussian"),
-    ],
-)
+COLUMN_CASES = [
+    pytest.param(coupling_design(2), "sech", id="2"),
+    pytest.param(coupling_design(3), "sech", id="3"),
+    pytest.param(coupling_design(8), "sech", id="8"),
+    # complex couplings: the gauge's phases must be undone exactly
+    pytest.param(complex_couplings(3, 5), "sech", id="3-complex"),
+    pytest.param(complex_couplings(5, 7), "sech", id="5-complex"),
+    # an exact zero coupling takes the gauge's phase-1 case
+    pytest.param(np.array([0.6, 0.0, 0.3 - 0.7j]), "sech", id="3-zero-entry"),
+    pytest.param(coupling_design(3), "gaussian", id="3-gaussian"),
+]
+
+
+@pytest.mark.parametrize("couplings, shape", COLUMN_CASES)
 @pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI])
 @pytest.mark.parametrize("delta_t", [0.0, 2.0])
 def test_propagator_matches_column_reference(couplings, shape, area, delta_t):
     job = PulseJob(couplings=couplings, detuning=delta_t, rms_area=area, shape=shape)
     error = np.max(np.abs(propagate(job).matrix - column_reference(job)))
     assert error < 2e-10
+
+
+@pytest.mark.parametrize(
+    "couplings, shape",
+    [case for case in COLUMN_CASES if case.id in ("3", "3-complex", "3-gaussian")],
+)
+@pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI])
+def test_propagator_matches_column_reference_at_large_detuning(couplings, shape, area):
+    # the interaction-picture solve must restore the ancilla's free phase
+    # exactly, also where it turns many times over the window
+    test_propagator_matches_column_reference(couplings, shape, area, 5.0)
 
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
@@ -164,9 +186,8 @@ def test_envelopes_are_even(shape):
         )
 
 
-def test_one_half_window_solve_per_propagator(monkeypatch):
-    # the right-hand-side count is deterministic, so this guards the
-    # half-window integration without timing anything
+def one_solve(monkeypatch, job):
+    """(t_span, nfev) of the single solve_ivp call that propagate(job) makes."""
     solves = []
     solve_ivp_ = multipod.solve_ivp
 
@@ -176,11 +197,33 @@ def test_one_half_window_solve_per_propagator(monkeypatch):
         return sol
 
     monkeypatch.setattr(multipod, "solve_ivp", counting)
-    propagate(sech_job(3, 0.0))
+    propagate(job)
     assert len(solves) == 1
-    (t_span, nfev), = solves
+    return solves[0]
+
+
+def test_one_half_window_solve_per_propagator(monkeypatch):
+    # the right-hand-side count is deterministic, so this guards the
+    # half-window integration without timing anything
+    t_span, nfev = one_solve(monkeypatch, sech_job(3, 0.0))
     assert t_span == (0.0, T_MAX)
     assert nfev <= 700  # 1289 over the whole window
+
+
+@pytest.mark.parametrize(
+    "delta_t, max_nfev",
+    [
+        (2.0, 1000),  # 2225 with the ancilla's free phase integrated
+        (10.0, 4000),  # 10673 with the ancilla's free phase integrated
+    ],
+)
+def test_detuned_solve_leaves_out_the_free_phase(monkeypatch, delta_t, max_nfev):
+    # in the detuning's interaction picture the solver no longer follows
+    # exp(-i Delta T t) on the ancilla, so the count stays near the
+    # resonant one instead of growing linearly with Delta T
+    t_span, nfev = one_solve(monkeypatch, sech_job(3, delta_t))
+    assert t_span == (0.0, T_MAX)
+    assert nfev <= max_nfev
 
 
 # ---- extract_reflection ----------------------------------------------------------
