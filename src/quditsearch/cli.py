@@ -24,7 +24,8 @@ import sys
 from .engine import ExperimentConfig, Trajectory, run_search
 from .fgates import coupling_design, make_f, validate_f
 from .multipod import (
-    PULSE_SHAPES, PulseJob, analytic_sech_phase, extract_reflection, propagate,
+    MAX_PULSE_D, PULSE_SHAPES, PulseJob, analytic_sech_phase, extract_reflection,
+    propagate,
 )
 from .register import BasisIndex, QuditShape
 from .scheduler import (
@@ -121,6 +122,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_pulse_check(args: argparse.Namespace) -> int:
+    if args.d > MAX_PULSE_D:  # refused before coupling_design allocates d entries
+        raise ValueError(f"d {args.d} exceeds the limit {MAX_PULSE_D}")
     job = PulseJob(
         couplings=coupling_design(args.d),
         detuning=args.deltaT,

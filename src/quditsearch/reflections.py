@@ -94,7 +94,8 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
 
     The amplitude array is viewed as (d**k, d, d**(n-1-k)); the gate
     contracts the middle axis, i.e. groups of d amplitudes at stride
-    d**(n-1-k), vectorized over all N/d groups.
+    d**(n-1-k), vectorized over all N/d groups; the result is written back
+    into the state's buffer.
     """
     d, n = s.shape.d, s.shape.n
     if not 0 <= k < n:
@@ -103,7 +104,7 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     if g.shape != (d, d):
         raise ValueError(f"gate has shape {g.shape}, expected ({d}, {d})")
     view = s.amps.reshape(d**k, d, d ** (n - 1 - k))
-    s.amps = np.einsum("ij,ljr->lir", g, view).reshape(s.shape.N)
+    view[...] = np.einsum("ij,ljr->lir", g, view)
     return s
 
 
@@ -143,14 +144,12 @@ def diffusion_direct(
     view = _axis_view(s, axis)
     if overlap is None:
         overlap = axis_overlap(s, axis)
-    # zgeru updates a Fortran-contiguous complex128 matrix in place and
-    # returns it; for any other array f2py returns an updated copy, so
-    # assign that back.  The arguments are positional, (alpha, x, y, incx,
-    # incy, a, overwrite_x, overwrite_y, overwrite_a): f2py takes about 1 us
-    # longer to parse keywords, a tenth of a step at N=3^9.
-    out = zgeru((np.exp(1j * phi) - 1.0) * overlap, tail, head, 1, 1, view, 1, 1, 1)
-    if out is not view:
-        s.amps = out.reshape(s.shape.N, order="F")
+    # zgeru updates the Fortran-contiguous view in place (the StateVector's
+    # buffer is always contiguous and writeable).  The arguments are
+    # positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
+    # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth
+    # of a step at N=3^9.
+    zgeru((np.exp(1j * phi) - 1.0) * overlap, tail, head, 1, 1, view, 1, 1, 1)
     return s
 
 

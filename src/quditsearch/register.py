@@ -1,15 +1,15 @@
-"""Qudit registers: dense state vectors and mixed-radix index arithmetic.
+"""Qudit registers: dense state vectors over flat basis indices.
 
-A register of n qudits with d levels each spans N = d**n basis states.
-Digit strings are big-endian: the first qudit is the most significant
-digit, so |q1 q2 ... qn> has flat index sum_k q_k * d**(n-1-k).
+A register of n qudits with d levels each spans N = d**n basis states,
+each named by its flat index in [0, N).  The flat index is big-endian in
+the qudits: qudit 0 is the most significant digit, so the basis state
+|q_0 q_1 ... q_{n-1}> has flat index sum_k q_k * d**(n-1-k).
 Amplitudes are stored as a dense complex128 array of length N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -46,62 +46,41 @@ class QuditShape:
         """Database size d**n."""
         return self.d**self.n
 
-    def to_flat(self, digits: Iterable[int]) -> int:
-        """Big-endian mixed-radix encoding of a digit string."""
-        digits = tuple(int(q) for q in digits)
-        if len(digits) != self.n:
-            raise ValueError(f"expected {self.n} digits, got {len(digits)}")
-        flat = 0
-        for q in digits:
-            if not 0 <= q < self.d:
-                raise ValueError(f"digit {q} outside [0, {self.d})")
-            flat = flat * self.d + q
-        return flat
-
-    def to_digits(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`to_flat`."""
-        flat = int(flat)
-        if not 0 <= flat < self.N:
-            raise ValueError(f"flat index {flat} outside [0, {self.N})")
-        digits = []
-        x = flat
-        for _ in range(self.n):
-            digits.append(x % self.d)
-            x //= self.d
-        return tuple(reversed(digits))
-
 
 @dataclass(frozen=True)
 class BasisIndex:
-    """A basis state labelled both by its digit string and its flat index."""
+    """A basis state of a register, by its flat index."""
 
-    digits: tuple[int, ...]
     flat: int
 
     @classmethod
     def from_flat(cls, shape: QuditShape, flat: int) -> "BasisIndex":
-        return cls(shape.to_digits(flat), int(flat))
-
-    @classmethod
-    def from_digits(cls, shape: QuditShape, digits: Iterable[int]) -> "BasisIndex":
-        digits = tuple(int(q) for q in digits)
-        return cls(digits, shape.to_flat(digits))
+        flat = int(flat)
+        if not 0 <= flat < shape.N:
+            raise ValueError(f"flat index {flat} outside [0, {shape.N})")
+        return cls(flat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
-    """Dense amplitude vector over the N basis states of a register."""
+    """Dense amplitude vector over the N basis states of a register.
+
+    ``amps`` is fixed for the state's lifetime: a C-contiguous, writeable
+    complex128 buffer that every kernel updates in place.  An input that
+    already is one is adopted as is; any other (strided, read-only,
+    another dtype) is copied into one.
+    """
 
     shape: QuditShape
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        amps = np.require(self.amps, np.complex128, ["C", "W"])
         if amps.shape != (self.shape.N,):
             raise ValueError(
                 f"amplitude array has shape {amps.shape}, expected ({self.shape.N},)"
             )
-        self.amps = amps
+        object.__setattr__(self, "amps", amps)
 
     def copy(self) -> "StateVector":
         return StateVector(self.shape, self.amps.copy())

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditsearch
 from quditsearch.cli import main
+from quditsearch.register import MAX_STATES
 
 
 def run_cli(capsys, *argv):
@@ -256,11 +261,16 @@ def test_pulse_check_rejects_non_finite(flag, value):
 
 
 @pytest.mark.parametrize("flag,value,limit", [("--deltaT", "1e5", "100"),
-                                              ("--area", "-2000", "1000")])
+                                              ("--area", "-2000", "1000"),
+                                              ("--d", "17", "16"),
+                                              ("--d", "1000000000", "16")])
 def test_pulse_check_refuses_inputs_past_the_limits(flag, value, limit):
     # a fresh interpreter with a timeout: --deltaT 1e5 would integrate for
-    # tens of minutes if it were accepted
-    proc = run_fresh("-m", "quditsearch", "pulse-check", "--d", "3", flag, value)
+    # tens of minutes if it were accepted, and --d 1000000000 is refused
+    # before its 7.5 GiB of couplings are allocated (the address-space cap
+    # turns a missed check into a failed allocation, exit 1)
+    proc = run_fresh("-m", "quditsearch", "pulse-check", "--d", "3", flag, value,
+                     preexec_fn=cap_address_space)
     assert proc.returncode == 2
     assert f"exceeds the limit {limit}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -397,3 +407,129 @@ def test_search_output_independent_of_blas_threads(argv, lines):
     two = run_python(search, OPENBLAS_NUM_THREADS="2")
     assert one.count("\n") == lines
     assert one == two
+
+
+# ---- fuzz: every argv ends in exit 0, 1 or 2 ------------------------------------
+
+
+def _first_n_reaching(d, size):
+    """The smallest n with d**n >= size."""
+    n = 1
+    while d**n < size:
+        n += 1
+    return n
+
+
+def _text(strategy):
+    return strategy.map(lambda v: repr(v) if isinstance(v, float) else str(v))
+
+
+def _mostly(valid, invalid):
+    """``valid`` three draws in four, else ``invalid``, as argv text."""
+    return _text(st.one_of(valid, valid, valid, invalid))
+
+
+# d**n below 2^16 (a state of at most 1 MiB, a gate of at most 16 x 16), past
+# MAX_STATES (refused before anything is allocated), or not a register at all
+SMALL_REGISTER = st.integers(2, 16).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(1, _first_n_reaching(d, 2**16) - 1)))
+REGISTER = st.one_of(
+    SMALL_REGISTER, SMALL_REGISTER, SMALL_REGISTER, SMALL_REGISTER,
+    st.integers(2, 16).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(_first_n_reaching(d, MAX_STATES + 1), 31))),
+    st.tuples(st.integers(2, 10**6), st.integers(32, 10**12)),
+    st.tuples(st.integers(MAX_STATES + 1, 10**30), st.integers(1, 3)),
+    st.tuples(st.integers(-3, 1), st.integers(-3, 3)),
+)
+F_KIND = st.one_of(
+    st.sampled_from(["householder", "dft"]),
+    st.integers(0, 10**20).map(lambda seed: f"random:{seed}"),
+    st.sampled_from(["haar", "random:", "random:x", "random:-1", "dft:1"]),
+)
+MARKED = _mostly(st.integers(0, 20), st.integers(-3, 2**16 + 3))
+JUNK = st.sampled_from(["", "-", "--", "--bogus", "--d", "--sweep", "search", "x", "1e3",
+                        "nan", "0x10", "1,,2", "é"])
+
+
+@st.composite
+def search_flags(draw):
+    d, n = draw(REGISTER)
+    mode = draw(st.sampled_from(["deterministic", "pi", "custom"]))
+    flags = [("--d", str(d)), ("--n", str(n)), ("--mode", mode), ("--f", draw(F_KIND))]
+    if mode == "custom":
+        flags += [
+            ("--phi", draw(_mostly(st.floats(-10, 10),
+                                   st.sampled_from([math.nan, -math.inf, 1e300])))),
+            ("--steps", draw(_mostly(st.integers(0, 60),
+                                     st.sampled_from([-1, 10**6 + 1, 10**20])))),
+        ]
+    which = draw(st.sampled_from(["default", "--marked", "--sweep"]))
+    if which == "--marked":
+        flags.append((which, draw(MARKED)))
+    elif which == "--sweep":
+        flags.append((which, ",".join(draw(st.lists(MARKED, max_size=3)))))
+    return flags
+
+
+# small pulse values integrate in well under a second; the out-of-range ones
+# are refused before any integration
+PULSE_FLAGS = st.tuples(
+    st.tuples(st.just("--d"), _mostly(st.integers(2, 16), st.sampled_from([-1, 1, 17, 10**9]))),
+    st.tuples(st.just("--deltaT"), _mostly(
+        st.floats(-2, 2), st.sampled_from([100.5, -1e5, math.nan, math.inf]))),
+    st.tuples(st.just("--area"), _mostly(
+        st.one_of(st.floats(-15, 15), st.just(2 * math.pi)), st.sampled_from([-2000.0, math.nan]))),
+    st.tuples(st.just("--shape"), st.sampled_from(["sech", "gaussian"])),
+).map(list)
+FLAGS = {
+    "search": search_flags(),
+    "schedule": st.tuples(st.tuples(st.just("--N"), _mostly(
+        st.integers(2, 10**6), st.sampled_from([-3, 1, 2**60, 2**103, 10**400])))).map(list),
+    "pulse-check": PULSE_FLAGS,
+    "validate-f": st.tuples(st.tuples(st.just("--d"), _mostly(st.integers(2, 40),
+                                                              st.integers(-2, 1))),
+                            st.tuples(st.just("--f"), F_KIND)).map(list),
+}
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    """A well-formed argv of one subcommand, then maybe a few tokens deleted,
+    replaced or inserted."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = draw(FLAGS[command]) + [("--format", draw(st.sampled_from(["csv", "json"])))]
+    if draw(st.booleans()):
+        flags.append(("--out", str(draw(st.sampled_from(
+            [out_dir / "out.txt", out_dir, out_dir / "missing" / "out.txt"])))))
+    argv = [command, *(token for pair in flags for token in pair)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit != "insert" and at < len(argv):
+            del argv[at]
+        if edit != "delete":
+            argv.insert(at, draw(JUNK))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=3000)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_out_dir, data):
+    # --out names a file under this test's temporary directory, and so does a
+    # junk token that an edit leaves after --out: it runs in that directory
+    argv = data.draw(cli_argv(fuzz_out_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_out_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -238,7 +238,7 @@ def test_config_rejects_bad_marked():
     with pytest.raises(ValueError, match="outside"):
         ExperimentConfig(
             shape=shape,
-            marked=BasisIndex((0, 0), 9),
+            marked=BasisIndex(9),
             schedule=deterministic_schedule(9),
         )
 

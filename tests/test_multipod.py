@@ -13,6 +13,7 @@ from quditsearch.multipod import (
     _ENVELOPES,
     LeakageError,
     MAX_DETUNING,
+    MAX_PULSE_D,
     MAX_RMS_AREA,
     Propagator,
     PulseJob,
@@ -64,11 +65,12 @@ def test_pulse_job_validation():
     for field, limit in (
         ({"detuning": -100.5}, "limit 100"),
         ({"rms_area": 1000.5}, "limit 1000"),
+        ({"couplings": np.ones(MAX_PULSE_D + 1)}, f"d 17 exceeds the limit {MAX_PULSE_D}"),
     ):
         kw = {"couplings": np.ones(3), "detuning": 0.0, "rms_area": TWO_PI, **field}
         with pytest.raises(ValueError, match=limit):
             PulseJob(**kw)
-    PulseJob(couplings=np.ones(3), detuning=-MAX_DETUNING, rms_area=MAX_RMS_AREA)
+    PulseJob(couplings=np.ones(MAX_PULSE_D), detuning=-MAX_DETUNING, rms_area=MAX_RMS_AREA)
 
 
 # ---- propagate ----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The README's examples run as written; the benchmark's lookups exist."""
+"""The README's examples run as written; the names the README and the
+benchmark look up exist."""
 
 import ast
 import importlib
@@ -35,6 +36,41 @@ def test_readme_cli_examples_run(tmp_path):
         if "--out" in argv:
             argv[argv.index("--out") + 1] = str(tmp_path / "out")
         assert main(argv) == 0, argv
+
+
+def code_names(text):
+    """The leading identifier of each backticked span outside parentheses."""
+    depth, names = 0, []
+    for i, part in enumerate(text.split("`")):
+        if i % 2 == 0:
+            depth += part.count("(") - part.count(")")
+        elif depth == 0:
+            names.append(re.match(r"\w+", part).group())
+    return names
+
+
+def readme_api_names():
+    """(module, name) for each name the README's Python API section places at
+    the package root or in a ``quditsearch.<module>`` bullet."""
+    section = (ROOT / "README.md").read_text().split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    root = section.split("The package root exports", 1)[1].split("The rest is", 1)[0]
+    pairs = [("quditsearch", name) for name in code_names(root)]
+    bullets = re.findall(r"^- `(quditsearch\.\w+)`:(.*?)(?=^- |\n\n)", section,
+                         flags=re.S | re.M)
+    assert len(bullets) == 6
+    for module, text in bullets:
+        pairs += [(module, name) for name in code_names(text)]
+    return pairs
+
+
+def test_readme_api_names_exist():
+    pairs = readme_api_names()
+    assert ("quditsearch", "BasisIndex") in pairs
+    assert ("quditsearch.reflections", "diffusion_direct") in pairs
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def qs_attributes(path):

@@ -276,17 +276,20 @@ def test_diffusion_direct_updates_contiguous_state_in_place():
 
 
 def test_diffusion_direct_non_contiguous_view_matches_reference():
+    # a strided view is copied into the state's own contiguous buffer, which
+    # the update then changes in place; the view's backing stays as it was
     shape = QuditShape(3, 4)
     axis = random_state(shape, 62)
-    s = random_state(shape, 63)
+    amps = random_state(shape, 63).amps
     backing = np.zeros(2 * shape.N, dtype=complex)
-    backing[::2] = s.amps
-    s.amps = backing[::2]  # a strided view, as a caller may assign
-    assert not s.amps.flags.c_contiguous
+    backing[::2] = amps
+    s = StateVector(shape, backing[::2])
+    assert s.amps.flags.c_contiguous
     phi = 2.4
-    expected = s.amps + (np.exp(1j * phi) - 1) * np.vdot(axis.amps, s.amps) * axis.amps
+    expected = amps + (np.exp(1j * phi) - 1) * np.vdot(axis.amps, amps) * axis.amps
     diffusion_direct(s, flat(axis), phi)
     np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(backing[::2], amps)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
@@ -301,10 +304,10 @@ def test_factored_diffusion_matches_dense_formula(k, overlap, layout):
     head, tail = head / np.linalg.norm(head), tail / np.linalg.norm(tail)
     chi = np.kron(head, tail)
     s = random_state(shape, 71)
-    if layout == "strided":
+    if layout == "strided":  # built from a strided view: the state copies it
         backing = np.zeros(2 * shape.N, dtype=complex)
         backing[::2] = s.amps
-        s.amps = backing[::2]
+        s = StateVector(shape, backing[::2])
     phi = 2.1
     known = np.vdot(chi, s.amps)
     expected = s.amps + (np.exp(1j * phi) - 1) * known * chi

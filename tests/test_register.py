@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
+from quditsearch.fgates import householder_f
 from quditsearch.register import (
-    MAX_STATES,
     BasisIndex,
     QuditShape,
     StateVector,
     basis_state,
     population,
 )
+from quditsearch.reflections import diffusion_direct
 
 from helpers import inner_product
 
@@ -39,18 +40,13 @@ def test_basis_state_qutrit_ground():
     assert s.norm() == 1.0
 
 
-def test_basis_state_big_endian_digits():
+def test_basis_state_flat_index():
     shape = QuditShape(3, 2)
-    x = BasisIndex.from_digits(shape, [1, 0])
+    x = BasisIndex.from_flat(shape, 3)
     assert x.flat == 3
     s = basis_state(shape, x.flat)
     assert s.amps[3] == 1.0
     assert np.count_nonzero(s.amps) == 1
-
-
-def test_flat_index_binary():
-    shape = QuditShape(2, 2)
-    assert BasisIndex.from_digits(shape, [1, 1]).flat == 3
 
 
 def test_basis_index_out_of_range():
@@ -59,32 +55,8 @@ def test_basis_index_out_of_range():
         basis_state(shape, 9)
     with pytest.raises(ValueError, match="outside"):
         BasisIndex.from_flat(shape, -1)
-    with pytest.raises(ValueError, match="digit"):
-        BasisIndex.from_digits(shape, [3, 0])
-    with pytest.raises(ValueError, match="digits"):
-        BasisIndex.from_digits(shape, [1, 0, 2])
-
-
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (5, 2)])
-def test_mixed_radix_round_trip_exhaustive(d, n):
-    shape = QuditShape(d, n)
-    for flat in range(shape.N):
-        digits = shape.to_digits(flat)
-        assert shape.to_flat(digits) == flat
-        assert all(0 <= q < d for q in digits)
-        assert BasisIndex.from_flat(shape, flat).digits == digits
-
-
-@given(d=st.integers(2, 64), n=st.integers(1, 31), data=st.data())
-def test_mixed_radix_round_trip_property(d, n, data):
-    assume(d**n <= MAX_STATES)
-    shape = QuditShape(d, n)
-    flat = data.draw(st.integers(0, shape.N - 1), label="flat")
-    digits = shape.to_digits(flat)
-    assert len(digits) == n and all(0 <= q < d for q in digits)
-    assert shape.to_flat(digits) == flat
-    drawn = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="digits")
-    assert shape.to_digits(shape.to_flat(drawn)) == tuple(drawn)
+    with pytest.raises(ValueError, match="outside"):
+        BasisIndex.from_flat(shape, 9)
 
 
 def test_inner_product_unit_state():
@@ -156,3 +128,42 @@ def test_population_out_of_range():
 def test_state_vector_length_check():
     with pytest.raises(ValueError, match="shape"):
         StateVector(QuditShape(2, 2), np.zeros(3, dtype=complex))
+
+
+# ---- the amplitude buffer -----------------------------------------------------
+
+
+def test_state_vector_adopts_a_contiguous_complex_buffer():
+    amps = np.full(4, 0.5, dtype=complex)
+    assert StateVector(QuditShape(2, 2), amps).amps is amps
+
+
+def test_state_vector_buffer_cannot_be_rebound():
+    s = basis_state(QuditShape(2, 2), 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.amps = np.zeros(4, dtype=complex)
+
+
+def test_read_only_input_gets_its_own_buffer():
+    # a row of an FGate's read-only matrix: diffusion_direct must not write through it
+    gate = householder_f(3)
+    row = gate.matrix[1]
+    before = gate.matrix.copy()
+    s = StateVector(QuditShape(3, 1), row)
+    assert s.amps.flags.writeable and not np.shares_memory(s.amps, gate.matrix)
+    diffusion_direct(s, (np.ones(1), np.ones(3) / np.sqrt(3)), 1.1)
+    np.testing.assert_array_equal(gate.matrix, before)
+    assert not np.array_equal(s.amps, row)
+
+
+def test_float64_input_becomes_a_complex_buffer():
+    # test_diffusion_direct_non_contiguous_view_matches_reference covers a strided input
+    shape = QuditShape(3, 2)
+    values = np.random.default_rng(3).normal(size=shape.N)
+    s = StateVector(shape, values)
+    assert s.amps.dtype == np.complex128 and s.amps.flags.c_contiguous
+    assert s.amps.flags.writeable and not np.shares_memory(s.amps, values)
+    chi = np.ones(shape.N) / 3.0
+    expected = values + (np.exp(0.7j) - 1) * np.vdot(chi, values) * chi
+    diffusion_direct(s, (np.ones(1), chi), 0.7)
+    np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
