@@ -14,15 +14,13 @@ The propagator is obtained by direct numerical integration of the full
 (d+1)-level Schrodinger equation (no Morris-Shore shortcut), so the
 reflection fit is an independent check of the reduction.  Both pulse
 shapes are even in time and, after a diagonal phase gauge D, the
-Hamiltonian is real symmetric; so one solve over the half window [0, 20]
-gives V, and the whole pulse is U = D V V^T D^dag (see ``propagate``).
-That solve runs in the interaction picture of the detuning term: the
-ancilla's free phase exp(-i Delta T t) is left out of the integrated
-equation and restored exactly at t = 20, so the integrator no longer
-follows it after the envelope has died; up to |Delta T| = 1 a detuned
-pulse costs about what a resonant one does.  The gauge and the frame only
-rephase basis states: they reduce neither the dimension nor the number
-of coupled levels.
+Hamiltonian is real symmetric; so one propagator over the half window
+[0, 20] gives V, and the whole pulse is U = D V V^T D^dag (see
+``propagate``).  V is a product of order-6 Magnus exponentials on a grid
+graded by the envelope, of 128 steps for a resonant 2 pi sech pulse, 256
+at Delta T = 2 and 512 at Delta T = 10; the grid doubles until two grids
+agree to the tolerance.  The gauge only rephases basis states: it
+reduces neither the dimension nor the number of coupled levels.
 
 Hamiltonian convention (hbar = 1, rotating frame):
 
@@ -45,35 +43,42 @@ from .fgates import FGate, coupling_design, householder_f
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use.
+    """scipy.integrate.solve_ivp, imported on first use; nothing here calls it.
 
-    Importing scipy.integrate takes most of a fresh interpreter's import
-    time, and only the pulse commands integrate.  ``propagate`` looks this
-    name up in the module globals, so it can be wrapped from outside.
+    ``propagate`` builds its propagator from Magnus exponentials.  The
+    name stays because the traced benchmark (``TRACE_POINTS`` in
+    benchmark/run.py) wraps ``quditsearch.multipod.solve_ivp`` by name, and
+    a missing name would stop every traced run; the import stays lazy, so
+    it costs nothing.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
 
 
-# shape -> (unit-peak envelope of dimensionless time, its integral); every
-# envelope is even in t, which propagate's half-window solve relies on
+# shape -> (unit-peak envelope of dimensionless time, elementwise on arrays,
+# and its integral); every envelope is even in t, which propagate's
+# half-window product relies on
 _ENVELOPES = {
-    "sech": (lambda t: 1.0 / math.cosh(t), math.pi),
-    "gaussian": (lambda t: math.exp(-t * t), math.sqrt(math.pi)),
+    "sech": (lambda t: 1.0 / np.cosh(t), math.pi),
+    "gaussian": (lambda t: np.exp(-t * t), math.sqrt(math.pi)),
 }
 PULSE_SHAPES = tuple(_ENVELOPES)
 
 LEAKAGE_LIMIT = 1e-4
-# input bounds that keep one pulse to about a second of integration; at
+# input bounds that keep one pulse to about a second of work; at
 # |Delta T| = 100 the sech phase is already within 0.02 rad of 0.  At that
-# corner (area 1000), on a 2-core Xeon VM, a d = 16 pulse took 1.3 s and kept
-# 16 MB of solver states; d = 32 took 2.4 s and 59 MB.
+# corner (area 1000, d = 16) the half window takes 8192 Magnus steps.
 MAX_DETUNING = 100.0
 MAX_RMS_AREA = 1000.0
 MAX_PULSE_D = 16
 T_MAX = 20.0  # window half-width in pulse widths: sech tail below 5e-9 of peak
-RTOL, ATOL = 3e-12, 3e-14  # the integrator's relative and absolute tolerances
+# Accepted estimate |V_M - V_{M/2}| / 63 of the largest entry error of V.
+MAGNUS_TOL = 2e-12
+# Grid cap: twice the 8192 steps the hardest pulse inside the input bounds needs.
+MAX_MAGNUS_STEPS = 2**14
+_BLOCK = 512  # steps exponentiated at once, which bounds the memory
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 
 
 class LeakageError(RuntimeError):
@@ -125,13 +130,136 @@ class PulseJob:
 
 @dataclass(frozen=True)
 class Propagator:
-    """(d+1) x (d+1) propagator; basis order: qudit states 0..d-1, then ancilla."""
+    """(d+1) x (d+1) propagator; basis order: qudit states 0..d-1, then ancilla.
+
+    ``steps`` is the number of Magnus steps over the half window and
+    ``error_estimate`` the accepted estimate of V's largest entry error; both
+    are 0 for a matrix that was not integrated.
+    """
 
     matrix: np.ndarray
+    steps: int = 0
+    error_estimate: float = 0.0
 
     @property
     def qudit_block(self) -> np.ndarray:
         return self.matrix[:-1, :-1]
+
+
+def _magnus_grid(f, steps: int) -> np.ndarray:
+    """steps + 1 times from 0 to T_MAX whose density follows f^(1/7) + 0.02.
+
+    An order-6 step's local error scales as h^7 f, so this spacing spreads
+    it evenly; the floor keeps the tail's steps finite.  Grids of M and M/2
+    steps share every other time.
+    """
+    fine = np.linspace(0.0, T_MAX, 2049)
+    density = f(fine) ** (1.0 / 7.0) + 0.02
+    mass = np.concatenate(([0.0], np.cumsum(density[1:] + density[:-1])))
+    return np.interp(np.linspace(0.0, mass[-1], steps + 1), mass, fine)
+
+
+def _commutator(x: np.ndarray, y: np.ndarray, sign: int) -> np.ndarray:
+    """[x, y] of stacks of real matrices, each symmetric or antisymmetric.
+
+    sign is +1 when x and y have the same symmetry and -1 otherwise; then
+    y x = sign (x y)^T, so one matmul serves.
+    """
+    xy = x @ y
+    return xy - sign * xy.swapaxes(-1, -2)
+
+
+def _magnus_generators(h: np.ndarray, ham: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-6 Magnus generators Omega = anti - 1j sym of a stack of steps.
+
+    h holds the step widths and ham the real symmetric H at each step's three
+    Gauss nodes, shape (steps, 3, n, n).  With A = -iH the scheme is
+    (Blanes, Casas & Ros, BIT 40, 434 (2000))
+
+        a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),  a3 = (10 h / 3)(A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+        Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+
+    Writing a_i = -i X_i with X_i real symmetric, each commutator of an odd
+    number of X's is imaginary symmetric and of an even number real
+    antisymmetric, so all of them are real matmuls.
+    """
+    h1, h2, h3 = ham[:, 0], ham[:, 1], ham[:, 2]
+    h = h[:, None, None]
+    x1 = h * h2
+    x2 = (math.sqrt(15.0) / 3.0) * h * (h3 - h1)
+    x3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
+    c1 = _commutator(x1, x2, 1)  # C1 = -c1
+    c2_real = _commutator(x1, x3, 1) / 30.0
+    d2 = -_commutator(x1, c1, -1) / 60.0 - x2  # a2 + C2 = c2_real + 1j d2
+    b = 20.0 * x1 + x3  # -20 a1 - a3 + C1 = -c1 + 1j b
+    sym = x1 + x3 / 12.0 + (_commutator(c1, d2, -1) - _commutator(b, c2_real, -1)) / 240.0
+    anti = -(_commutator(c1, c2_real, 1) + _commutator(b, d2, 1)) / 240.0
+    return sym, anti
+
+
+# A complex matrix z = x + iy is held "stacked" as the real (2n, n) array
+# [x; y].  Its real form [[x, -y], [y, x]] multiplies stacked matrices:
+# _real_form(a) @ stacked(b) = stacked(a b).
+
+
+def _real_form(stacked: np.ndarray) -> np.ndarray:
+    n = stacked.shape[-1]
+    out = np.empty(stacked.shape[:-1] + (2 * n,))
+    out[..., :n] = stacked
+    out[..., :n, n:] = -stacked[..., n:, :]
+    out[..., n:, n:] = stacked[..., :n, :]
+    return out
+
+
+def _expm(real_form: np.ndarray) -> np.ndarray:
+    """Stacked exponentials of a stack of real forms, by a Horner Taylor series.
+
+    The degree is the lowest whose remainder bound theta^(m+1)/(m+1)! is
+    below 2^-53 at the stack's largest 1-norm theta; above theta = 0.5 the
+    stack is scaled by 2^-s first and the result squared s times.
+    """
+    count, n = real_form.shape[0], real_form.shape[-1] // 2
+    theta = float(np.abs(real_form[..., :n]).sum(axis=-2).max())
+    squarings = math.ceil(math.log2(theta / 0.5)) if theta > 0.5 else 0
+    real_form = real_form * 0.5**squarings
+    theta *= 0.5**squarings
+    degree, term = 1, theta  # term = theta^degree / degree!
+    while term * theta / (degree + 1) > 2.0**-53:
+        degree += 1
+        term *= theta / degree
+    coeffs = [1.0 / math.factorial(j) for j in range(degree + 1)]
+    diagonal = slice(0, n * n, n + 1)  # the diagonal of x in each flattened [x; y]
+    result = real_form[..., :n] * coeffs[degree]
+    result.reshape(count, -1)[:, diagonal] += coeffs[degree - 1]
+    scratch = np.empty_like(result)
+    for c in reversed(coeffs[: degree - 1]):
+        np.matmul(real_form, result, out=scratch)
+        result, scratch = scratch, result
+        result.reshape(count, -1)[:, diagonal] += c
+    for _ in range(squarings):
+        result = _real_form(result) @ result
+    return result
+
+
+def _ordered_product(stacked: np.ndarray) -> np.ndarray:
+    """E_k ... E_2 E_1 of a power-of-two stack, by a pairwise tree."""
+    while stacked.shape[0] > 1:
+        stacked = _real_form(stacked[1::2]) @ stacked[0::2]
+    return stacked[0]
+
+
+def _half_window(hamiltonian, times: np.ndarray, n: int) -> np.ndarray:
+    """V = U(times[-1], times[0]) by one Magnus step per interval, in blocks."""
+    v = np.zeros((2 * n, n))
+    v[:n] = np.eye(n)
+    for lo in range(0, times.size - 1, _BLOCK):
+        start = times[:-1][lo : lo + _BLOCK]
+        h = times[1:][lo : lo + _BLOCK] - start
+        sym, anti = _magnus_generators(h, hamiltonian(start[:, None] + h[:, None] * _GAUSS_NODES))
+        exponentials = _expm(_real_form(np.concatenate([anti, -sym], axis=-2)))
+        v = _real_form(_ordered_product(exponentials)) @ v
+    return v[:n] + 1j * v[n:]
 
 
 def propagate(job: PulseJob) -> Propagator:
@@ -151,30 +279,19 @@ def propagate(job: PulseJob) -> Propagator:
 
         U = D V V^T D^dag.
 
-    V is computed in the interaction picture of H0 = (Delta T) |c><c|.
-    With V = exp(-i H0 T_MAX) W and coef = A / (2 I_f),
-
-        dW/dt = -i coef f(t) (e^{i Delta T t} |c><|u|| + h.c.) W,  W(0) = 1,
-
-    which holds only the coupling, rotating at the detuning.  In the lab
-    frame the adaptive solver must follow the ancilla's free phase
-    exp(-i Delta T t) to t = T_MAX, long after the envelope has died, so
-    its work grew linearly with Delta T; here that phase is restored
-    exactly by multiplying the ancilla row of W by exp(-i Delta T T_MAX).
-    The frame changes how V is computed, not what it is: V is still
-    U_r(T_MAX, 0) of the real, even H_r, so the identity above holds as
-    before.  The right-hand side splits the rotating coupling into
-    cos(Delta T t) and sin(Delta T t) parts, two fixed matrices with one
-    real scalar each; at Delta T = 0 it is the lab-frame coupling alone.
-
-    W is one matrix ODE integrated in a single adaptive 8th-order
-    Runge-Kutta solve at the fixed tolerances RTOL = 3e-12 and
-    ATOL = 3e-14.  Its error norm averages over all (d+1)^2 entries, hence
-    tolerances tighter than a per-column solve would need for the same
-    entry error.  The full (d+1)-level equation is still integrated: the
-    gauge rephases the basis states by constants and the frame rephases
-    the ancilla along the pulse, so this is not a Morris-Shore reduction
-    and the reflection fit still checks it.
+    V is the ordered product of order-6 Magnus exponentials (three Gauss
+    nodes per step, see ``_magnus_generators``) of the lab-frame H_r on a
+    grid graded by the envelope (``_magnus_grid``).  The grid has M steps,
+    a power of two, first 2^floor(log2(128 + 32 sqrt|A Delta T|)) steps:
+    128 for a resonant pulse, where H_r commutes with itself and only the
+    quadrature of f is approximated.  V_M is accepted when
+    |V_M - V_{M/2}| / 63, an estimate of its largest entry error since the
+    scheme's error falls as M^-6, is at most MAGNUS_TOL = 2e-12; otherwise M
+    doubles.  A 2 pi sech pulse at d = 3 takes 128 steps at Delta T = 0,
+    256 at Delta T = 2, 512 at 10 and 4096 at 100.  Past MAX_MAGNUS_STEPS
+    it raises RuntimeError.  All d+1 levels are integrated: the gauge
+    rephases basis states by constants, so this is not a Morris-Shore
+    reduction and the reflection fit still checks it.
     """
     d = job.d
     dim = d + 1
@@ -182,36 +299,30 @@ def propagate(job: PulseJob) -> Propagator:
     gauge = np.exp(1j * np.angle(np.append(unit, 1.0)))
 
     f, integral = _ENVELOPES[job.shape]
-    coef = job.rms_area / (2.0 * integral)
-    delta_t = job.detuning
-    coupling = np.zeros((dim, dim), dtype=np.complex128)  # -i coef K_r
-    coupling[:d, d] = coupling[d, :d] = -1j * coef * np.abs(unit)
-    quadrature = np.zeros((dim, dim), dtype=np.complex128)  # coef (|c><|u|| - h.c.)
-    quadrature[d, :d] = coef * np.abs(unit)
-    quadrature[:d, d] = -quadrature[d, :d]
+    coupling = np.zeros((dim, dim))  # (A / (2 I_f)) K_r
+    coupling[:d, d] = coupling[d, :d] = job.rms_area / (2.0 * integral) * np.abs(unit)
+    detuning = np.zeros((dim, dim))
+    detuning[d, d] = job.detuning
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        envelope, angle = f(t), delta_t * t
-        in_phase = envelope * math.cos(angle)
-        out_of_phase = envelope * math.sin(angle)
-        return ((in_phase * coupling + out_of_phase * quadrature) @ y.reshape(dim, dim)).ravel()
+    def hamiltonian(t: np.ndarray) -> np.ndarray:
+        return f(t)[..., None, None] * coupling + detuning
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, T_MAX),
-        np.eye(dim, dtype=np.complex128).ravel(),
-        method="DOP853",
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    if not sol.success:
-        raise RuntimeError(
-            f"propagator failed to converge: {sol.message} "
-            f"({sol.nfev} right-hand-side evaluations)"
-        )
-    half = sol.y[:, -1].reshape(dim, dim)
-    half[d] *= complex(math.cos(delta_t * T_MAX), -math.sin(delta_t * T_MAX))
-    return Propagator(gauge[:, None] * (half @ half.T) * gauge.conj())
+    steps = 2 ** int(math.log2(128.0 + 32.0 * math.sqrt(abs(job.rms_area * job.detuning))))
+    coarse = _half_window(hamiltonian, _magnus_grid(f, steps // 2), dim)
+    while True:
+        half = _half_window(hamiltonian, _magnus_grid(f, steps), dim)
+        estimate = float(np.max(np.abs(half - coarse))) / 63.0
+        if estimate <= MAGNUS_TOL:
+            break
+        if 2 * steps > MAX_MAGNUS_STEPS:
+            raise RuntimeError(
+                f"propagator did not reach the tolerance {MAGNUS_TOL:g}: error "
+                f"estimate {estimate:.1e} at {steps} Magnus steps, the limit is "
+                f"{MAX_MAGNUS_STEPS}"
+            )
+        coarse, steps = half, 2 * steps
+    matrix = gauge[:, None] * (half @ half.T) * gauge.conj()
+    return Propagator(matrix, steps, estimate)
 
 
 def wrap_phase(x: float) -> float:

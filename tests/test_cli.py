@@ -389,6 +389,17 @@ def test_cli_import_leaves_integrator_unloaded():
     assert run_python(probe).strip() == "False"
 
 
+def test_pulse_check_leaves_integrator_unloaded():
+    # a pulse is a product of Magnus exponentials: a cold pulse-check
+    # imports numpy's matmul, not scipy.integrate
+    probe = ("import contextlib, io, sys\n"
+             "from quditsearch.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['pulse-check', '--d', '3'])\n"
+             "print(code, 'scipy.integrate' in sys.modules)")
+    assert run_python(probe).strip() == "0 False"
+
+
 def test_cli_import_leaves_blas_unloaded():
     # only a stepped state vector needs scipy's BLAS; schedule and validate-f do not
     probe = "import sys, quditsearch.cli; print('scipy.linalg' in sys.modules)"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,8 +163,10 @@ COLUMN_CASES = [
 @pytest.mark.parametrize("delta_t", [0.0, 2.0])
 def test_propagator_matches_column_reference(couplings, shape, area, delta_t):
     job = PulseJob(couplings=couplings, detuning=delta_t, rms_area=area, shape=shape)
-    error = np.max(np.abs(propagate(job).matrix - column_reference(job)))
+    prop = propagate(job)
+    error = np.max(np.abs(prop.matrix - column_reference(job)))
     assert error < 2e-10
+    assert unitarity_defect(prop.matrix) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -172,8 +175,8 @@ def test_propagator_matches_column_reference(couplings, shape, area, delta_t):
 )
 @pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI])
 def test_propagator_matches_column_reference_at_large_detuning(couplings, shape, area):
-    # the interaction-picture solve must restore the ancilla's free phase
-    # exactly, also where it turns many times over the window
+    # the lab-frame grid must follow the ancilla's free phase, also where
+    # it turns many times over the window
     test_propagator_matches_column_reference(couplings, shape, area, 5.0)
 
 
@@ -188,44 +191,36 @@ def test_envelopes_are_even(shape):
         )
 
 
-def one_solve(monkeypatch, job):
-    """(t_span, nfev) of the single solve_ivp call that propagate(job) makes."""
-    solves = []
-    solve_ivp_ = multipod.solve_ivp
-
-    def counting(fun, t_span, y0, **kwargs):
-        sol = solve_ivp_(fun, t_span, y0, **kwargs)
-        solves.append((tuple(t_span), sol.nfev))
-        return sol
-
-    monkeypatch.setattr(multipod, "solve_ivp", counting)
-    propagate(job)
-    assert len(solves) == 1
-    return solves[0]
+@pytest.mark.parametrize("delta_t, max_steps", [(0.0, 128), (2.0, 256), (10.0, 512)])
+def test_magnus_grid_steps(delta_t, max_steps):
+    # the grid is deterministic, so this guards the half-window cost
+    # without timing anything
+    prop = propagate(sech_job(3, delta_t))
+    assert prop.steps <= max_steps
+    assert prop.error_estimate <= multipod.MAGNUS_TOL
 
 
-def test_one_half_window_solve_per_propagator(monkeypatch):
-    # the right-hand-side count is deterministic, so this guards the
-    # half-window integration without timing anything
-    t_span, nfev = one_solve(monkeypatch, sech_job(3, 0.0))
-    assert t_span == (0.0, T_MAX)
-    assert nfev <= 700  # 1289 over the whole window
+def test_step_cap_raises(monkeypatch):
+    # a Delta T = 10 pulse needs 512 steps; under a cap of 256 it must fail
+    # loudly rather than return a propagator short of the tolerance
+    monkeypatch.setattr(multipod, "MAX_MAGNUS_STEPS", 256)
+    with pytest.raises(RuntimeError, match="tolerance"):
+        propagate(sech_job(3, 10.0))
 
 
-@pytest.mark.parametrize(
-    "delta_t, max_nfev",
-    [
-        (2.0, 1000),  # 2225 with the ancilla's free phase integrated
-        (10.0, 4000),  # 10673 with the ancilla's free phase integrated
-    ],
-)
-def test_detuned_solve_leaves_out_the_free_phase(monkeypatch, delta_t, max_nfev):
-    # in the detuning's interaction picture the solver no longer follows
-    # exp(-i Delta T t) on the ancilla, so the count stays near the
-    # resonant one instead of growing linearly with Delta T
-    t_span, nfev = one_solve(monkeypatch, sech_job(3, delta_t))
-    assert t_span == (0.0, T_MAX)
-    assert nfev <= max_nfev
+def test_box_corner_pulse_stays_bounded():
+    # the hardest pulse the input bounds accept: the grid is processed in
+    # blocks, so the memory does not grow with the number of steps
+    job = PulseJob(complex_couplings(MAX_PULSE_D, 11), MAX_DETUNING, MAX_RMS_AREA)
+    tracemalloc.start()
+    try:
+        prop = propagate(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prop.steps <= multipod.MAX_MAGNUS_STEPS
+    assert peak <= 32 * 2**20
+    assert unitarity_defect(prop.matrix) <= 1e-10
 
 
 # ---- extract_reflection ----------------------------------------------------------

@@ -271,8 +271,10 @@ def test_diffusion_direct_updates_contiguous_state_in_place():
     axis = random_state(shape, 60)
     s = random_state(shape, 61)
     buffer = s.amps
+    expected = dense_reflection(axis.amps, 1.3) @ buffer
     diffusion_direct(s, flat(axis), 1.3)
     assert s.amps is buffer
+    np.testing.assert_allclose(buffer, expected, rtol=0, atol=1e-14)
 
 
 def test_diffusion_direct_non_contiguous_view_matches_reference():
