@@ -9,10 +9,7 @@ quantity, the overlap <a|s>, is carried from step to step by its exact
 O(1) recurrence, so a step is one in-place zgeru pass over the state,
 32 N bytes.  No multi-threaded reduction feeds the trajectory, so it does
 not depend on the BLAS thread count.  One contraction of the state with
-the two factors after the last step checks the carried overlap.  The
-local-gate sandwich
-``reflections.diffusion_via_gates`` is not a run path; tests compare
-against it.
+the two factors after the last step checks the carried overlap.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from .fgates import FGate, f_constructor, make_f, validate_f
 # apply_local_gate is unused here but kept importable under this name: the
 # benchmark tracer (benchmark/run.py) wraps quditsearch.engine.apply_local_gate.
 from .reflections import Axis, apply_local_gate, axis_overlap, grover_step  # noqa: F401
-from .register import BasisIndex, QuditShape, StateVector, basis_state, population
+from .register import BasisIndex, QuditShape, StateVector, population
 from .scheduler import SearchSchedule
 
 # Largest |carried - measured| axis overlap a run accepts after its last step.
@@ -179,21 +176,3 @@ def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory
         )
     return Trajectory.from_populations(populations)
 
-
-def dense_grover_matrix(
-    cfg: ExperimentConfig, f_gate: FGate | None = None
-) -> np.ndarray:
-    """Brute-force N x N Grover operator, one basis vector per column."""
-    N = cfg.shape.N
-    if N > 1024:
-        raise ValueError(f"dense matrix limited to N <= 1024, got N={N}")
-    f = _resolve_f(cfg, f_gate)
-    axis = diffusion_axis(cfg.shape, f)
-    phi = cfg.schedule.phi
-    marked = cfg.marked.flat
-    matrix = np.zeros((N, N), dtype=np.complex128)
-    for col in range(N):
-        state = basis_state(cfg.shape, col)
-        grover_step(state, marked, phi, axis)
-        matrix[:, col] = state.amps
-    return matrix

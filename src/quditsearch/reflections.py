@@ -6,8 +6,7 @@ special cases drive the search:
 
 * oracle: chi is a basis state, so the update touches one amplitude;
 * diffusion: chi is the equal-weight register superposition F^(x)n |0>,
-  either applied directly as a rank-1 update or assembled from local
-  gates as F^(x)n M(0, phi) (F^dagger)^(x)n.
+  applied directly as a rank-1 update.
 
 The direct diffusion takes its axis as a Kronecker pair (head, tail),
 chi = kron(head, tail).  Viewed as a Fortran (tail.size x head.size)
@@ -21,6 +20,11 @@ measured as tail^dagger S conj(head) with zgemv and zdotc.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -38,17 +42,44 @@ Axis = tuple[np.ndarray, np.ndarray]
 # 8.0 ms that way against 0.8 ms with both kernels from scipy.  Keep the
 # overlap (zgemv, zdotc) and the update (zgeru) on one library.
 #
-# scipy.linalg is imported on first use, not with this module: it costs a
-# fresh interpreter about 0.3 s, which schedule and validate-f never need.
-# The first call rebinds the names below to scipy's kernels, so the step
-# finds BLAS in this module's globals with no import statement per call.
+# The kernels come straight from scipy's f2py extension linalg/_fblas, loaded
+# from its file on the first step: the scipy.linalg package around it costs
+# a fresh interpreter about 0.3 s and 27 MiB, the extension about 10 ms and
+# 3 MiB, and schedule, validate-f and the pulse commands need neither.  The
+# extension is registered under its own name, so a later import of
+# scipy.linalg.blas in the same process hands out these same functions (one
+# OpenBLAS, one pool).  The first call rebinds the names below to the
+# kernels, so the step finds BLAS in this module's globals with no import
+# statement per call.
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _scipy_dirs() -> list[str]:
+    """scipy's package directories, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    return spec.submodule_search_locations if spec else []
+
+
 def _load_blas() -> None:
     global zdotc, zgemv, zgeru
-    from scipy.linalg.blas import zdotc, zgemv, zgeru
+    fblas = sys.modules.get(_FBLAS)  # already there if scipy.linalg was imported
+    if fblas is None:
+        paths = (os.path.join(root, "linalg", "_fblas" + suffix)
+                 for root in _scipy_dirs() for suffix in EXTENSION_SUFFIXES)
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            import scipy  # for its version; a missing scipy raises here
+            raise ImportError(f"scipy {scipy.__version__} has no linalg/_fblas "
+                              f"extension, which the step's BLAS kernels come from")
+        spec = importlib.util.spec_from_file_location(_FBLAS, path)
+        fblas = importlib.util.module_from_spec(spec)
+        sys.modules[_FBLAS] = fblas
+        spec.loader.exec_module(fblas)
+    zdotc, zgemv, zgeru = fblas.zdotc, fblas.zgemv, fblas.zgeru
 
 
 def _first_use(name: str):
-    """Stand-in for scipy's kernel ``name``: imports BLAS, then calls it."""
+    """Stand-in for scipy's kernel ``name``: loads BLAS, then calls it."""
     def kernel(*args, **kwargs):
         _load_blas()
         return globals()[name](*args, **kwargs)
@@ -105,24 +136,6 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
         raise ValueError(f"gate has shape {g.shape}, expected ({d}, {d})")
     view = s.amps.reshape(d**k, d, d ** (n - 1 - k))
     view[...] = np.einsum("ij,ljr->lir", g, view)
-    return s
-
-
-def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVector:
-    """Reflection about F^(x)n |0>, assembled from local gates.
-
-    Applies F^dagger to every qudit, shifts the phase of |0...0>, then
-    applies F to every qudit.
-    """
-    f = np.asarray(f, dtype=np.complex128)
-    if unitarity_defect(f) > 1e-10:
-        raise ValueError("diffusion gate is not unitary")
-    f_dag = f.conj().T
-    for k in range(s.shape.n):
-        apply_local_gate(s, f_dag, k)
-    oracle(s, 0, phi)
-    for k in range(s.shape.n):
-        apply_local_gate(s, f, k)
     return s
 
 

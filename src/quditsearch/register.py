@@ -82,9 +82,6 @@ class StateVector:
             )
         object.__setattr__(self, "amps", amps)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.shape, self.amps.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 

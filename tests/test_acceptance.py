@@ -12,7 +12,6 @@ import pytest
 
 from quditsearch.engine import (
     ExperimentConfig,
-    dense_grover_matrix,
     diffusion_axis,
     run_search,
     superposition_register,
@@ -34,7 +33,7 @@ from quditsearch.scheduler import (
     predicted_population,
 )
 
-from helpers import hadamard, phase_distance
+from helpers import dense_grover_matrix, hadamard, phase_distance
 
 
 def report(criterion: int, message: str) -> None:

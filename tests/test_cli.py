@@ -4,32 +4,22 @@ import json
 import math
 import os
 import resource
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import quditsearch
 from quditsearch.cli import main
 from quditsearch.register import MAX_STATES
+
+from helpers import run_fresh, run_python
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_fresh(*args, timeout=60, env=None, **kw):
-    """Run the interpreter with ``args`` on this package in a fresh process."""
-    src = os.path.dirname(os.path.dirname(quditsearch.__file__))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": src, **(env or {})}, **kw,
-    )
 
 
 def parse_csv(text):
@@ -376,13 +366,6 @@ def test_help_exits_zero(capsys):
     assert "search" in out
 
 
-def run_python(code, **env):
-    """Run code in a fresh interpreter on this package; its stdout."""
-    proc = run_fresh("-c", code, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_cli_import_leaves_integrator_unloaded():
     # only the pulse commands integrate; the others must not pay its import
     probe = "import sys, quditsearch.cli; print('scipy.integrate' in sys.modules)"
@@ -404,6 +387,29 @@ def test_cli_import_leaves_blas_unloaded():
     # only a stepped state vector needs scipy's BLAS; schedule and validate-f do not
     probe = "import sys, quditsearch.cli; print('scipy.linalg' in sys.modules)"
     assert run_python(probe).strip() == "False"
+    # a search loads the _fblas extension alone, not the scipy.linalg package
+    probe = ("import contextlib, io, sys\n"
+             "from quditsearch.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['search', '--d', '3', '--n', '5'])\n"
+             "print(code, 'scipy.linalg' in sys.modules, 'scipy.linalg._fblas' in sys.modules)")
+    assert run_python(probe).strip() == "0 False True"
+
+
+def test_commands_without_a_step_leave_blas_unloaded():
+    # the kernels load on the first Grover step; a command that steps no
+    # state keeps the stand-ins, plain Python functions, not f2py's objects
+    probe = ("import contextlib, io, sys, types\n"
+             "from quditsearch import reflections\n"
+             "from quditsearch.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [main(['validate-f', '--d', '7', '--f', 'dft']),\n"
+             "             main(['schedule', '--N', '243']),\n"
+             "             main(['pulse-check', '--d', '3', '--deltaT', '0.5'])]\n"
+             "print(codes, all(isinstance(getattr(reflections, k), types.FunctionType)\n"
+             "                 for k in ('zdotc', 'zgemv', 'zgeru')),\n"
+             "      [m for m in sys.modules if m.startswith('scipy.linalg')])")
+    assert run_python(probe).strip() == "[0, 0, 0] True []"
 
 
 @pytest.mark.parametrize("argv, lines", [

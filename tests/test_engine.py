@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 from quditsearch import engine, reflections
 from quditsearch.engine import (
     ExperimentConfig,
-    dense_grover_matrix,
     diffusion_axis,
     run_search,
     superposition_register,
 )
 from quditsearch.fgates import FGate, dft, householder_f, make_f, validate_f
 from quditsearch.register import BasisIndex, QuditShape, basis_state, population
-from quditsearch.reflections import apply_local_gate, diffusion_via_gates, grover_step, oracle
+from quditsearch.reflections import apply_local_gate, grover_step, oracle
 from quditsearch.scheduler import (
     canonical_schedule,
     custom_schedule,
     deterministic_schedule,
     predicted_population,
 )
+
+from helpers import dense_grover_matrix, diffusion_via_gates
 
 
 def config(d, n, schedule, marked=0, **kw):
@@ -201,7 +202,7 @@ def test_run_search_holds_one_state_sized_array():
     # the axis is two factors of 729 entries, not a second N-sized vector;
     # the state's Kronecker build holds N/3 more amplitudes while it runs
     cfg = config(3, 12, deterministic_schedule(3**12), marked=12345)
-    run_search(cfg)  # scipy's BLAS is imported on the first step, not in the trace
+    run_search(cfg)  # scipy's BLAS loads on the first step, not in the trace
     tracemalloc.start()
     try:
         run_search(cfg)

@@ -1,3 +1,5 @@
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,19 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quditsearch import reflections
 from quditsearch.engine import diffusion_axis, superposition_register
 from quditsearch.fgates import householder_f
 from quditsearch.register import QuditShape, StateVector, basis_state
 from quditsearch.reflections import (
     apply_local_gate,
     diffusion_direct,
-    diffusion_via_gates,
     grover_step,
     oracle,
     unitarity_defect,
 )
 
-from helpers import hadamard
+from helpers import copy_state, diffusion_via_gates, hadamard, run_python
 
 
 def random_state(shape, seed):
@@ -242,7 +244,7 @@ def test_diffusion_direct_agrees_with_via_gates():
     for k in range(2):
         apply_local_gate(axis, f, k)
     a = random_state(shape, 57)
-    b = a.copy()
+    b = copy_state(a)
     diffusion_direct(a, flat(axis), np.pi)
     diffusion_via_gates(b, f, np.pi)
     assert np.max(np.abs(a.amps - b.amps)) < 1e-10
@@ -260,7 +262,7 @@ def test_diffusion_direct_orthogonal_state_unchanged():
 def test_diffusion_direct_own_axis():
     shape = QuditShape(3, 1)
     axis = StateVector(shape, np.ones(3, dtype=complex) / np.sqrt(3))
-    s = axis.copy()
+    s = copy_state(axis)
     phi = 2.2
     diffusion_direct(s, flat(axis), phi)
     np.testing.assert_allclose(s.amps, np.exp(1j * phi) * axis.amps, atol=1e-14)
@@ -324,7 +326,7 @@ def test_grover_step_perfect_single_iteration_n4():
     # N=4 with phi=pi: one step moves the equal superposition onto the target
     shape = QuditShape(2, 2)
     axis = StateVector(shape, np.full(4, 0.5, dtype=complex))
-    s = axis.copy()
+    s = copy_state(axis)
     grover_step(s, 3, np.pi, flat(axis))
     assert abs(s.amps[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -361,7 +363,7 @@ def test_state_stays_in_two_dimensional_subspace():
     s = basis_state(shape, 0)
     for k in range(3):
         apply_local_gate(s, f, k)
-    axis = s.copy()
+    axis = copy_state(s)
     marked = 7
     m = basis_state(shape, marked)
     basis = np.linalg.qr(np.column_stack([m.amps, axis.amps]))[0]
@@ -392,3 +394,39 @@ def test_sandwich_identity_dense():
 def test_unitarity_defect_helper():
     assert unitarity_defect(hadamard()) < 1e-15
     assert unitarity_defect(np.array([[1.0, 0.0], [1.0, 1.0]])) > 0.5
+
+
+# ---- the step's BLAS kernels ------------------------------------------------
+
+
+def test_fblas_kernels_are_scipy_linalg_blas():
+    # the kernels load from scipy's private _fblas extension under its own
+    # name, so scipy.linalg.blas, imported later, hands out the same objects
+    probe = """
+import sys
+import numpy as np
+from quditsearch import reflections
+reflections._load_blas()
+print('scipy.linalg' in sys.modules)
+import scipy.linalg.blas as blas
+print(all(getattr(reflections, k) is getattr(blas, k) for k in ('zdotc', 'zgemv', 'zgeru')))
+rng = np.random.default_rng(5)
+def cvec(*size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+a, x, y = np.asfortranarray(cvec(81, 243)), cvec(81), cvec(243)
+ours = [reflections.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
+        reflections.zgemv(1.0, a, y), reflections.zdotc(x, x)]
+theirs = [blas.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
+          blas.zgemv(1.0, a, y), blas.zdotc(x, x)]
+print(all(np.array_equal(p, q) for p, q in zip(ours, theirs)))
+"""
+    assert run_python(probe).split() == ["False", "True", "True"]
+
+
+def test_missing_fblas_names_the_scipy_version(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.setattr(reflections, "_scipy_dirs", lambda: [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+    with pytest.raises(ImportError, match=f"scipy {re.escape(scipy.__version__)} "):
+        reflections._load_blas()
