@@ -19,8 +19,12 @@ Hamiltonian is real symmetric; so one propagator over the half window
 ``propagate``).  V is a product of order-6 Magnus exponentials on a grid
 graded by the envelope, of 128 steps for a resonant 2 pi sech pulse, 256
 at Delta T = 2 and 512 at Delta T = 10; the grid doubles until two grids
-agree to the tolerance.  The gauge only rephases basis states: it
-reduces neither the dimension nor the number of coupled levels.
+agree to the tolerance.  The gauged Hamiltonian is f(t) C + (Delta T)|c><c|
+with C fixed, so each step's generator is a combination, with scalar
+coefficients of the step, of 11 commutators of the two fixed matrices
+built once per pulse; the grid's nodes and envelope values are memoised
+per (shape, steps).  The gauge only rephases basis states: it reduces
+neither the dimension nor the number of coupled levels.
 
 Hamiltonian convention (hbar = 1, rotating frame):
 
@@ -34,6 +38,7 @@ The +Delta sign on the ancilla makes the sech phase decrease with Delta T.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,48 +164,87 @@ def _magnus_grid(f, steps: int) -> np.ndarray:
     return np.interp(np.linspace(0.0, mass[-1], steps + 1), mass, fine)
 
 
-def _commutator(x: np.ndarray, y: np.ndarray, sign: int) -> np.ndarray:
-    """[x, y] of stacks of real matrices, each symmetric or antisymmetric.
+@functools.lru_cache(maxsize=None)
+def _grid_nodes(shape: str, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only step widths h and envelope f at each step's three Gauss nodes.
 
-    sign is +1 when x and y have the same symmetry and -1 otherwise; then
-    y x = sign (x y)^T, so one matmul serves.
+    A pure function of (shape, steps): propagate asks only for powers of two
+    from 64 to MAX_MAGNUS_STEPS, so the cache holds at most 2 x 9 entries,
+    about 2 MiB in all.  f has shape (steps, 3).
     """
-    xy = x @ y
-    return xy - sign * xy.swapaxes(-1, -2)
-
-
-def _magnus_generators(h: np.ndarray, ham: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order-6 Magnus generators Omega = anti - 1j sym of a stack of steps.
-
-    h holds the step widths and ham the real symmetric H at each step's three
-    Gauss nodes, shape (steps, 3, n, n).  With A = -iH the scheme is
-    (Blanes, Casas & Ros, BIT 40, 434 (2000))
-
-        a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),  a3 = (10 h / 3)(A3 - 2 A2 + A1),
-        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
-        Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
-
-    Writing a_i = -i X_i with X_i real symmetric, each commutator of an odd
-    number of X's is imaginary symmetric and of an even number real
-    antisymmetric, so all of them are real matmuls.
-    """
-    h1, h2, h3 = ham[:, 0], ham[:, 1], ham[:, 2]
-    h = h[:, None, None]
-    x1 = h * h2
-    x2 = (math.sqrt(15.0) / 3.0) * h * (h3 - h1)
-    x3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
-    c1 = _commutator(x1, x2, 1)  # C1 = -c1
-    c2_real = _commutator(x1, x3, 1) / 30.0
-    d2 = -_commutator(x1, c1, -1) / 60.0 - x2  # a2 + C2 = c2_real + 1j d2
-    b = 20.0 * x1 + x3  # -20 a1 - a3 + C1 = -c1 + 1j b
-    sym = x1 + x3 / 12.0 + (_commutator(c1, d2, -1) - _commutator(b, c2_real, -1)) / 240.0
-    anti = -(_commutator(c1, c2_real, 1) + _commutator(b, d2, 1)) / 240.0
-    return sym, anti
+    envelope = _ENVELOPES[shape][0]
+    times = _magnus_grid(envelope, steps)
+    start = times[:-1]
+    h = times[1:] - start
+    f = envelope(start[:, None] + h[:, None] * _GAUSS_NODES)
+    h.flags.writeable = f.flags.writeable = False
+    return h, f
 
 
 # A complex matrix z = x + iy is held "stacked" as the real (2n, n) array
 # [x; y].  Its real form [[x, -y], [y, x]] multiplies stacked matrices:
 # _real_form(a) @ stacked(b) = stacked(a b).
+
+
+def _commutator_basis(coupling: np.ndarray, detuning: np.ndarray) -> np.ndarray:
+    """The 11 fixed matrices every order-6 Magnus generator of one pulse combines.
+
+    With H(t) = f(t) C + D, C the gauged coupling block and D the
+    detuning term (Delta T) |c><c|, both real symmetric, write K = [D, C],
+    S1 = [C, K] and S2 = [D, K].  Every commutator of the scheme in
+    ``_magnus_generators`` is a combination of the antisymmetric
+    K, [C, S1], [C, S2], [D, S1], [D, S2] and the symmetric
+    C, D, S1, S2, [K, S1], [K, S2].  Each is returned in the stacked
+    layout [anti; -sym] of the generator anti - 1j sym, shape (11, 2n, n).
+    """
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    c, d = coupling, detuning
+    k = bracket(d, c)
+    s1, s2 = bracket(c, k), bracket(d, k)
+    anti = (k, bracket(c, s1), bracket(c, s2), bracket(d, s1), bracket(d, s2))
+    sym = (c, d, s1, s2, bracket(k, s1), bracket(k, s2))
+    zero = np.zeros_like(c)
+    return np.stack(
+        [np.concatenate([x, zero]) for x in anti] + [np.concatenate([zero, -x]) for x in sym]
+    )
+
+
+def _magnus_generators(
+    basis: np.ndarray, h: np.ndarray, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray
+) -> np.ndarray:
+    """Stacked order-6 Magnus generators [anti; -sym] of a stack of steps.
+
+    h holds the step widths and f1, f2, f3 the envelope at each step's three
+    Gauss nodes; basis is ``_commutator_basis`` of the pulse's C and D.
+    With A = -iH the scheme is (Blanes, Casas & Ros, BIT 40, 434 (2000))
+
+        a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),  a3 = (10 h / 3)(A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+        Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+
+    D is constant, so with a_i = -i X_i: X1 = p C + h D, X2 = q C and
+    X3 = r C, for p = h f2, q = (sqrt(15) h / 3)(f3 - f1) and
+    r = (10 h / 3)(f3 - 2 f2 + f1).  A commutator of an odd number of X's
+    is imaginary symmetric and of an even number real antisymmetric, so
+    Omega = anti - 1j sym.  Expanding the commutators leaves per step 11
+    scalar coefficients of the basis, so the whole stack is one
+    (steps, 11) @ (11, 2n n) matmul.
+    """
+    p = h * f2
+    q = (math.sqrt(15.0) / 3.0) * h * (f3 - f1)
+    r = (10.0 / 3.0) * h * (f3 - 2.0 * f2 + f1)
+    hq, hhq = h * q, h * h * q
+    u = (20.0 * p + r) / 14400.0
+    coefficients = np.stack([
+        # anti: K, [C, S1], [C, S2], [D, S1], [D, S2]
+        hq / 12.0, u * p * hq, u * hhq, p * hhq / 720.0, h * hhq / 720.0,
+        # sym: C, D, S1, S2, [K, S1], [K, S2]
+        p + r / 12.0, h, (hq * q - 480.0 * h * r * u) / 240.0, -h * h * r / 360.0,
+        -p * hhq * q / 14400.0, -h * hhq * q / 14400.0,
+    ], axis=-1)
+    return (coefficients @ basis.reshape(len(basis), -1)).reshape(h.shape + basis.shape[1:])
 
 
 def _real_form(stacked: np.ndarray) -> np.ndarray:
@@ -249,17 +293,34 @@ def _ordered_product(stacked: np.ndarray) -> np.ndarray:
     return stacked[0]
 
 
-def _half_window(hamiltonian, times: np.ndarray, n: int) -> np.ndarray:
-    """V = U(times[-1], times[0]) by one Magnus step per interval, in blocks."""
+def _half_window(basis: np.ndarray, shape: str, steps: int) -> np.ndarray:
+    """V = U(T_MAX, 0) by one Magnus step per interval of the steps grid, in blocks."""
+    h, f = _grid_nodes(shape, steps)
+    n = basis.shape[-1]
     v = np.zeros((2 * n, n))
     v[:n] = np.eye(n)
-    for lo in range(0, times.size - 1, _BLOCK):
-        start = times[:-1][lo : lo + _BLOCK]
-        h = times[1:][lo : lo + _BLOCK] - start
-        sym, anti = _magnus_generators(h, hamiltonian(start[:, None] + h[:, None] * _GAUSS_NODES))
-        exponentials = _expm(_real_form(np.concatenate([anti, -sym], axis=-2)))
-        v = _real_form(_ordered_product(exponentials)) @ v
+    for lo in range(0, steps, _BLOCK):
+        generators = _magnus_generators(basis, h[lo : lo + _BLOCK], *f[lo : lo + _BLOCK].T)
+        v = _real_form(_ordered_product(_expm(_real_form(generators)))) @ v
     return v[:n] + 1j * v[n:]
+
+
+def _gauged_terms(job: PulseJob) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gauge's diagonal and the two real symmetric terms of H_r(t).
+
+    H_r(t) = f(t) C + (Delta T) |c><c| with C = (A / (2 I_f)) K_r the
+    gauged coupling block; returns (gauge, C, (Delta T) |c><c|).
+    """
+    d = job.d
+    unit = job.couplings / np.linalg.norm(job.couplings)
+    gauge = np.exp(1j * np.angle(np.append(unit, 1.0)))
+    coupling = np.zeros((d + 1, d + 1))  # (A / (2 I_f)) K_r
+    coupling[:d, d] = coupling[d, :d] = (
+        job.rms_area / (2.0 * _ENVELOPES[job.shape][1]) * np.abs(unit)
+    )
+    detuning = np.zeros((d + 1, d + 1))
+    detuning[d, d] = job.detuning
+    return gauge, coupling, detuning
 
 
 def propagate(job: PulseJob) -> Propagator:
@@ -280,11 +341,15 @@ def propagate(job: PulseJob) -> Propagator:
         U = D V V^T D^dag.
 
     V is the ordered product of order-6 Magnus exponentials (three Gauss
-    nodes per step, see ``_magnus_generators``) of the lab-frame H_r on a
-    grid graded by the envelope (``_magnus_grid``).  The grid has M steps,
-    a power of two, first 2^floor(log2(128 + 32 sqrt|A Delta T|)) steps:
-    128 for a resonant pulse, where H_r commutes with itself and only the
-    quadrature of f is approximated.  V_M is accepted when
+    nodes per step) of the lab-frame H_r on a grid graded by the envelope
+    (``_magnus_grid``).  Each step's generator is its own combination of 11
+    fixed commutators of the coupling and detuning terms, built once per
+    pulse (``_commutator_basis``, ``_magnus_generators``); the grid's step
+    widths and envelope values are memoised per (shape, steps)
+    (``_grid_nodes``).  The grid has M steps, a power of two, first
+    2^floor(log2(128 + 32 sqrt|A Delta T|)) steps: 128 for a resonant
+    pulse, where H_r commutes with itself and only the quadrature of f is
+    approximated.  V_M is accepted when
     |V_M - V_{M/2}| / 63, an estimate of its largest entry error since the
     scheme's error falls as M^-6, is at most MAGNUS_TOL = 2e-12; otherwise M
     doubles.  A 2 pi sech pulse at d = 3 takes 128 steps at Delta T = 0,
@@ -293,24 +358,12 @@ def propagate(job: PulseJob) -> Propagator:
     rephases basis states by constants, so this is not a Morris-Shore
     reduction and the reflection fit still checks it.
     """
-    d = job.d
-    dim = d + 1
-    unit = job.couplings / np.linalg.norm(job.couplings)
-    gauge = np.exp(1j * np.angle(np.append(unit, 1.0)))
-
-    f, integral = _ENVELOPES[job.shape]
-    coupling = np.zeros((dim, dim))  # (A / (2 I_f)) K_r
-    coupling[:d, d] = coupling[d, :d] = job.rms_area / (2.0 * integral) * np.abs(unit)
-    detuning = np.zeros((dim, dim))
-    detuning[d, d] = job.detuning
-
-    def hamiltonian(t: np.ndarray) -> np.ndarray:
-        return f(t)[..., None, None] * coupling + detuning
-
+    gauge, coupling, detuning = _gauged_terms(job)
+    basis = _commutator_basis(coupling, detuning)
     steps = 2 ** int(math.log2(128.0 + 32.0 * math.sqrt(abs(job.rms_area * job.detuning))))
-    coarse = _half_window(hamiltonian, _magnus_grid(f, steps // 2), dim)
+    coarse = _half_window(basis, job.shape, steps // 2)
     while True:
-        half = _half_window(hamiltonian, _magnus_grid(f, steps), dim)
+        half = _half_window(basis, job.shape, steps)
         estimate = float(np.max(np.abs(half - coarse))) / 63.0
         if estimate <= MAGNUS_TOL:
             break

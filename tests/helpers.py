@@ -82,3 +82,44 @@ def run_python(code, **env):
     proc = run_fresh("-c", code, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def commutator(x: np.ndarray, y: np.ndarray, sign: int) -> np.ndarray:
+    """[x, y] of stacks of real matrices, each symmetric or antisymmetric.
+
+    sign is +1 when x and y have the same symmetry and -1 otherwise; then
+    y x = sign (x y)^T, so one matmul serves.
+    """
+    xy = x @ y
+    return xy - sign * xy.swapaxes(-1, -2)
+
+
+def magnus_generators(h: np.ndarray, ham: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-6 Magnus generators Omega = anti - 1j sym of a general H.
+
+    The reference ``multipod._magnus_generators`` is checked against: h
+    holds the step widths and ham the real symmetric H at each step's
+    three Gauss nodes, shape (steps, 3, n, n), with no assumption on how
+    H depends on time.  With A = -iH the scheme is (Blanes, Casas & Ros,
+    BIT 40, 434 (2000))
+
+        a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),  a3 = (10 h / 3)(A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+        Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+
+    Writing a_i = -i X_i with X_i real symmetric, each commutator of an odd
+    number of X's is imaginary symmetric and of an even number real
+    antisymmetric, so all of them are real matmuls.
+    """
+    h1, h2, h3 = ham[:, 0], ham[:, 1], ham[:, 2]
+    h = h[:, None, None]
+    x1 = h * h2
+    x2 = (np.sqrt(15.0) / 3.0) * h * (h3 - h1)
+    x3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
+    c1 = commutator(x1, x2, 1)  # C1 = -c1
+    c2_real = commutator(x1, x3, 1) / 30.0
+    d2 = -commutator(x1, c1, -1) / 60.0 - x2  # a2 + C2 = c2_real + 1j d2
+    b = 20.0 * x1 + x3  # -20 a1 - a3 + C1 = -c1 + 1j b
+    sym = x1 + x3 / 12.0 + (commutator(c1, d2, -1) - commutator(b, c2_real, -1)) / 240.0
+    anti = -(commutator(c1, c2_real, 1) + commutator(b, d2, 1)) / 240.0
+    return sym, anti

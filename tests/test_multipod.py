@@ -12,6 +12,12 @@ from quditsearch.fgates import coupling_design, householder_f
 from quditsearch.multipod import (
     PULSE_SHAPES,
     _ENVELOPES,
+    _GAUSS_NODES,
+    _commutator_basis,
+    _gauged_terms,
+    _grid_nodes,
+    _magnus_generators,
+    _magnus_grid,
     LeakageError,
     MAX_DETUNING,
     MAX_PULSE_D,
@@ -27,7 +33,7 @@ from quditsearch.multipod import (
 )
 from quditsearch.reflections import unitarity_defect
 
-from helpers import phase_distance
+from helpers import magnus_generators, phase_distance
 
 TWO_PI = 2 * math.pi
 
@@ -191,13 +197,93 @@ def test_envelopes_are_even(shape):
         )
 
 
-@pytest.mark.parametrize("delta_t, max_steps", [(0.0, 128), (2.0, 256), (10.0, 512)])
-def test_magnus_grid_steps(delta_t, max_steps):
+@pytest.mark.parametrize(
+    "job, steps",
+    [
+        pytest.param(sech_job(3, 0.0), 128, id="0.0-128"),
+        pytest.param(sech_job(3, 2.0), 256, id="2.0-256"),
+        pytest.param(sech_job(3, 10.0), 512, id="10.0-512"),
+        # two of the pulse benchmark's own jobs
+        pytest.param(sech_job(8, 0.5), 256, id="8-0.5-256"),
+        pytest.param(
+            PulseJob(coupling_design(3), 0.0, TWO_PI, shape="gaussian"), 128,
+            id="gaussian-0.0-128",
+        ),
+    ],
+)
+def test_magnus_grid_steps(job, steps):
     # the grid is deterministic, so this guards the half-window cost
-    # without timing anything
-    prop = propagate(sech_job(3, delta_t))
-    assert prop.steps <= max_steps
+    # without timing anything, and a change to the generator that moves
+    # the doubling decision either way
+    prop = propagate(job)
+    assert prop.steps == steps
     assert prop.error_estimate <= multipod.MAGNUS_TOL
+
+
+def assert_generators_match_reference(coupling, detuning):
+    # the generator built from 11 fixed commutators against the general-H
+    # scheme, on the coarsest grid (the widest steps) of both shapes
+    basis = _commutator_basis(coupling, detuning)
+    for shape in PULSE_SHAPES:
+        h, f = _grid_nodes(shape, 64)
+        sym, anti = magnus_generators(h, f[..., None, None] * coupling + detuning)
+        reference = np.concatenate([anti, -sym], axis=-2)
+        error = np.max(np.abs(_magnus_generators(basis, h, *f.T) - reference))
+        assert error <= 1e-13 * np.max(np.abs(reference)), (shape, error)
+
+
+GENERATOR_COUPLINGS = {
+    "design": coupling_design,
+    "complex": lambda d: complex_couplings(d, d),
+    "zero-entry": lambda d: complex_couplings(d, d) * (np.arange(d) % 2 == 0),
+}
+
+
+@pytest.mark.parametrize("kind", GENERATOR_COUPLINGS)
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("delta_t", [0.0, 0.5, 5.0, 100.0])
+def test_magnus_generators_match_general_reference(d, kind, delta_t):
+    # C and D gauged as propagate gauges them
+    job = PulseJob(GENERATOR_COUPLINGS[kind](d), delta_t, 3 * TWO_PI)
+    assert_generators_match_reference(*_gauged_terms(job)[1:])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_magnus_generators_match_general_reference_for_any_c_and_d(d):
+    # In a multipod C and D act on span{u, c} as an su(2) pair, where
+    # [C, S2] and [D, S1] vanish; random symmetric C and D give every one
+    # of the 11 commutators a share of the generator.
+    rng = np.random.default_rng(d)
+    coupling, detuning = rng.normal(size=(2, d + 1, d + 1))
+    assert_generators_match_reference(coupling + coupling.T, detuning + detuning.T)
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_grid_nodes_are_memoised_read_only_copies(shape):
+    f, _ = _ENVELOPES[shape]
+    for steps in (64, 1024):
+        h, nodes = _grid_nodes(shape, steps)
+        assert _grid_nodes(shape, steps)[0] is h
+        times = _magnus_grid(f, steps)
+        fresh = times[1:] - times[:-1]
+        assert np.array_equal(h, fresh)
+        assert np.array_equal(nodes, f(times[:-1, None] + fresh[:, None] * _GAUSS_NODES))
+        for array in (h, nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_grid_node_cache_stays_bounded():
+    # resonant pulses start from 64 steps; at Delta T = 100 the grid walks
+    # up to 4096; the cache is keyed by (shape, steps) alone
+    for shape in PULSE_SHAPES:
+        for delta_t in (0.0, 2.0, 10.0, 100.0):
+            prop = propagate(PulseJob(coupling_design(3), delta_t, TWO_PI, shape=shape))
+        if shape == "sech":
+            assert prop.steps == 4096
+    bound = 2 * (int(math.log2(multipod.MAX_MAGNUS_STEPS)) - 5)
+    # the sech pulses alone use the seven grids from 64 to 4096 steps
+    assert 7 <= _grid_nodes.cache_info().currsize <= bound
 
 
 def test_step_cap_raises(monkeypatch):
