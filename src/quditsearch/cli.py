@@ -107,16 +107,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    det = deterministic_schedule(args.N)
-    canonical = canonical_schedule(args.N)
-    fields = {
-        "N": args.N,
-        "beta": det.beta,
-        "j": det.j,
-        "phi": det.phi,
-        "steps": det.steps,
-        "canonical_steps": canonical.steps,
-    }
+    fields = dataclasses.asdict(deterministic_schedule(args.N))  # N, beta, j, phi, steps
+    del fields["mode"]
+    fields["canonical_steps"] = canonical_schedule(args.N).steps
     _emit(args.format, args.out, fields, "key,value", fields.items())
     return 0
 

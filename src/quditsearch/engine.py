@@ -53,17 +53,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Marked-state population after each Grover step (entry 0 = start)."""
+    """Marked-state population after each Grover step (entry 0 = start); the
+    peak is read off the populations, at the earliest step on ties."""
 
     populations: np.ndarray
-    peak_step: int
-    peak_population: float
 
-    @classmethod
-    def from_populations(cls, populations: list[float]) -> "Trajectory":
-        pops = np.asarray(populations, dtype=float)
-        peak = int(np.argmax(pops))  # earliest index on ties
-        return cls(pops, peak, float(pops[peak]))
+    @property
+    def peak_step(self) -> int:
+        return int(np.argmax(self.populations))
+
+    @property
+    def peak_population(self) -> float:
+        return float(self.populations[self.peak_step])
 
 
 def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
@@ -174,5 +175,5 @@ def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory
             f"carried axis overlap is {drift:.3e} off the measured one after "
             f"{steps} steps (tolerance {OVERLAP_TOLERANCE:.0e})"
         )
-    return Trajectory.from_populations(populations)
+    return Trajectory(np.array(populations))
 

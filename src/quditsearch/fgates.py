@@ -40,11 +40,14 @@ class FGate:
 
 @dataclass(frozen=True)
 class FValidation:
-    """Result of checking the F-gate contract."""
+    """Result of checking the F-gate contract: passed iff both defects are < 1e-10."""
 
     unitarity_defect: float
     column_deviation: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.unitarity_defect < 1e-10 and self.column_deviation < 1e-10
 
 
 def coupling_design(d: int) -> np.ndarray:
@@ -107,7 +110,7 @@ def validate_f(f: FGate) -> FValidation:
     d = matrix.shape[0]
     unit_defect = unitarity_defect(matrix)
     col_dev = float(np.max(np.abs(np.abs(matrix[:, 0]) - d**-0.5)))
-    return FValidation(unit_defect, col_dev, unit_defect < 1e-10 and col_dev < 1e-10)
+    return FValidation(unit_defect, col_dev)
 
 
 def f_constructor(kind: str) -> Callable[[int], FGate]:

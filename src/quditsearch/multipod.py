@@ -110,6 +110,8 @@ class PulseJob:
         object.__setattr__(
             self, "couplings", np.asarray(self.couplings, dtype=np.complex128)
         )
+        if self.couplings.ndim != 1:
+            raise ValueError(f"couplings must be 1-D, got shape {self.couplings.shape}")
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"pulse shape {self.shape!r} not in {PULSE_SHAPES}")
         scalars = (self.detuning, self.rms_area)
@@ -435,12 +437,15 @@ def analytic_sech_phase(delta_t: float) -> float:
 
 @dataclass(frozen=True)
 class PulseGateReport:
-    """Comparison of a pulse-synthesized gate against its closed form."""
+    """A pulse-synthesized gate against its closed form: passed iff deviation < 1e-5."""
 
     deviation: float
-    passed: bool
     gate: FGate
     fit: ReflectionFit
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation < 1e-5
 
 
 def verify_f_pulse(d: int) -> PulseGateReport:
@@ -461,4 +466,4 @@ def verify_f_pulse(d: int) -> PulseGateReport:
     aligned = block * np.exp(-1j * gamma)
     deviation = float(np.max(np.abs(aligned - target)))
     gate = FGate(aligned)
-    return PulseGateReport(deviation, deviation < 1e-5, gate, fit)
+    return PulseGateReport(deviation, gate, fit)

@@ -21,10 +21,12 @@ measured as tail^dagger S conj(head) with zgemv and zdotc.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES
+from types import ModuleType
 
 import numpy as np
 
@@ -48,10 +50,8 @@ Axis = tuple[np.ndarray, np.ndarray]
 # 3 MiB, and schedule, validate-f and the pulse commands need neither.  The
 # extension is registered under its own name, so a later import of
 # scipy.linalg.blas in the same process hands out these same functions (one
-# OpenBLAS, one pool).  The first call rebinds the names below to the
-# kernels, so the step finds BLAS in this module's globals with no import
-# statement per call.
-_FBLAS = "scipy.linalg._fblas"
+# OpenBLAS, one pool).
+_FBLAS_MODULE = "scipy.linalg._fblas"
 
 
 def _scipy_dirs() -> list[str]:
@@ -60,9 +60,10 @@ def _scipy_dirs() -> list[str]:
     return spec.submodule_search_locations if spec else []
 
 
-def _load_blas() -> None:
-    global zdotc, zgemv, zgeru
-    fblas = sys.modules.get(_FBLAS)  # already there if scipy.linalg was imported
+@functools.cache
+def _fblas() -> ModuleType:
+    """scipy's BLAS extension, loaded on the first call and cached after it."""
+    fblas = sys.modules.get(_FBLAS_MODULE)  # already there if scipy.linalg was imported
     if fblas is None:
         paths = (os.path.join(root, "linalg", "_fblas" + suffix)
                  for root in _scipy_dirs() for suffix in EXTENSION_SUFFIXES)
@@ -71,22 +72,11 @@ def _load_blas() -> None:
             import scipy  # for its version; a missing scipy raises here
             raise ImportError(f"scipy {scipy.__version__} has no linalg/_fblas "
                               f"extension, which the step's BLAS kernels come from")
-        spec = importlib.util.spec_from_file_location(_FBLAS, path)
+        spec = importlib.util.spec_from_file_location(_FBLAS_MODULE, path)
         fblas = importlib.util.module_from_spec(spec)
-        sys.modules[_FBLAS] = fblas
+        sys.modules[_FBLAS_MODULE] = fblas
         spec.loader.exec_module(fblas)
-    zdotc, zgemv, zgeru = fblas.zdotc, fblas.zgemv, fblas.zgeru
-
-
-def _first_use(name: str):
-    """Stand-in for scipy's kernel ``name``: loads BLAS, then calls it."""
-    def kernel(*args, **kwargs):
-        _load_blas()
-        return globals()[name](*args, **kwargs)
-    return kernel
-
-
-zdotc, zgemv, zgeru = (_first_use(name) for name in ("zdotc", "zgemv", "zgeru"))
+    return fblas
 
 
 def _axis_view(s: StateVector, axis: Axis) -> np.ndarray:
@@ -103,7 +93,8 @@ def _axis_view(s: StateVector, axis: Axis) -> np.ndarray:
 def axis_overlap(s: StateVector, axis: Axis) -> complex:
     """<kron(head, tail)|s> = tail^dagger S conj(head), S the state as a matrix."""
     head, tail = axis
-    return complex(zdotc(tail, zgemv(1.0, _axis_view(s, axis), head.conj())))
+    blas = _fblas()
+    return complex(blas.zdotc(tail, blas.zgemv(1.0, _axis_view(s, axis), head.conj())))
 
 
 def unitarity_defect(g: np.ndarray) -> float:
@@ -162,7 +153,7 @@ def diffusion_direct(
     # positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
     # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth
     # of a step at N=3^9.
-    zgeru((np.exp(1j * phi) - 1.0) * overlap, tail, head, 1, 1, view, 1, 1, 1)
+    _fblas().zgeru((np.exp(1j * phi) - 1.0) * overlap, tail, head, 1, 1, view, 1, 1, 1)
     return s
 
 

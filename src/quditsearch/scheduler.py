@@ -14,12 +14,15 @@ j = floor(pi/(4 beta) + 1/2), according to whether (2j+1) beta or
 (2j-1) beta is closer to pi/2.  The canonical schedule is the familiar
 phi = pi with round((pi/4) sqrt(N)) steps, which peaks near but not at
 unit population.
+A SearchSchedule derives beta and j from its N; predicted_population is
+the k-th power of the 2x2 Grover operator on the plane, for any phi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,20 +38,27 @@ _MAX_RESOLVABLE_N = (2**53 / math.pi) ** 2
 
 @dataclass(frozen=True)
 class SearchSchedule:
-    """Iteration plan: rotation half-angle beta, a finite phase phi, steps >= 0."""
+    """Iteration plan for N: a finite phase phi, an integral step count >= 0,
+    and beta = arcsin(1/sqrt(N)), j = floor(pi/(4 beta) + 1/2) derived from N."""
 
     N: int
-    beta: float
-    j: int
+    beta: float = field(init=False)
+    j: int = field(init=False)
     phi: float
     steps: int
     mode: str
 
     def __post_init__(self):
+        try:  # a numpy integer passes as an int, 2.5 steps fails
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ValueError(f"step count must be an integer, got {self.steps!r}") from None
         if self.steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.steps}")
         if not math.isfinite(self.phi):
             raise ValueError(f"phase must be finite, got {self.phi}")
+        object.__setattr__(self, "beta", _beta(self.N))
+        object.__setattr__(self, "j", _floor_step_index(self.N, self.beta))
 
 
 def _beta(N: int) -> float:
@@ -109,47 +119,38 @@ def deterministic_schedule(N: int) -> SearchSchedule:
         steps = j
     else:
         steps = j + 1
-    phi = matched_phase(N, steps)
-    return SearchSchedule(N, beta, j, phi, steps, "deterministic")
+    return SearchSchedule(N, matched_phase(N, steps), steps, "deterministic")
 
 
 def canonical_schedule(N: int) -> SearchSchedule:
     """phi = pi with the usual round((pi/4) sqrt(N)) iterations (min 1)."""
-    beta = _beta(N)
-    j = _floor_step_index(N, beta)
+    _beta(N)  # refuses N < 2, or an N too large for a float, before sqrt does
     steps = max(1, round(0.25 * math.pi * math.sqrt(N)))
-    return SearchSchedule(N, beta, j, math.pi, steps, "canonical_pi")
+    return SearchSchedule(N, math.pi, steps, "canonical_pi")
 
 
 def custom_schedule(N: int, phi: float, steps: int) -> SearchSchedule:
     """User-supplied phase and step count (at most MAX_STEPS); no optimality claims."""
-    steps = int(steps)
-    if steps > MAX_STEPS:
-        raise ValueError(f"step count must be <= {MAX_STEPS}, got {steps}")
-    beta = _beta(N)
-    j = _floor_step_index(N, beta)
-    return SearchSchedule(N, beta, j, float(phi), steps, "custom")
+    schedule = SearchSchedule(N, float(phi), steps, "custom")
+    if schedule.steps > MAX_STEPS:
+        raise ValueError(f"step count must be <= {MAX_STEPS}, got {schedule.steps}")
+    return schedule
 
 
 def predicted_population(N: int, k: int, phi: float) -> float:
     """Marked-state population after k phase-matched steps, from the 2D model.
 
-    For phi = pi this is the closed form sin^2((2k+1) beta).  Otherwise the
-    Grover operator restricted to span{|marked>, |superposition>} (overlap
-    1/sqrt(N)) is iterated exactly as a 2x2 complex matrix.
+    The Grover operator restricted to span{|marked>, |superposition>}
+    (overlap 1/sqrt(N)) is a 2x2 complex matrix G; the population is
+    |(G^k s)_0|^2 with s the starting superposition, and G^k is formed by
+    repeated squaring, O(log k) 2x2 products for any phi.
     """
     beta = _beta(N)
     if k < 0:
         raise ValueError(f"step count must be >= 0, got {k}")
-    if phi == math.pi:
-        return math.sin((2 * k + 1) * beta) ** 2
-    overlap = N**-0.5
-    s = np.array([overlap, math.sqrt(1.0 - overlap**2)], dtype=np.complex128)
+    s = np.array([math.sin(beta), math.cos(beta)], dtype=np.complex128)
     phase = np.exp(1j * phi)
-    m_marked = np.diag([phase, 1.0]).astype(np.complex128)
-    m_super = np.eye(2, dtype=np.complex128) + (phase - 1.0) * np.outer(s, s.conj())
+    m_marked = np.diag([phase, 1.0])
+    m_super = np.eye(2) + (phase - 1.0) * np.outer(s, s.conj())
     g = m_super @ m_marked
-    v = s.copy()
-    for _ in range(k):
-        v = g @ v
-    return float(abs(v[0]) ** 2)
+    return float(abs((np.linalg.matrix_power(g, k) @ s)[0]) ** 2)

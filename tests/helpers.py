@@ -10,7 +10,18 @@ import quditsearch
 from quditsearch.engine import ExperimentConfig, diffusion_axis
 from quditsearch.fgates import make_f
 from quditsearch.reflections import apply_local_gate, grover_step, oracle, unitarity_defect
-from quditsearch.register import StateVector, basis_state
+from quditsearch.register import BasisIndex, QuditShape, StateVector, basis_state
+
+
+def config(d, n, schedule, marked=0, **kw) -> ExperimentConfig:
+    """A search of ``schedule`` on n qudits of dimension d, marking flat index ``marked``."""
+    shape = QuditShape(d, n)
+    return ExperimentConfig(
+        shape=shape,
+        marked=BasisIndex.from_flat(shape, marked),
+        schedule=schedule,
+        **kw,
+    )
 
 
 def hadamard() -> np.ndarray:

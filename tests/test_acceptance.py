@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from quditsearch.engine import (
-    ExperimentConfig,
     diffusion_axis,
     run_search,
     superposition_register,
@@ -25,7 +24,7 @@ from quditsearch.multipod import (
     verify_f_pulse,
 )
 from quditsearch.reflections import grover_step
-from quditsearch.register import BasisIndex, QuditShape
+from quditsearch.register import QuditShape
 from quditsearch.scheduler import (
     canonical_schedule,
     custom_schedule,
@@ -33,21 +32,11 @@ from quditsearch.scheduler import (
     predicted_population,
 )
 
-from helpers import dense_grover_matrix, hadamard, phase_distance
+from helpers import config, dense_grover_matrix, hadamard, phase_distance
 
 
 def report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS — {message}")
-
-
-def config(d, n, schedule, marked=0, **kw):
-    shape = QuditShape(d, n)
-    return ExperimentConfig(
-        shape=shape,
-        marked=BasisIndex.from_flat(shape, marked),
-        schedule=schedule,
-        **kw,
-    )
 
 
 def test_criterion_1_five_qutrit_figure():

@@ -340,6 +340,58 @@ def test_validate_f_unknown_kind(capsys):
     assert "unknown F kind" in err
 
 
+# ---- golden output ----------------------------------------------------------
+
+# Exact stdout, bit for bit; the search's schedule block pins the key order
+# N, beta, j, phi, steps, mode that JSON readers of earlier output rely on.
+GOLDEN_STDOUT = {
+    ("schedule", "--N", "243", "--format", "json"): """\
+{
+  "N": 243,
+  "beta": 0.06419411023785652,
+  "j": 12,
+  "phi": 2.7291079844513946,
+  "steps": 12,
+  "canonical_steps": 12
+}
+""",
+    ("search", "--d", "3", "--n", "5", "--format", "json"): """\
+{
+  "schedule": {
+    "N": 243,
+    "beta": 0.06419411023785652,
+    "j": 12,
+    "phi": 2.7291079844513946,
+    "steps": 12,
+    "mode": "deterministic"
+  },
+  "trajectory": [
+    0.004115226337448573,
+    0.03527893368788929,
+    0.09564821804384405,
+    0.1814298552465309,
+    0.2872338695477118,
+    0.40641220560889807,
+    0.5314764502681052,
+    0.654568357079278,
+    0.7679536088371036,
+    0.8645077931718521,
+    0.9381640555803207,
+    0.9842943022066011,
+    0.9999999999999845
+  ],
+  "peak_step": 12,
+  "peak_population": 0.9999999999999845
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_json_stdout_is_byte_identical_to_golden(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[argv], "")
+
+
 # ---- parser-level behavior ---------------------------------------------------
 
 
@@ -398,18 +450,16 @@ def test_cli_import_leaves_blas_unloaded():
 
 def test_commands_without_a_step_leave_blas_unloaded():
     # the kernels load on the first Grover step; a command that steps no
-    # state keeps the stand-ins, plain Python functions, not f2py's objects
-    probe = ("import contextlib, io, sys, types\n"
-             "from quditsearch import reflections\n"
+    # state loads neither the _fblas extension nor anything else of scipy.linalg
+    probe = ("import contextlib, io, sys\n"
              "from quditsearch.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    codes = [main(['validate-f', '--d', '7', '--f', 'dft']),\n"
              "             main(['schedule', '--N', '243']),\n"
              "             main(['pulse-check', '--d', '3', '--deltaT', '0.5'])]\n"
-             "print(codes, all(isinstance(getattr(reflections, k), types.FunctionType)\n"
-             "                 for k in ('zdotc', 'zgemv', 'zgeru')),\n"
+             "print(codes, 'scipy.linalg._fblas' in sys.modules,\n"
              "      [m for m in sys.modules if m.startswith('scipy.linalg')])")
-    assert run_python(probe).strip() == "[0, 0, 0] True []"
+    assert run_python(probe).strip() == "[0, 0, 0] False []"
 
 
 @pytest.mark.parametrize("argv, lines", [

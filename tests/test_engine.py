@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quditsearch import engine, reflections
 from quditsearch.engine import (
     ExperimentConfig,
+    Trajectory,
     diffusion_axis,
     run_search,
     superposition_register,
@@ -24,17 +25,7 @@ from quditsearch.scheduler import (
     predicted_population,
 )
 
-from helpers import dense_grover_matrix, diffusion_via_gates
-
-
-def config(d, n, schedule, marked=0, **kw):
-    shape = QuditShape(d, n)
-    return ExperimentConfig(
-        shape=shape,
-        marked=BasisIndex.from_flat(shape, marked),
-        schedule=schedule,
-        **kw,
-    )
+from helpers import config, dense_grover_matrix, diffusion_via_gates
 
 
 def extended(cfg, steps):
@@ -68,6 +59,13 @@ def test_zero_step_schedule():
     traj = run_search(cfg)
     assert traj.populations.tolist() == [pytest.approx(1 / 9, abs=1e-15)]
     assert traj.peak_step == 0
+
+
+def test_trajectory_peak_is_read_off_its_populations():
+    traj = Trajectory(np.array([0.1, 0.7, 0.3, 0.7]))
+    assert (traj.peak_step, traj.peak_population) == (1, 0.7)  # earliest on ties
+    assert type(traj.peak_step) is int and type(traj.peak_population) is float
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["populations"]
 
 
 def test_populations_within_unit_bound():

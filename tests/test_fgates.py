@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from quditsearch.fgates import (
     FGate,
+    FValidation,
     coupling_design,
     dft,
     householder_f,
@@ -118,6 +121,13 @@ def test_validate_identity_fails_column_contract():
     assert not report.passed
     assert report.unitarity_defect < 1e-15
     assert report.column_deviation > 0.4
+
+
+def test_validation_passes_iff_both_defects_are_below_1e_10():
+    assert FValidation(9e-11, 9e-11).passed
+    assert not FValidation(1e-10, 0.0).passed
+    assert not FValidation(0.0, 1e-10).passed
+    assert not FValidation(math.nan, 0.0).passed
 
 
 def test_validate_dft_passes():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -78,6 +79,13 @@ def test_pulse_job_validation():
         with pytest.raises(ValueError, match=limit):
             PulseJob(**kw)
     PulseJob(couplings=np.ones(MAX_PULSE_D), detuning=-MAX_DETUNING, rms_area=MAX_RMS_AREA)
+
+
+@pytest.mark.parametrize("couplings", [np.ones((2, 2)), np.ones((1, 3)), 1.0])
+def test_pulse_job_refuses_couplings_that_are_not_1d(couplings):
+    # a 2x2 array would pass as d = 4 and fail inside propagate
+    with pytest.raises(ValueError, match="1-D"):
+        PulseJob(couplings, 0.0, TWO_PI)
 
 
 # ---- propagate ----------------------------------------------------------------
@@ -395,6 +403,13 @@ def test_pulse_synthesized_gate_matches_closed_form(d):
     assert report.passed
     assert report.deviation < 1e-5
     assert report.fit.leakage < 1e-6
+
+
+def test_pulse_gate_report_passes_iff_deviation_is_below_1e_5():
+    report = verify_f_pulse(2)
+    assert dataclasses.replace(report, deviation=9.9e-6).passed
+    assert not dataclasses.replace(report, deviation=1e-5).passed
+    assert not dataclasses.replace(report, deviation=math.nan).passed
 
 
 def test_pulse_gate_first_column_d2():

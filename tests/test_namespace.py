@@ -1,11 +1,13 @@
-"""The README's examples run as written; the names the README and the
-benchmark look up exist."""
+"""The README's examples run as written; the names the README, the
+benchmark and the console script look up exist."""
 
 import ast
 import importlib
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 import quditsearch
 from quditsearch.cli import main
@@ -107,3 +109,10 @@ def test_benchmark_lookups_exist():
     missing += [f"{module}.{attr}" for module, attr in points
                 if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["quditsearch"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

@@ -406,21 +406,21 @@ def test_fblas_kernels_are_scipy_linalg_blas():
 import sys
 import numpy as np
 from quditsearch import reflections
-reflections._load_blas()
-print('scipy.linalg' in sys.modules)
+fblas = reflections._fblas()
+print('scipy.linalg' in sys.modules, reflections._fblas() is fblas)
 import scipy.linalg.blas as blas
-print(all(getattr(reflections, k) is getattr(blas, k) for k in ('zdotc', 'zgemv', 'zgeru')))
+print(all(getattr(fblas, k) is getattr(blas, k) for k in ('zdotc', 'zgemv', 'zgeru')))
 rng = np.random.default_rng(5)
 def cvec(*size):
     return rng.normal(size=size) + 1j * rng.normal(size=size)
 a, x, y = np.asfortranarray(cvec(81, 243)), cvec(81), cvec(243)
-ours = [reflections.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
-        reflections.zgemv(1.0, a, y), reflections.zdotc(x, x)]
+ours = [fblas.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
+        fblas.zgemv(1.0, a, y), fblas.zdotc(x, x)]
 theirs = [blas.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
           blas.zgemv(1.0, a, y), blas.zdotc(x, x)]
 print(all(np.array_equal(p, q) for p, q in zip(ours, theirs)))
 """
-    assert run_python(probe).split() == ["False", "True", "True"]
+    assert run_python(probe).split() == ["False", "True", "True", "True"]
 
 
 def test_missing_fblas_names_the_scipy_version(tmp_path, monkeypatch):
@@ -429,4 +429,4 @@ def test_missing_fblas_names_the_scipy_version(tmp_path, monkeypatch):
     monkeypatch.setattr(reflections, "_scipy_dirs", lambda: [str(tmp_path)])
     monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
     with pytest.raises(ImportError, match=f"scipy {re.escape(scipy.__version__)} "):
-        reflections._load_blas()
+        reflections._fblas.__wrapped__()  # past the cache, which may hold the module

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,18 @@ def test_custom_schedule_step_cap():
     assert deterministic_schedule(2**100).steps > MAX_STEPS
 
 
+def test_custom_schedule_refuses_non_integral_steps():
+    # 2.5 steps is no step count; truncating it would run another schedule
+    with pytest.raises(ValueError, match="integer"):
+        custom_schedule(27, 1.0, 2.5)
+    with pytest.raises(ValueError, match="integer"):
+        SearchSchedule(27, 1.0, 2.5, "x")
+    for steps in (np.int64(3), np.uint8(3)):
+        sched = custom_schedule(27, 1.0, steps)
+        assert sched.steps == 3 and type(sched.steps) is int
+        assert SearchSchedule(27, 1.0, steps, "x").steps == 3
+
+
 def test_step_index_past_double_precision_is_value_error():
     # from 2**51 up pi/(4 beta) + 1/2 has no resolvable floor
     for N in (2**103, 2**110, 2**200):
@@ -144,7 +157,21 @@ def test_step_index_straddle_is_value_error():
 def test_schedule_refuses_what_it_cannot_run(phi, steps, match):
     # the type holds its own contract, however the schedule is built
     with pytest.raises(ValueError, match=match):
-        SearchSchedule(27, 0.19, 2, phi, steps, "x")
+        SearchSchedule(27, phi, steps, "x")
+
+
+@pytest.mark.parametrize("N, j", [(2, 1), (4, 2), (27, 4), (243, 12), (1000, 25),
+                                  (3**12, 573), (2**31 - 1, 36396)])
+def test_hand_built_schedule_carries_the_rotation_its_n_fixes(N, j):
+    # beta and j are N's, whatever phase and step count the schedule runs
+    sched = SearchSchedule(N, 0.19, 2, "x")
+    assert sched.beta == pytest.approx(math.asin(N**-0.5), rel=1e-15)
+    assert sched.j == j
+    det = deterministic_schedule(N)
+    assert SearchSchedule(N, det.phi, det.steps, det.mode) == det
+    assert list(dataclasses.asdict(sched)) == ["N", "beta", "j", "phi", "steps", "mode"]
+    with pytest.raises(TypeError):
+        SearchSchedule(N, 0.19, 0.19, 2, 4, "x")
 
 
 # ---- predicted_population ------------------------------------------------------
@@ -164,6 +191,16 @@ def test_predicted_initial_population():
     for N in (4, 81, 243):
         assert predicted_population(N, 0, 2.0) == pytest.approx(1 / N, abs=1e-15)
         assert predicted_population(N, 0, math.pi) == pytest.approx(1 / N, abs=1e-15)
+
+
+@pytest.mark.parametrize("N", [2, 4, 243, 3**12])
+def test_predicted_population_at_pi_is_the_closed_form(N):
+    # at phi = pi the two-state model is a rotation by 2 beta per step
+    beta = math.asin(N**-0.5)
+    for k in range(601):
+        assert predicted_population(N, k, math.pi) == pytest.approx(
+            math.sin((2 * k + 1) * beta) ** 2, abs=1e-12
+        ), k
 
 
 def test_predicted_rejects_negative_steps():
