@@ -9,6 +9,7 @@ import numpy as np
 import quditsearch
 from quditsearch.engine import ExperimentConfig, diffusion_axis
 from quditsearch.fgates import make_f
+from quditsearch.multipod import _ENVELOPES, _GAUSS_NODES, _magnus_grid
 from quditsearch.reflections import apply_local_gate, grover_step, oracle, unitarity_defect
 from quditsearch.register import BasisIndex, QuditShape, StateVector, basis_state
 
@@ -108,10 +109,10 @@ def commutator(x: np.ndarray, y: np.ndarray, sign: int) -> np.ndarray:
 def magnus_generators(h: np.ndarray, ham: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order-6 Magnus generators Omega = anti - 1j sym of a general H.
 
-    The reference ``multipod._magnus_generators`` is checked against: h
-    holds the step widths and ham the real symmetric H at each step's
-    three Gauss nodes, shape (steps, 3, n, n), with no assumption on how
-    H depends on time.  With A = -iH the scheme is (Blanes, Casas & Ros,
+    The general reference ``multipod._magnus_generators`` is checked
+    against: h holds the step widths and ham the real symmetric H at each
+    step's three Gauss nodes, shape (steps, 3, n, n), with no assumption
+    on how H depends on time.  With A = -iH the scheme is (Blanes, Casas & Ros,
     BIT 40, 434 (2000))
 
         a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),  a3 = (10 h / 3)(A3 - 2 A2 + A1),
@@ -134,3 +135,71 @@ def magnus_generators(h: np.ndarray, ham: np.ndarray) -> tuple[np.ndarray, np.nd
     sym = x1 + x3 / 12.0 + (commutator(c1, d2, -1) - commutator(b, c2_real, -1)) / 240.0
     anti = -(commutator(c1, c2_real, 1) + commutator(b, d2, 1)) / 240.0
     return sym, anti
+
+
+def grid_nodes(shape: str, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step widths h and envelope f at each step's three Gauss nodes, (steps, 3)."""
+    envelope = _ENVELOPES[shape][0]
+    times = _magnus_grid(envelope, steps)
+    h = times[1:] - times[:-1]
+    return h, envelope(times[:-1, None] + h[:, None] * _GAUSS_NODES)
+
+
+def stacked_commutator_basis(coupling: np.ndarray, detuning: np.ndarray) -> np.ndarray:
+    """The 11 commutators of ``multipod._commutator_basis`` in the stacked layout.
+
+    Each is the (2n, n) array [anti; -sym] of its share of the generator
+    anti - 1j sym, in the order K, [C, S1], [C, S2], [D, S1], [D, S2],
+    C, D, S1, S2, [K, S1], [K, S2].  The real-form basis must hold these
+    as its first n columns.
+    """
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    c, d = coupling, detuning
+    k = bracket(d, c)
+    s1, s2 = bracket(c, k), bracket(d, k)
+    anti = (k, bracket(c, s1), bracket(c, s2), bracket(d, s1), bracket(d, s2))
+    sym = (c, d, s1, s2, bracket(k, s1), bracket(k, s2))
+    zero = np.zeros_like(c)
+    return np.stack(
+        [np.concatenate([x, zero]) for x in anti] + [np.concatenate([zero, -x]) for x in sym]
+    )
+
+
+def stacked_magnus_generators(
+    basis: np.ndarray, h: np.ndarray, f: np.ndarray
+) -> np.ndarray:
+    """Stacked generators [anti; -sym] of a stack of steps from h and f (steps, 3).
+
+    basis is ``stacked_commutator_basis``; the per-step coefficients are
+    those ``multipod._grid_coefficients`` tabulates, written out here from
+    the scheme (see ``magnus_generators``): with X1 = p C + h D, X2 = q C
+    and X3 = r C, p = h f2, q = (sqrt(15) h / 3)(f3 - f1) and
+    r = (10 h / 3)(f3 - 2 f2 + f1).
+    """
+    return (
+        magnus_coefficients(h, f) @ basis.reshape(len(basis), -1)
+    ).reshape(h.shape + basis.shape[1:])
+
+
+def magnus_coefficients(h: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(steps, 11) coefficients of the commutator basis, in the basis order."""
+    f1, f2, f3 = f.T
+    p = h * f2
+    q = (np.sqrt(15.0) / 3.0) * h * (f3 - f1)
+    r = (10.0 / 3.0) * h * (f3 - 2.0 * f2 + f1)
+    hq, hhq = h * q, h * h * q
+    u = (20.0 * p + r) / 14400.0
+    return np.stack([
+        hq / 12.0, u * p * hq, u * hhq, p * hhq / 720.0, h * hhq / 720.0,
+        p + r / 12.0, h, (hq * q - 480.0 * h * r * u) / 240.0, -h * h * r / 360.0,
+        -p * hhq * q / 14400.0, -h * hhq * q / 14400.0,
+    ], axis=-1)
+
+
+def real_form(stacked: np.ndarray) -> np.ndarray:
+    """[[x, -y], [y, x]] of a stack of stacked matrices [x; y]."""
+    n = stacked.shape[-1]
+    x, y = stacked[..., :n, :], stacked[..., n:, :]
+    return np.block([[x, -y], [y, x]])

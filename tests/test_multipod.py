@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 from scipy.optimize import minimize
 
 from quditsearch import multipod
@@ -13,12 +13,12 @@ from quditsearch.fgates import coupling_design, householder_f
 from quditsearch.multipod import (
     PULSE_SHAPES,
     _ENVELOPES,
-    _GAUSS_NODES,
     _commutator_basis,
+    _expm,
     _gauged_terms,
-    _grid_nodes,
+    _grid_coefficients,
     _magnus_generators,
-    _magnus_grid,
+    _ordered_product,
     LeakageError,
     MAX_DETUNING,
     MAX_PULSE_D,
@@ -34,7 +34,15 @@ from quditsearch.multipod import (
 )
 from quditsearch.reflections import unitarity_defect
 
-from helpers import magnus_generators, phase_distance
+from helpers import (
+    grid_nodes,
+    magnus_coefficients,
+    magnus_generators,
+    phase_distance,
+    real_form,
+    stacked_commutator_basis,
+    stacked_magnus_generators,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -233,10 +241,11 @@ def assert_generators_match_reference(coupling, detuning):
     # scheme, on the coarsest grid (the widest steps) of both shapes
     basis = _commutator_basis(coupling, detuning)
     for shape in PULSE_SHAPES:
-        h, f = _grid_nodes(shape, 64)
+        h, f = grid_nodes(shape, 64)
         sym, anti = magnus_generators(h, f[..., None, None] * coupling + detuning)
-        reference = np.concatenate([anti, -sym], axis=-2)
-        error = np.max(np.abs(_magnus_generators(basis, h, *f.T) - reference))
+        reference = np.block([[anti, sym], [-sym, anti]])
+        generators = _magnus_generators(basis, _grid_coefficients(shape, 64))
+        error = np.max(np.abs(generators - reference))
         assert error <= 1e-13 * np.max(np.abs(reference)), (shape, error)
 
 
@@ -266,19 +275,34 @@ def test_magnus_generators_match_general_reference_for_any_c_and_d(d):
     assert_generators_match_reference(coupling + coupling.T, detuning + detuning.T)
 
 
+@pytest.mark.parametrize("d", [2, 5, 16])
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_real_form_generators_match_stacked_reference(d, shape):
+    # the real-form basis and the coefficient table against the stacked
+    # [anti; -sym] layout they replace, at the widest and the finest steps
+    rng = np.random.default_rng(d)
+    coupling, detuning = rng.normal(size=(2, d + 1, d + 1))
+    coupling, detuning = coupling + coupling.T, detuning + detuning.T
+    basis = _commutator_basis(coupling, detuning)
+    stacked = stacked_commutator_basis(coupling, detuning)
+    assert np.array_equal(basis, real_form(stacked))
+    for steps in (64, 4096):
+        reference = real_form(stacked_magnus_generators(stacked, *grid_nodes(shape, steps)))
+        generators = _magnus_generators(basis, _grid_coefficients(shape, steps))
+        assert np.max(np.abs(generators - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
 def test_grid_nodes_are_memoised_read_only_copies(shape):
-    f, _ = _ENVELOPES[shape]
+    # the table of each step's basis coefficients, built from the grid's
+    # widths and Gauss-node envelope values, is memoised read-only
     for steps in (64, 1024):
-        h, nodes = _grid_nodes(shape, steps)
-        assert _grid_nodes(shape, steps)[0] is h
-        times = _magnus_grid(f, steps)
-        fresh = times[1:] - times[:-1]
-        assert np.array_equal(h, fresh)
-        assert np.array_equal(nodes, f(times[:-1, None] + fresh[:, None] * _GAUSS_NODES))
-        for array in (h, nodes):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+        table = _grid_coefficients(shape, steps)
+        assert _grid_coefficients(shape, steps) is table
+        assert table.shape == (steps, 11)
+        assert np.array_equal(table, magnus_coefficients(*grid_nodes(shape, steps)))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 def test_grid_node_cache_stays_bounded():
@@ -291,7 +315,54 @@ def test_grid_node_cache_stays_bounded():
             assert prop.steps == 4096
     bound = 2 * (int(math.log2(multipod.MAX_MAGNUS_STEPS)) - 5)
     # the sech pulses alone use the seven grids from 64 to 4096 steps
-    assert 7 <= _grid_nodes.cache_info().currsize <= bound
+    assert 7 <= _grid_coefficients.cache_info().currsize <= bound
+
+
+def random_stacked(count, n, scale, seed):
+    """count stacked matrices [x; y] of complex n x n matrices of entries ~ scale."""
+    z = np.random.default_rng(seed).normal(size=(2, count, n, n)) * scale
+    return np.concatenate(z, axis=-2)
+
+
+def complex_of(stacked):
+    n = stacked.shape[-1]
+    return stacked[..., :n, :] + 1j * stacked[..., n:, :]
+
+
+@pytest.mark.parametrize("count", [1, 2, 64, 512])
+def test_ordered_product_matches_sequential_product(count):
+    n = 4
+    factors = np.linalg.qr(complex_of(random_stacked(count, n, 1.0, count)))[0]  # unitary
+    stack = np.concatenate([factors.real, factors.imag], axis=-2)
+    product = _ordered_product(stack, np.empty((count // 2, 2 * n, 2 * n)))
+    sequential = np.eye(n)
+    for factor in factors:
+        sequential = factor @ sequential  # E_k ... E_2 E_1
+    assert np.max(np.abs(complex_of(product) - sequential)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "theta, squarings", [(0.05, 0), (0.45, 0), (0.9, 1), (1.9, 2), (3.9, 3)]
+)
+def test_expm_matches_scipy(theta, squarings):
+    # a stack of generators whose largest 1-norm, as _expm bounds it, is theta
+    n, count = 4, 16
+    stacked = random_stacked(count, n, 1.0, 7) * np.linspace(0.1, 1.0, count)[:, None, None]
+    norms = np.abs(stacked).sum(axis=-2).max(axis=-1)
+    stacked *= theta / norms.max()
+    assert math.ceil(math.log2(max(theta, 0.5) / 0.5)) == squarings
+    result = _expm(real_form(stacked))
+    reference = expm(complex_of(stacked))
+    error = np.max(np.abs(complex_of(result) - reference))
+    assert error <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_propagate_twice_gives_the_same_matrix():
+    # every cache propagate reads must come out of a call as it went in
+    job = PulseJob(complex_couplings(8, 3), 3.0, 3 * TWO_PI)
+    first, second = propagate(job), propagate(job)
+    assert np.array_equal(first.matrix, second.matrix)
+    assert first.steps == second.steps
 
 
 def test_step_cap_raises(monkeypatch):
@@ -367,6 +438,25 @@ def test_extract_shape_check():
     job = sech_job(3, 0.0)
     with pytest.raises(ValueError, match="shape"):
         extract_reflection(Propagator(np.eye(3)), job.couplings)
+
+
+@pytest.mark.parametrize(
+    "couplings, message",
+    [
+        (np.zeros(3), "all couplings are zero"),
+        (np.array([1.0, math.nan, 0.0]), "must be finite"),
+        (np.array([1.0, math.inf, 0.0]), "must be finite"),
+        (np.ones((1, 3)), "must be 1-D"),
+    ],
+    ids=["zero", "nan", "inf", "2-D"],
+)
+def test_extract_refuses_couplings_a_pulse_job_refuses(couplings, message):
+    # these used to give phase = residual = nan (with a RuntimeWarning) or
+    # numpy's gufunc error, instead of PulseJob's ValueError
+    with pytest.raises(ValueError, match=message):
+        extract_reflection(propagate(sech_job(3, 0.0)), couplings)
+    with pytest.raises(ValueError, match=message):
+        PulseJob(couplings, 0.0, TWO_PI)
 
 
 # ---- analytic_sech_phase ----------------------------------------------------------
