@@ -17,6 +17,12 @@ general axis chi is the pair (ones(1), chi).  The update's one global
 number, the overlap <chi|s>, is passed in by a caller that knows it (the
 search loop carries it from step to step in O(1)); otherwise it is
 measured as tail^dagger S conj(head) with zgemv and zdotc.
+
+``rank1_update`` is the one zgeru call: ``diffusion_direct`` applies it
+to the whole matrix, and the search loop to one block of its columns at
+a time.  It folds the coefficient into the head factor first and calls
+zgeru with alpha = 1, so every amplitude is formed as tail_i (alpha
+head_j) on any number of BLAS threads and in any block of columns.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ def _fblas() -> ModuleType:
     return fblas
 
 
-def _axis_view(s: StateVector, axis: Axis) -> np.ndarray:
+def axis_view(s: StateVector, axis: Axis) -> np.ndarray:
     """A view of the amplitudes as the Fortran (tail.size x head.size) matrix
     S, with S[i, j] = s[j * tail.size + i]."""
     head, tail = axis
@@ -94,7 +100,7 @@ def axis_overlap(s: StateVector, axis: Axis) -> complex:
     """<kron(head, tail)|s> = tail^dagger S conj(head), S the state as a matrix."""
     head, tail = axis
     blas = _fblas()
-    return complex(blas.zdotc(tail, blas.zgemv(1.0, _axis_view(s, axis), head.conj())))
+    return complex(blas.zdotc(tail, blas.zgemv(1.0, axis_view(s, axis), head.conj())))
 
 
 def unitarity_defect(g: np.ndarray) -> float:
@@ -130,6 +136,29 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     return s
 
 
+def rank1_update(
+    matrix: np.ndarray,
+    alpha: complex,
+    tail: np.ndarray,
+    head: np.ndarray,
+    scaled: np.ndarray,
+) -> None:
+    """In place: matrix += alpha outer(tail, head), matrix Fortran-contiguous complex128.
+
+    ``scaled`` (complex128, head's shape) receives alpha head, which zgeru
+    then takes with alpha = 1.  OpenBLAS's threaded zger forms alpha x y^T
+    in another order than its one-thread kernel, so a complex alpha passed
+    to it would make the last bits depend on the thread count; 1 y_j is
+    exact.
+    """
+    np.multiply(head, alpha, out=scaled)
+    # zgeru updates the Fortran-contiguous matrix in place.  The arguments
+    # are positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
+    # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth
+    # of a step at N=3^9.
+    _fblas().zgeru(1.0, tail, scaled, 1, 1, matrix, 1, 1, 1)
+
+
 def diffusion_direct(
     s: StateVector,
     axis: Axis,
@@ -145,15 +174,11 @@ def diffusion_direct(
     F^(x)n |0> in the search loop); no per-call normalization check.
     """
     head, tail = axis
-    view = _axis_view(s, axis)
+    view = axis_view(s, axis)  # the StateVector's buffer is contiguous and writeable
     if overlap is None:
         overlap = axis_overlap(s, axis)
-    # zgeru updates the Fortran-contiguous view in place (the StateVector's
-    # buffer is always contiguous and writeable).  The arguments are
-    # positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
-    # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth
-    # of a step at N=3^9.
-    _fblas().zgeru((np.exp(1j * phi) - 1.0) * overlap, tail, head, 1, 1, view, 1, 1, 1)
+    scaled = np.empty(head.shape, dtype=np.complex128)
+    rank1_update(view, (np.exp(1j * phi) - 1.0) * overlap, tail, head, scaled)
     return s
 
 

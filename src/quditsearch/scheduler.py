@@ -27,7 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Longest run custom_schedule accepts.  run_search keeps one Python float per
-# step, about 32 MB at this cap, and writes nothing until the last step.
+# step, about 32 MB at this cap, and writes nothing until the last step.  It
+# also records each step's rank-1 coefficient, 16 bytes per step, to replay
+# them on the blocks of the state that do not hold the marked amplitude:
+# 16 MB more at this cap.
 MAX_STEPS = 10**6
 
 # pi/(4 beta) + 1/2 grows like (pi/4) sqrt(N).  From 2**51 up its doubles are

@@ -462,14 +462,41 @@ def test_commands_without_a_step_leave_blas_unloaded():
     assert run_python(probe).strip() == "[0, 0, 0] False []"
 
 
+# A search through the CLI whose stdout is a sha256 of the raw bits of each
+# trajectory and final state run_search made, not the CSV's 12 digits.
+RAW_BITS = """\
+import contextlib, hashlib, io
+from quditsearch import cli, engine
+digest, build, search, states = hashlib.sha256(), engine.superposition_register, cli.run_search, []
+def capture(*args):
+    states.append(build(*args))
+    return states[-1]
+def hashed(cfg):
+    traj = search(cfg)
+    digest.update(traj.populations.tobytes() + states[-1].amps.tobytes())
+    return traj
+engine.superposition_register, cli.run_search = capture, hashed
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(['search', *{argv!r}])
+print(digest.hexdigest())
+"""
+
+
 @pytest.mark.parametrize("argv, lines", [
     (["--d", "2", "--n", "16", "--marked", "40000"], 203),
     (["--d", "3", "--n", "9", "--marked", "100", "--f", "random:5"], 112),
+    # 3^12, where OpenBLAS splits zger over its threads; compared to the bit
+    (["--d", "3", "--n", "12", "--marked", "400000", "--f", "random:3"], None),
 ])
 def test_search_output_independent_of_blas_threads(argv, lines):
-    # every step is one zgeru, which forms each amplitude the same way on any
-    # number of threads; no multi-threaded sum feeds the trajectory
-    search = f"from quditsearch.cli import main; main(['search', *{argv!r}])"
+    # every block of the state takes each step's update from the one rank-1
+    # kernel, which hands zgeru alpha = 1 and the head factor pre-scaled, so
+    # each amplitude is formed the same way on any number of threads and in
+    # any block; no multi-threaded sum feeds the trajectory
+    if lines is None:
+        search, lines = RAW_BITS.format(argv=argv), 1
+    else:
+        search = f"from quditsearch.cli import main; main(['search', *{argv!r}])"
     one = run_python(search, OPENBLAS_NUM_THREADS="1")
     two = run_python(search, OPENBLAS_NUM_THREADS="2")
     assert one.count("\n") == lines

@@ -362,3 +362,92 @@ def test_wrong_carried_overlap_raises(monkeypatch):
     monkeypatch.setattr(reflections, "oracle", nan_oracle)
     with pytest.raises(RuntimeError, match="carried axis overlap"):
         run_search(cfg)
+
+
+# ---- the run tiled in time ------------------------------------------------------
+
+
+def stepwise_search(cfg, f):
+    """The untiled loop: every step a grover_step over the whole state, with
+    the overlap carried as run_search carries it; (populations, final amplitudes)."""
+    marked, phi = cfg.marked.flat, cfg.schedule.phi
+    state = superposition_register(cfg.shape, f)
+    axis = head, tail = diffusion_axis(cfg.shape, f)
+    kick = complex(np.exp(1j * phi)) - 1.0
+    norm2 = engine._squared_norm(head) * engine._squared_norm(tail)
+    axis_m = (head[marked // tail.size] * tail[marked % tail.size]).conjugate()
+    overlap = complex(norm2)
+    populations = [population(state, marked)]
+    for _ in range(cfg.schedule.steps):
+        overlap += kick * state.amps.item(marked) * axis_m
+        grover_step(state, marked, phi, axis, overlap)
+        overlap *= 1.0 + kick * norm2
+        populations.append(population(state, marked))
+    return np.array(populations), state.amps
+
+
+def tiled_search(cfg, monkeypatch, columns):
+    """run_search with blocks of ``columns`` columns; (trajectory, final amplitudes)."""
+    tail_size = cfg.shape.d ** (cfg.shape.n - cfg.shape.n // 2)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * tail_size * columns)
+    states = []
+    build = engine.superposition_register
+
+    def capture(*args):
+        states.append(build(*args))
+        return states[-1]
+
+    monkeypatch.setattr(engine, "superposition_register", capture)
+    traj = run_search(cfg)
+    return traj, states[0].amps
+
+
+@pytest.mark.parametrize("kind", ["householder", "dft", "random:3"])
+@pytest.mark.parametrize("n", [1, 5, 6, 7])
+@pytest.mark.parametrize("where", ["first", "interior", "last"])
+def test_tiled_run_matches_stepwise_loop_to_the_bit(where, n, kind, monkeypatch):
+    # blocks of 4 columns: 9 or 27 columns end in a ragged block of 1 or 3
+    shape, columns = QuditShape(3, n), 4
+    marked = {"first": 0, "interior": shape.N // 2, "last": shape.N - 1}[where]
+    head_size, tail_size = 3 ** (n // 2), 3 ** (n - n // 2)
+    blocks = -(-head_size // columns)
+    if n > 1:
+        assert head_size % columns and blocks >= 3
+        block = marked // tail_size // columns
+        assert block == {"first": 0, "interior": blocks // 2, "last": blocks - 1}[where]
+    # a schedule run past N_G, as custom schedules allow
+    steps = 3 * deterministic_schedule(shape.N).steps + 5
+    cfg = config(3, n, custom_schedule(shape.N, 2.2, steps), marked=marked, f_kind=kind)
+    traj, amps = tiled_search(cfg, monkeypatch, columns)
+    populations, reference = stepwise_search(cfg, make_f(3, kind))
+    np.testing.assert_array_equal(traj.populations, populations)
+    np.testing.assert_array_equal(amps, reference)
+
+
+@pytest.mark.parametrize("fault", [None, "skipped coefficient", "conjugated head"])
+def test_fault_in_a_replayed_block_fails_the_overlap_check(fault, monkeypatch):
+    # the marked block takes the first `steps` updates; a fault planted in a
+    # later call lands on a block that does not hold the marked amplitude, so
+    # the populations stay right and only the final check can see it
+    cfg = config(3, 6, deterministic_schedule(3**6), marked=5, f_kind="random:3")
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * 27 * 4)
+    steps = cfg.schedule.steps
+    update = reflections.rank1_update
+    calls = []
+
+    def faulty(matrix, alpha, tail, head, scaled):
+        calls.append(alpha)
+        if len(calls) > steps:
+            if fault == "skipped coefficient" and len(calls) == steps + 3:
+                return
+            if fault == "conjugated head":
+                head = head.conj()
+        update(matrix, alpha, tail, head, scaled)
+
+    monkeypatch.setattr(reflections, "rank1_update", faulty)
+    if fault is None:
+        assert run_search(cfg).peak_population >= 1 - 1e-9
+    else:
+        with pytest.raises(RuntimeError, match="carried axis overlap"):
+            run_search(cfg)
+    assert len(calls) == 7 * steps  # 27 columns in 7 blocks
