@@ -6,7 +6,7 @@ equal-superposition gate F, and pulse-level verification that a single
 multipod interaction realizes the required reflection.
 """
 
-from .engine import ExperimentConfig, Trajectory, run_search
+from .engine import ExperimentConfig, Trajectory, run_search, run_searches
 from .fgates import FGate, coupling_design, make_f
 from .multipod import (
     LeakageError,

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from .engine import ExperimentConfig, Trajectory, run_search
+from .engine import ExperimentConfig, Trajectory, run_search, run_searches
 from .fgates import coupling_design, make_f, validate_f
 from .multipod import (
     MAX_PULSE_D, PULSE_SHAPES, PulseJob, analytic_sech_phase, extract_reflection,
@@ -99,7 +99,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     marks = [int(tok) for tok in args.sweep.split(",") if tok != ""]
     if not marks:
         raise ValueError("--sweep needs a comma-separated list of marked indices")
-    runs = [(m, run_search(build(m))) for m in marks]
+    cfgs = [build(m) for m in marks]  # every mark is checked before any search runs
+    runs = list(zip(marks, run_searches(cfgs)))
     doc = [{"marked": m, **_trajectory_dict(schedule_doc, t)} for m, t in runs]
     rows = ((f"{m},{k}", p) for m, t in runs for k, p in enumerate(t.populations.tolist()))
     _emit(args.format, args.out, doc, "marked,step,population", rows)
@@ -174,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group()
     # default None: argparse would take a --marked 0 equal to a default 0 as unset
     which.add_argument("--marked", type=int, help="flat index of the marked state (default 0)")
-    which.add_argument("--sweep", help="comma-separated marked indices, run in order")
+    which.add_argument("--sweep", help="comma-separated marked indices, run together "
+                       "as one stacked state, written in input order")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("schedule", parents=[output], help="print phase-matching parameters")

@@ -23,11 +23,25 @@ amplitude the same way on any number of BLAS threads, so the trajectory
 does not depend on that count either.  One contraction of the whole
 state with the two factors after the last step checks the carried
 overlap.
+
+Searches that share a register, a schedule and F differ in their marked
+index only, so they share the axis too (``run_searches``).  They run as
+one stacked state: run r's amplitudes are the slab [r N, (r + 1) N) of
+one array, and the runs' matrices side by side form the Fortran
+(tail.size x K head.size) matrix whose K updates at step k are one
+rank-1 update with head factor [alpha_1 head, ..., alpha_K head].  Each
+run keeps its own scalar work per step (carried overlap, oracle kick,
+population); one rank-1 update per block then applies every run's
+update.  A stack holds as many runs as fit in _BLOCK_BYTES, so a stack of
+several runs is a single block that takes every step in one visit, and
+only a lone run is tiled.  Each run's amplitudes get the same updates,
+formed the same way, as when it runs alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +50,21 @@ from . import reflections
 from .fgates import FGate, f_constructor, make_f, validate_f
 # apply_local_gate and grover_step are unused here but kept importable under
 # these names: the benchmark tracer (benchmark/run.py) wraps both in this module.
-from .reflections import Axis, apply_local_gate, axis_overlap, axis_view, grover_step  # noqa: F401
+from .reflections import Axis, apply_local_gate, axis_overlap, grover_step  # noqa: F401
 from .register import BasisIndex, QuditShape, StateVector, population
 from .scheduler import SearchSchedule
 
 # Largest |carried - measured| axis overlap a run accepts after its last step.
 OVERLAP_TOLERANCE = 1e-8
 
-# Largest block of the state, in bytes, that run_search gives all its steps
-# in one visit (at least one column).  It should sit in a core's L2.  On a
-# 2-core Xeon VM with 2 MiB of L2 per core, at N = 3^12, 574 zgeru updates on
-# 2 threads moved 80-97 GB/s on 2 MiB blocks (179 columns), 74-86 GB/s on
-# 1 MiB and 64-75 GB/s on 0.5 MiB blocks, against 56-59 GB/s on the whole
-# 8 MiB state.
+# Largest block of the state, in bytes, that a run gives all its steps in
+# one visit (at least one column), and the largest stack of runs that
+# run_searches makes one state (at least one run).  It should sit in a
+# core's L2.  On a 2-core Xeon VM with 2 MiB of L2 per core, at N = 3^12,
+# 574 zgeru updates on 2 threads moved 80-97 GB/s on 2 MiB blocks (179
+# columns), 74-86 GB/s on 1 MiB and 64-75 GB/s on 0.5 MiB blocks, against
+# 56-59 GB/s on the whole 8 MiB state.  There, 8 searches at N = 3^9 took
+# 22 ms in stacks of 6 and 2 against 29 ms one after another.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -96,19 +112,28 @@ def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
     return np.array(f.matrix[:, 0], dtype=np.complex128)
 
 
-def _kron_power(column: np.ndarray, k: int) -> np.ndarray:
-    """column^(x)k, multiplied left to right (ones(1) at k = 0).
+def _kron_power(column: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """column^(x)k, multiplied left to right (ones(1) at k = 0), into ``out`` if given.
 
     np.multiply.outer forms the same products as np.kron at a fraction of
     its per-call cost, which dominates at small N.
     """
-    power = column if k else np.ones(1, dtype=np.complex128)
-    for _ in range(k - 1):
-        power = np.multiply.outer(power, column).ravel()
-    return power
+    if k < 2:
+        power = column if k else np.ones(1, dtype=np.complex128)
+        if out is None:
+            return power
+        np.copyto(out, power)
+        return out
+    power = _kron_power(column, k - 1)
+    if out is None:
+        out = np.empty(power.size * column.size, dtype=np.complex128)
+    np.multiply.outer(power, column, out=out.reshape(power.size, column.size))
+    return out
 
 
-def superposition_register(shape: QuditShape, f: FGate) -> StateVector:
+def superposition_register(
+    shape: QuditShape, f: FGate, out: np.ndarray | None = None
+) -> StateVector:
     """F^(x)n |0>: the equal-weight starting superposition.
 
     Built as the Kronecker power of F's first column: each amplitude is the
@@ -117,8 +142,11 @@ def superposition_register(shape: QuditShape, f: FGate) -> StateVector:
     column (Householder, DFT) the two agree to the bit; for a complex one
     they can differ in the last bits, because numpy's vectorized complex
     multiply may fuse a multiply-add that the einsum loop rounds twice.
+    ``out``, if given, is a C-contiguous complex128 array of N entries (a
+    run's slab of a stacked state): the last Kronecker product is written
+    into it, and it becomes the state's buffer.
     """
-    return StateVector(shape, _kron_power(_first_column(shape, f), shape.n))
+    return StateVector(shape, _kron_power(_first_column(shape, f), shape.n, out))
 
 
 def diffusion_axis(shape: QuditShape, f: FGate) -> Axis:
@@ -166,56 +194,108 @@ def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory
     tail.  An explicit ``f_gate`` (e.g. a pulse-synthesized matrix)
     overrides the config's f_kind tag.  Raises RuntimeError if the overlap
     carried across the steps is more than ``OVERLAP_TOLERANCE`` off the one
-    measured after the last step.
+    measured after the last step.  This is ``run_searches`` of one config.
     """
-    steps = cfg.schedule.steps
-    f = _resolve_f(cfg, f_gate)
-    state = superposition_register(cfg.shape, f)
-    axis = head, tail = diffusion_axis(cfg.shape, f)
-    phi = cfg.schedule.phi
-    marked = cfg.marked.flat
+    return run_searches([cfg], f_gate)[0]
+
+
+def run_searches(
+    cfgs: Sequence[ExperimentConfig], f_gate: FGate | None = None
+) -> list[Trajectory]:
+    """``run_search`` of each config, in order, run together: the same
+    trajectories and final states to the bit.
+
+    The configs must share shape, schedule and f_kind (ValueError
+    otherwise); they differ in their marked index only, so every run has
+    the same diffusion axis.  They run in stacks of as many runs as fit in
+    ``_BLOCK_BYTES`` (at least one), each stack one state of K N amplitudes.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        if (cfg.shape, cfg.schedule, cfg.f_kind) != (first.shape, first.schedule, first.f_kind):
+            raise ValueError(
+                "run_searches needs one shape, schedule and f_kind for every "
+                "config; they may differ in the marked index only"
+            )
+    f = _resolve_f(first, f_gate)
+    size = max(1, _BLOCK_BYTES // (16 * first.shape.N))
+    return [traj for start in range(0, len(cfgs), size)
+            for traj in _run_stack(cfgs[start:start + size], f)]
+
+
+def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
+    """The searches of ``cfgs`` as one stacked state (see the module docstring)."""
+    shape, count = cfgs[0].shape, len(cfgs)
+    steps, phi = cfgs[0].schedule.steps, cfgs[0].schedule.phi
+    axis = head, tail = diffusion_axis(shape, f)
+    stack = np.empty(count * shape.N, dtype=np.complex128)
+    # per run: its state, built in place as the slab [r N, (r + 1) N) of the
+    # stack; its marked index m; conj(a_m), a_m = head_j tail_i with
+    # m = j * tail.size + i; and the populations recorded so far
+    runs = [(superposition_register(shape, f, stack[r * shape.N:(r + 1) * shape.N]), m,
+             (head.item(m // tail.size) * tail.item(m % tail.size)).conjugate(), [])
+            for r, m in enumerate(cfg.marked.flat for cfg in cfgs)]
     rotation = np.exp(1j * phi) - 1.0  # times the overlap, as diffusion_direct forms it
     kick = complex(rotation)
     # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
     # measured, not assumed to be 1; any error in it compounds every step.
     norm2 = _squared_norm(head) * _squared_norm(tail)
     gain = 1.0 + kick * norm2
-    # a_m = head_j tail_i with m = j * tail.size + i
-    axis_m = (head.item(marked // tail.size) * tail.item(marked % tail.size)).conjugate()
-    overlap = complex(norm2)  # <a|s>: the state starts on the axis
-    matrix = axis_view(state, axis)
-    width = max(1, _BLOCK_BYTES // (16 * tail.size))  # columns per block
-    home = marked // tail.size // width * width  # first column of the marked block
-    buffer = np.empty(min(width, head.size), dtype=np.complex128)
-    coefficients = np.empty(steps, dtype=np.complex128)
+    overlaps = [complex(norm2)] * count  # <a|s>: each state starts on the axis
+    # S[i, j, r] = amplitude j * tail.size + i of run r: every run's state
+    # as the Fortran (tail.size x head.size) matrix, side by side
+    cube = stack.reshape((tail.size, head.size, count), order="F")
+    # head columns per block; a stack of several runs fits in one block
+    # (run_searches cuts it so), so only a lone run is tiled
+    width = max(1, _BLOCK_BYTES // (16 * tail.size * count))
+    # first column of the block that holds the marked amplitudes (every run's)
+    home = cfgs[0].marked.flat // tail.size // width * width
+    buffer = np.empty(count * min(width, head.size), dtype=np.complex128)
+    coefficients = np.empty((steps, count), dtype=np.complex128)
+    # Step k's coefficients: a column, one row per run, or a lone run's
+    # scalar.  A scalar takes numpy's cheapest multiply, and a (1, 1) array
+    # would take another inner loop on a one-column block, one whose last
+    # bits differ.
+    alphas = coefficients[:, :, None] if count > 1 else coefficients[:, 0]
 
     def block(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns [start, start + width) of S, head's share of them, and a
-        buffer of that size for rank1_update."""
+        """Columns [start, start + width) of every run's S as one Fortran
+        matrix, head's share of them, and a buffer for rank1_update: alpha
+        head, one row per run."""
         part = head[start:start + width]
-        return matrix[:, start:start + width], part, buffer[:part.size]
+        columns = cube[:, start:start + width].reshape((tail.size, -1), order="F")
+        scaled = buffer[:count * part.size]
+        return columns, part, scaled.reshape(count, part.size) if count > 1 else scaled
 
     columns, part, scaled = block(home)
-    populations = [population(state, marked)]
     for k in range(steps):
-        # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
-        overlap += kick * state.amps.item(marked) * axis_m
-        reflections.oracle(state, marked, phi)
-        alpha = coefficients[k] = rotation * overlap
-        reflections.rank1_update(columns, alpha, tail, part, scaled)
-        # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
-        overlap *= gain
-        populations.append(population(state, marked))
+        for r, (state, m, axis_m, populations) in enumerate(runs):
+            populations.append(population(state, m))  # after step k - 1, or the start
+            # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
+            overlap = overlaps[r] + kick * state.amps.item(m) * axis_m
+            reflections.oracle(state, m, phi)
+            coefficients[k, r] = rotation * overlap
+            # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
+            overlaps[r] = overlap * gain
+        reflections.rank1_update(columns, alphas[k], tail, part, scaled)
     for start in range(0, head.size, width):
         if start != home:
             columns, part, scaled = block(start)
-            for alpha in coefficients:
+            for alpha in alphas:
                 reflections.rank1_update(columns, alpha, tail, part, scaled)
+    trajectories = []
     # Measured only here, over every block, never fed back into a step.
-    drift = abs(axis_overlap(state, axis) - overlap)
-    if not drift <= OVERLAP_TOLERANCE:  # a NaN drift fails too
-        raise RuntimeError(
-            f"carried axis overlap is {drift:.3e} off the measured one after "
-            f"{steps} steps (tolerance {OVERLAP_TOLERANCE:.0e})"
-        )
-    return Trajectory(np.array(populations))
+    for (state, m, _, populations), overlap in zip(runs, overlaps):
+        drift = abs(axis_overlap(state, axis) - overlap)
+        if not drift <= OVERLAP_TOLERANCE:  # a NaN drift fails too
+            raise RuntimeError(
+                f"carried axis overlap is {drift:.3e} off the measured one after "
+                f"{steps} steps of the search for marked index {m} "
+                f"(tolerance {OVERLAP_TOLERANCE:.0e})"
+            )
+        populations.append(population(state, m))  # after the last step
+        trajectories.append(Trajectory(np.array(populations)))
+    return trajectories

@@ -20,7 +20,8 @@ measured as tail^dagger S conj(head) with zgemv and zdotc.
 
 ``rank1_update`` is the one zgeru call: ``diffusion_direct`` applies it
 to the whole matrix, and the search loop to one block of its columns at
-a time.  It folds the coefficient into the head factor first and calls
+a time, or to several runs' matrices side by side with one coefficient
+per run.  It folds the coefficient into the head factor first and calls
 zgeru with alpha = 1, so every amplitude is formed as tail_i (alpha
 head_j) on any number of BLAS threads and in any block of columns.
 """
@@ -138,25 +139,27 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
 
 def rank1_update(
     matrix: np.ndarray,
-    alpha: complex,
+    alpha: complex | np.ndarray,
     tail: np.ndarray,
     head: np.ndarray,
     scaled: np.ndarray,
 ) -> None:
-    """In place: matrix += alpha outer(tail, head), matrix Fortran-contiguous complex128.
+    """In place: matrix += outer(tail, alpha head), matrix Fortran-contiguous complex128.
 
-    ``scaled`` (complex128, head's shape) receives alpha head, which zgeru
-    then takes with alpha = 1.  OpenBLAS's threaded zger forms alpha x y^T
-    in another order than its one-thread kernel, so a complex alpha passed
-    to it would make the last bits depend on the thread count; 1 y_j is
-    exact.
+    ``alpha`` is a scalar or a column of K coefficients, one per group of
+    head.size columns (K runs side by side).  ``scaled`` (C-contiguous
+    complex128, of shape broadcast(alpha, head)) receives alpha head, which
+    zgeru then takes, flattened, with alpha = 1.  OpenBLAS's threaded zger
+    forms alpha x y^T in another order than its one-thread kernel, so a
+    complex alpha passed to it would make the last bits depend on the
+    thread count; 1 y_j is exact.
     """
     np.multiply(head, alpha, out=scaled)
     # zgeru updates the Fortran-contiguous matrix in place.  The arguments
     # are positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
     # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth
     # of a step at N=3^9.
-    _fblas().zgeru(1.0, tail, scaled, 1, 1, matrix, 1, 1, 1)
+    _fblas().zgeru(1.0, tail, scaled.ravel(), 1, 1, matrix, 1, 1, 1)
 
 
 def diffusion_direct(

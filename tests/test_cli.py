@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditsearch import engine
 from quditsearch.cli import main
 from quditsearch.register import MAX_STATES
 
@@ -144,6 +145,16 @@ def test_search_sweep_ordered_output(capsys):
     # all runs see the same populations (marked independence)
     pops = np.array([float(r[2]) for r in rows]).reshape(3, -1)
     np.testing.assert_allclose(pops[0], pops[1], atol=1e-9)
+
+
+def test_search_sweep_checks_every_mark_before_any_search(capsys, monkeypatch):
+    # a bad mark late in the list fails before the first search builds a state
+    built = []
+    monkeypatch.setattr(engine, "superposition_register", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, "search", "--d", "2", "--n", "3",
+                             "--sweep", "0,1,2,3,4,5,6,8")
+    assert (code, out, err) == (2, "", "error: flat index 8 outside [0, 8)\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("marked", ["0", "1"])
@@ -392,6 +403,93 @@ def test_json_stdout_is_byte_identical_to_golden(capsys, argv):
     assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[argv], "")
 
 
+# The README's sweep example, every run in one stacked state.
+GOLDEN_SWEEP = {
+    "csv": """\
+marked,step,population
+0,0,0.0625
+0,1,0.397089876149
+0,2,0.814316627317
+0,3,1
+7,0,0.0625
+7,1,0.397089876149
+7,2,0.814316627317
+7,3,1
+15,0,0.0625
+15,1,0.397089876149
+15,2,0.814316627317
+15,3,1
+""",
+    "json": """\
+[
+  {
+    "marked": 0,
+    "schedule": {
+      "N": 16,
+      "beta": 0.25268025514207865,
+      "j": 3,
+      "phi": 2.195057699090115,
+      "steps": 3,
+      "mode": "deterministic"
+    },
+    "trajectory": [
+      0.06249999999999996,
+      0.39708987614894653,
+      0.8143166273170375,
+      1.000000000000004
+    ],
+    "peak_step": 3,
+    "peak_population": 1.000000000000004
+  },
+  {
+    "marked": 7,
+    "schedule": {
+      "N": 16,
+      "beta": 0.25268025514207865,
+      "j": 3,
+      "phi": 2.195057699090115,
+      "steps": 3,
+      "mode": "deterministic"
+    },
+    "trajectory": [
+      0.06250000000000008,
+      0.39708987614894736,
+      0.8143166273170387,
+      1.000000000000004
+    ],
+    "peak_step": 3,
+    "peak_population": 1.000000000000004
+  },
+  {
+    "marked": 15,
+    "schedule": {
+      "N": 16,
+      "beta": 0.25268025514207865,
+      "j": 3,
+      "phi": 2.195057699090115,
+      "steps": 3,
+      "mode": "deterministic"
+    },
+    "trajectory": [
+      0.06250000000000011,
+      0.3970898761489475,
+      0.8143166273170391,
+      1.0000000000000044
+    ],
+    "peak_step": 3,
+    "peak_population": 1.0000000000000044
+  }
+]
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_SWEEP))
+def test_sweep_stdout_is_byte_identical_to_golden(capsys, fmt):
+    argv = ("search", "--d", "2", "--n", "4", "--sweep", "0,7,15", "--format", fmt)
+    assert run_cli(capsys, *argv) == (0, GOLDEN_SWEEP[fmt], "")
+
+
 # ---- parser-level behavior ---------------------------------------------------
 
 
@@ -462,23 +560,31 @@ def test_commands_without_a_step_leave_blas_unloaded():
     assert run_python(probe).strip() == "[0, 0, 0] False []"
 
 
-# A search through the CLI whose stdout is a sha256 of the raw bits of each
-# trajectory and final state run_search made, not the CSV's 12 digits.
+# A search through the CLI whose stdout is the number of states it built, a
+# sha256 of its CSV, and a sha256 of the raw bits of each trajectory and
+# final state, not the CSV's 12 digits alone.
 RAW_BITS = """\
 import contextlib, hashlib, io
 from quditsearch import cli, engine
-digest, build, search, states = hashlib.sha256(), engine.superposition_register, cli.run_search, []
+digest, build, states = hashlib.sha256(), engine.superposition_register, []
 def capture(*args):
     states.append(build(*args))
     return states[-1]
-def hashed(cfg):
-    traj = search(cfg)
-    digest.update(traj.populations.tobytes() + states[-1].amps.tobytes())
-    return traj
-engine.superposition_register, cli.run_search = capture, hashed
-with contextlib.redirect_stdout(io.StringIO()):
+def hashed(search):
+    def run(cfg):
+        trajectories = search(cfg)
+        for traj in trajectories if isinstance(trajectories, list) else [trajectories]:
+            digest.update(traj.populations.tobytes())
+        return trajectories
+    return run
+engine.superposition_register = capture
+cli.run_search, cli.run_searches = hashed(cli.run_search), hashed(cli.run_searches)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     cli.main(['search', *{argv!r}])
-print(digest.hexdigest())
+for state in states:
+    digest.update(state.amps.tobytes())
+print(len(states), hashlib.sha256(out.getvalue().encode()).hexdigest(), digest.hexdigest())
 """
 
 
@@ -487,12 +593,16 @@ print(digest.hexdigest())
     (["--d", "3", "--n", "9", "--marked", "100", "--f", "random:5"], 112),
     # 3^12, where OpenBLAS splits zger over its threads; compared to the bit
     (["--d", "3", "--n", "12", "--marked", "400000", "--f", "random:3"], None),
+    # 8 runs in stacks of 6 and 2, each stack one zger per step
+    (["--d", "3", "--n", "9", "--sweep", "17,1000,2500,7777,9999,12345,15000,19682",
+      "--f", "random:5"], None),
 ])
 def test_search_output_independent_of_blas_threads(argv, lines):
-    # every block of the state takes each step's update from the one rank-1
-    # kernel, which hands zgeru alpha = 1 and the head factor pre-scaled, so
-    # each amplitude is formed the same way on any number of threads and in
-    # any block; no multi-threaded sum feeds the trajectory
+    # every block of the state, and every stack of a sweep's runs, takes each
+    # step's update from the one rank-1 kernel, which hands zgeru alpha = 1
+    # and the head factor pre-scaled, so each amplitude is formed the same
+    # way on any number of threads and in any block; no multi-threaded sum
+    # feeds the trajectory
     if lines is None:
         search, lines = RAW_BITS.format(argv=argv), 1
     else:

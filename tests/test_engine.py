@@ -386,10 +386,8 @@ def stepwise_search(cfg, f):
     return np.array(populations), state.amps
 
 
-def tiled_search(cfg, monkeypatch, columns):
-    """run_search with blocks of ``columns`` columns; (trajectory, final amplitudes)."""
-    tail_size = cfg.shape.d ** (cfg.shape.n - cfg.shape.n // 2)
-    monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * tail_size * columns)
+def captured(search, monkeypatch):
+    """search() with each register it builds captured; (its result, their final amplitudes)."""
     states = []
     build = engine.superposition_register
 
@@ -398,8 +396,17 @@ def tiled_search(cfg, monkeypatch, columns):
         return states[-1]
 
     monkeypatch.setattr(engine, "superposition_register", capture)
-    traj = run_search(cfg)
-    return traj, states[0].amps
+    result = search()
+    monkeypatch.setattr(engine, "superposition_register", build)
+    return result, [s.amps for s in states]
+
+
+def tiled_search(cfg, monkeypatch, columns):
+    """run_search with blocks of ``columns`` columns; (trajectory, final amplitudes)."""
+    tail_size = cfg.shape.d ** (cfg.shape.n - cfg.shape.n // 2)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * tail_size * columns)
+    traj, [amps] = captured(lambda: run_search(cfg), monkeypatch)
+    return traj, amps
 
 
 @pytest.mark.parametrize("kind", ["householder", "dft", "random:3"])
@@ -451,3 +458,96 @@ def test_fault_in_a_replayed_block_fails_the_overlap_check(fault, monkeypatch):
         with pytest.raises(RuntimeError, match="carried axis overlap"):
             run_search(cfg)
     assert len(calls) == 7 * steps  # 27 columns in 7 blocks
+
+
+# ---- several searches as one stacked state ----------------------------------------
+
+
+def captured_searches(cfgs, monkeypatch):
+    """run_searches(cfgs); (trajectories, each run's final amplitudes)."""
+    return captured(lambda: engine.run_searches(cfgs), monkeypatch)
+
+
+@pytest.mark.parametrize("d, n, kind", [
+    (2, 6, "dft"), (3, 5, "random:3"), (5, 3, "householder"), (3, 1, "random:8"), (2, 1, "dft"),
+])
+@pytest.mark.parametrize("stack", ["one", "cut", "tiled"])
+def test_stacked_runs_match_one_run_at_a_time_to_the_bit(d, n, kind, stack, monkeypatch):
+    shape = QuditShape(d, n)
+    # 7 runs, one mark twice; a schedule run past N_G, as custom schedules allow
+    marks = [0, shape.N - 1, shape.N // 2, 0, 1, shape.N // 3, shape.N - 2 if shape.N > 2 else 1]
+    steps = 3 * deterministic_schedule(shape.N).steps + 5
+    schedule = custom_schedule(shape.N, 2.2, steps)
+    cfgs = [config(d, n, schedule, marked=m, f_kind=kind) for m in marks]
+    references = [captured(lambda: run_search(cfg), monkeypatch) for cfg in cfgs]
+    if stack == "cut":  # stacks of 3, 3 and 1
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * shape.N * 3)
+    elif stack == "tiled":  # one run per stack, in blocks of one column
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * d ** (n - n // 2))
+    trajectories, amps = captured_searches(cfgs, monkeypatch)
+    assert len(trajectories) == len(amps) == len(cfgs)
+    for traj, final, (reference, [reference_amps]) in zip(trajectories, amps, references):
+        assert len(traj.populations) == steps + 1
+        np.testing.assert_array_equal(traj.populations, reference.populations)
+        np.testing.assert_array_equal(final, reference_amps)
+
+
+def test_stacked_runs_share_one_buffer_per_stack(monkeypatch):
+    # each run's state is the register superposition_register returned,
+    # a slab of its stack, left in its final state
+    shape = QuditShape(3, 4)
+    cfgs = [config(3, 4, deterministic_schedule(shape.N), marked=m) for m in (3, 40, 77, 80, 3)]
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * shape.N * 2)
+    trajectories, amps = captured_searches(cfgs, monkeypatch)
+    bases = [a.base for a in amps]
+    assert bases[0] is bases[1] and bases[2] is bases[3]
+    assert bases[1] is not bases[2] and bases[4] is not bases[3]
+    assert all(a.base.size <= 2 * shape.N for a in amps)
+    for cfg, traj, final in zip(cfgs, trajectories, amps):
+        assert traj.peak_population >= 1 - 1e-9
+        assert abs(final[cfg.marked.flat]) ** 2 == traj.populations[-1]
+
+
+def test_stacked_zero_step_schedule():
+    cfgs = [config(3, 2, custom_schedule(9, math.pi, 0), marked=m) for m in (0, 4, 8)]
+    for traj in engine.run_searches(cfgs):
+        assert traj.populations.tolist() == [pytest.approx(1 / 9, abs=1e-15)]
+    assert engine.run_searches([]) == []
+
+
+def test_stacked_runs_take_an_explicit_gate():
+    cfgs = [config(3, 3, deterministic_schedule(27), marked=m) for m in (2, 19)]
+    gate = make_f(3, "random:4")
+    for cfg, traj in zip(cfgs, engine.run_searches(cfgs, f_gate=gate)):
+        np.testing.assert_array_equal(traj.populations, run_search(cfg, f_gate=gate).populations)
+    bad = FGate(gate.matrix * 1.001)
+    with pytest.raises(ValueError, match="fails its contract"):
+        engine.run_searches(cfgs, f_gate=bad)
+
+
+def test_fault_in_one_stacked_run_fails_its_overlap_check(monkeypatch):
+    # an oracle that skips run 3's kick leaves only that run's carried
+    # overlap wrong; the stacked update and the other runs stay consistent
+    marks = [0, 5, 9, 13, 20]
+    cfgs = [config(3, 3, deterministic_schedule(27), marked=m) for m in marks]
+    kick = reflections.oracle
+    monkeypatch.setattr(
+        reflections, "oracle",
+        lambda s, marked, phi: s if marked == marks[3] else kick(s, marked, phi))
+    with pytest.raises(RuntimeError, match=r"carried axis overlap .* marked index 13 "):
+        engine.run_searches(cfgs)
+    # the same runs without run 3 pass
+    del cfgs[3]
+    assert all(t.peak_population >= 1 - 1e-9 for t in engine.run_searches(cfgs))
+
+
+@pytest.mark.parametrize("change", ["shape", "schedule", "f_kind"])
+def test_stacked_runs_must_share_shape_schedule_and_f(change):
+    base = config(3, 3, deterministic_schedule(27), marked=1)
+    other = {
+        "shape": config(3, 2, deterministic_schedule(9), marked=1),
+        "schedule": config(3, 3, custom_schedule(27, 1.0, 4), marked=1),
+        "f_kind": config(3, 3, deterministic_schedule(27), marked=1, f_kind="dft"),
+    }[change]
+    with pytest.raises(ValueError, match="one shape, schedule and f_kind"):
+        engine.run_searches([base, base, other])
