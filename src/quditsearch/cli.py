@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -50,7 +51,7 @@ def _emit(fmt: str, out: str | None, doc, header: str, rows) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = header + "\n" + "".join(f"{key},{_cell(value)}\n" for key, value in rows)
+        text = header + "\n" + "".join([f"{key},{_cell(value)}\n" for key, value in rows])
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -89,11 +90,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f_kind=args.f,
         )
 
-    schedule_doc = dataclasses.asdict(schedule)  # shared by a sweep's runs
+    as_json = args.format == "json"  # the JSON document is built for JSON output only
     if args.sweep is None:
         traj = run_search(build(0 if args.marked is None else args.marked))
-        doc = _trajectory_dict(schedule_doc, traj)
-        rows = enumerate(traj.populations.tolist())
+        doc = _trajectory_dict(dataclasses.asdict(schedule), traj) if as_json else None
+        rows = () if as_json else enumerate(traj.populations.tolist())
         _emit(args.format, args.out, doc, "step,population", rows)
         return 0
     marks = [int(tok) for tok in args.sweep.split(",") if tok != ""]
@@ -101,8 +102,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("--sweep needs a comma-separated list of marked indices")
     cfgs = [build(m) for m in marks]  # every mark is checked before any search runs
     runs = list(zip(marks, run_searches(cfgs)))
-    doc = [{"marked": m, **_trajectory_dict(schedule_doc, t)} for m, t in runs]
-    rows = ((f"{m},{k}", p) for m, t in runs for k, p in enumerate(t.populations.tolist()))
+    if as_json:
+        schedule_doc = dataclasses.asdict(schedule)  # shared by the runs
+        doc, rows = [{"marked": m, **_trajectory_dict(schedule_doc, t)} for m, t in runs], ()
+    else:
+        doc = None
+        rows = ((f"{m},{k}", p) for m, t in runs for k, p in enumerate(t.populations.tolist()))
     _emit(args.format, args.out, doc, "marked,step,population", rows)
     return 0
 
@@ -152,7 +157,9 @@ def _cmd_validate_f(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quditsearch",
         description="Grover search on d-level registers: simulation, "

@@ -1,28 +1,30 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
 A run prepares a = F^(x)n |0...0> as the Kronecker power of F's first
-column, then iterates the Grover step.  That state is also the diffusion
-axis, kept as its two Kronecker halves a = kron(head, tail) (F's first
-column to the floor(n/2)-th and ceil(n/2)-th power, at most d^ceil(n/2)
-entries each) and applied as a rank-1 update of the state viewed as the
-Fortran (tail.size x head.size) matrix S.  The update's only global
-quantity, the overlap <a|s>, is carried from step to step by its exact
-O(1) recurrence, so step k's update is S += c_k tail head^T with a
+column (each level d strided passes, one per entry of the column), then
+iterates the Grover step.  That state is also the diffusion axis, kept
+as its two Kronecker halves a = kron(head, tail) (F's first column to
+the floor(n/2)-th and ceil(n/2)-th power, at most d^ceil(n/2) entries
+each) and applied as a rank-1 update of the state viewed as the Fortran
+(tail.size x head.size) matrix S.  The update's only global quantity,
+the overlap <a|s>, is carried from step to step by its exact O(1)
+recurrence, so step k's update is S += c_k tail head^T with a
 coefficient c_k known without touching the state.
 
 The run is tiled in time.  S is cut into blocks of whole columns, each
 at most _BLOCK_BYTES (one block if the state fits).  The block that holds
-the marked amplitude takes the steps one by one: oracle kick, its share
-of the update, population.  That records c_1 ... c_K.  Every other block
-then takes the K recorded updates in order, in one visit while it sits
-in cache, instead of being streamed from L3 or memory once per step (see
-_BLOCK_BYTES for the rates).  Each amplitude gets the same updates in the
-same order as in a step-by-step loop, so the trajectory and the final
-state are the same to the bit.  The shared rank-1 kernel forms each
-amplitude the same way on any number of BLAS threads, so the trajectory
-does not depend on that count either.  One contraction of the whole
-state with the two factors after the last step checks the carried
-overlap.
+the marked amplitude takes the steps one by one: the population, the
+carried overlap and the oracle kick from one read and one write of the
+marked amplitude, then its share of the update.  That records
+c_1 ... c_K.  Every other block then takes the K recorded updates in
+order, in one visit while it sits in cache, instead of being streamed
+from L3 or memory once per step (see _BLOCK_BYTES for the rates).  Each
+amplitude gets the same updates in the same order as in a step-by-step
+loop, so the trajectory and the final state are the same to the bit.
+The shared rank-1 kernel forms each amplitude the same way on any number
+of BLAS threads, so the trajectory does not depend on that count either.
+One contraction of the whole state with the two factors after the last
+step checks the carried overlap.
 
 Searches that share a register, a schedule and F differ in their marked
 index only, so they share the axis too (``run_searches``).  They run as
@@ -30,12 +32,13 @@ one stacked state: run r's amplitudes are the slab [r N, (r + 1) N) of
 one array, and the runs' matrices side by side form the Fortran
 (tail.size x K head.size) matrix whose K updates at step k are one
 rank-1 update with head factor [alpha_1 head, ..., alpha_K head].  Each
-run keeps its own scalar work per step (carried overlap, oracle kick,
-population); one rank-1 update per block then applies every run's
-update.  A stack holds as many runs as fit in _BLOCK_BYTES, so a stack of
-several runs is a single block that takes every step in one visit, and
-only a lone run is tiled.  Each run's amplitudes get the same updates,
-formed the same way, as when it runs alone.
+run keeps its own scalar work per step (population, carried overlap,
+oracle kick: one read and one write of its marked amplitude); one rank-1
+update per block then applies every run's update.  A stack holds as many
+runs as fit in _BLOCK_BYTES, so a stack of several runs is a single
+block that takes every step in one visit, and only a lone run is tiled.
+Each run's amplitudes get the same updates, formed the same way, as when
+it runs alone.
 """
 
 from __future__ import annotations
@@ -115,8 +118,10 @@ def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
 def _kron_power(column: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """column^(x)k, multiplied left to right (ones(1) at k = 0), into ``out`` if given.
 
-    np.multiply.outer forms the same products as np.kron at a fraction of
-    its per-call cost, which dominates at small N.
+    Each level forms the products np.multiply.outer(power, column) would,
+    power first, as d strided passes, one per entry b of column: pass b
+    writes power column[b] into every d-th amplitude, from offset b.  So
+    numpy's inner loop runs d^(k-1) long, not d entries long.
     """
     if k < 2:
         power = column if k else np.ones(1, dtype=np.complex128)
@@ -127,7 +132,9 @@ def _kron_power(column: np.ndarray, k: int, out: np.ndarray | None = None) -> np
     power = _kron_power(column, k - 1)
     if out is None:
         out = np.empty(power.size * column.size, dtype=np.complex128)
-    np.multiply.outer(power, column, out=out.reshape(power.size, column.size))
+    grid = out.reshape(power.size, column.size)
+    for b, entry in enumerate(column):
+        np.multiply(power, entry, out=grid[:, b])
     return out
 
 
@@ -142,10 +149,21 @@ def superposition_register(
     column (Householder, DFT) the two agree to the bit; for a complex one
     they can differ in the last bits, because numpy's vectorized complex
     multiply may fuse a multiply-add that the einsum loop rounds twice.
-    ``out``, if given, is a C-contiguous complex128 array of N entries (a
-    run's slab of a stacked state): the last Kronecker product is written
-    into it, and it becomes the state's buffer.
+    Each level of the power takes d strided passes, one per entry of the
+    column, and gives the same bits as a left-to-right chain of
+    np.multiply.outer; the last level reads the N/d-entry power below it,
+    the one transient.  ``out``, if given, is a C-contiguous, writeable
+    complex128 array of shape (N,) (a run's slab of a stacked state): the
+    last level is written into it, and it becomes the state's buffer.
+    Any other ``out`` raises ValueError, since it could not be that buffer.
     """
+    if out is not None and not (
+        out.dtype == np.complex128 and out.shape == (shape.N,)
+        and out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous, writeable complex128 array of shape ({shape.N},)"
+        )
     return StateVector(shape, _kron_power(_first_column(shape, f), shape.n, out))
 
 
@@ -233,11 +251,16 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     axis = head, tail = diffusion_axis(shape, f)
     stack = np.empty(count * shape.N, dtype=np.complex128)
     # per run: its state, built in place as the slab [r N, (r + 1) N) of the
-    # stack; its marked index m; conj(a_m), a_m = head_j tail_i with
-    # m = j * tail.size + i; and the populations recorded so far
-    runs = [(superposition_register(shape, f, stack[r * shape.N:(r + 1) * shape.N]), m,
-             (head.item(m // tail.size) * tail.item(m % tail.size)).conjugate(), [])
-            for r, m in enumerate(cfg.marked.flat for cfg in cfgs)]
+    # stack, and that state's amplitudes; its marked index m; conj(a_m),
+    # a_m = head_j tail_i with m = j * tail.size + i; and the populations
+    # recorded so far
+    runs = []
+    for r, cfg in enumerate(cfgs):
+        state = superposition_register(shape, f, stack[r * shape.N:(r + 1) * shape.N])
+        m = cfg.marked.flat
+        runs.append((state, state.amps, m,
+                     (head.item(m // tail.size) * tail.item(m % tail.size)).conjugate(), []))
+    phase = complex(np.exp(1j * phi))  # the oracle's factor, as reflections.oracle forms it
     rotation = np.exp(1j * phi) - 1.0  # times the overlap, as diffusion_direct forms it
     kick = complex(rotation)
     # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
@@ -272,11 +295,12 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
 
     columns, part, scaled = block(home)
     for k in range(steps):
-        for r, (state, m, axis_m, populations) in enumerate(runs):
-            populations.append(population(state, m))  # after step k - 1, or the start
+        for r, (_, amps, m, axis_m, populations) in enumerate(runs):
+            amp = amps.item(m)  # s_m, read once
+            populations.append(abs(amp) ** 2)  # after step k - 1, or the start
             # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
-            overlap = overlaps[r] + kick * state.amps.item(m) * axis_m
-            reflections.oracle(state, m, phi)
+            overlap = overlaps[r] + kick * amp * axis_m
+            amps[m] = amp * phase
             coefficients[k, r] = rotation * overlap
             # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
             overlaps[r] = overlap * gain
@@ -288,7 +312,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
                 reflections.rank1_update(columns, alpha, tail, part, scaled)
     trajectories = []
     # Measured only here, over every block, never fed back into a step.
-    for (state, m, _, populations), overlap in zip(runs, overlaps):
+    for (state, _, m, _, populations), overlap in zip(runs, overlaps):
         drift = abs(axis_overlap(state, axis) - overlap)
         if not drift <= OVERLAP_TOLERANCE:  # a NaN drift fails too
             raise RuntimeError(

@@ -154,7 +154,7 @@ def rank1_update(
     complex alpha passed to it would make the last bits depend on the
     thread count; 1 y_j is exact.
     """
-    np.multiply(head, alpha, out=scaled)
+    np.multiply(head, alpha, scaled)  # out positional: the cheaper call
     # zgeru updates the Fortran-contiguous matrix in place.  The arguments
     # are positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
     # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth

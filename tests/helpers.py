@@ -66,6 +66,18 @@ def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVecto
     return s
 
 
+def kron_power_outer(column: np.ndarray, k: int) -> np.ndarray:
+    """column^(x)k as a left-to-right chain of np.multiply.outer (ones(1) at k = 0).
+
+    The reference the strided Kronecker build of ``superposition_register``
+    and ``diffusion_axis`` is checked against to the bit.
+    """
+    power = column if k else np.ones(1, dtype=np.complex128)
+    for _ in range(k - 1):
+        power = np.multiply.outer(power, column).ravel()
+    return power
+
+
 def dense_grover_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """Brute-force N x N Grover operator of ``cfg``, one basis vector per column."""
     N = cfg.shape.N

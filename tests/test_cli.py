@@ -516,6 +516,29 @@ def test_help_exits_zero(capsys):
     assert "search" in out
 
 
+def test_calls_in_one_process_write_identical_bytes(capsys):
+    # the parser is built once per process; a call with other flags in
+    # between must leave nothing behind for the next one
+    sweep = ["search", "--d", "2", "--n", "4", "--sweep", "0,7,15"]
+    first = run_cli(capsys, *sweep)
+    between = run_cli(capsys, *sweep, "--format", "json")
+    second = run_cli(capsys, *sweep)
+    assert first == second and first[0] == between[0] == 0
+    assert first[1].startswith("marked,step,population\n") and between[1].startswith("[")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--d", "3"], "required: --n"),
+    (["search", "--d", "2", "--n", "2", "--marked", "1", "--sweep", "1,2"], "not allowed with"),
+])
+def test_usage_error_after_a_successful_call_exits_2(capsys, argv, message):
+    # the second parse of the cached parser still refuses a bad argv
+    assert run_cli(capsys, "search", "--d", "2", "--n", "2", "--marked", "1")[0] == 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    assert run_cli(capsys, "schedule", "--N", "243")[0] == 0
+
+
 def test_cli_import_leaves_integrator_unloaded():
     # only the pulse commands integrate; the others must not pay its import
     probe = "import sys, quditsearch.cli; print('scipy.integrate' in sys.modules)"

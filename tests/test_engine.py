@@ -25,7 +25,7 @@ from quditsearch.scheduler import (
     predicted_population,
 )
 
-from helpers import config, dense_grover_matrix, diffusion_via_gates
+from helpers import config, dense_grover_matrix, diffusion_via_gates, kron_power_outer
 
 
 def extended(cfg, steps):
@@ -295,6 +295,44 @@ def test_superposition_register_owns_its_amplitudes():
     np.testing.assert_array_equal(f.matrix, before)
 
 
+@pytest.mark.parametrize("kind", ["householder", "dft", "random:5"])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kronecker_builds_match_outer_product_chain_to_the_bit(d, kind):
+    # the strided passes form every product np.multiply.outer forms, with the
+    # same operands in the same order, for every n with N <= 2^16
+    f = make_f(d, kind)
+    column = np.array(f.matrix[:, 0], dtype=np.complex128)
+    n = 1
+    while d**n <= 2**16:
+        shape = QuditShape(d, n)
+        reference = kron_power_outer(column, n).tobytes()
+        assert superposition_register(shape, f).amps.tobytes() == reference
+        buffer = np.full(shape.N, np.nan, dtype=np.complex128)
+        state = superposition_register(shape, f, out=buffer)
+        assert state.amps is buffer and buffer.tobytes() == reference
+        head, tail = diffusion_axis(shape, f)
+        assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
+        assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
+        n += 1
+
+
+@pytest.mark.parametrize("out", ["strided", "complex64", "read-only", "too short", "2-D"])
+def test_superposition_register_refuses_an_out_it_cannot_own(out):
+    # each of these would be copied, so the state would not be the caller's buffer
+    shape = QuditShape(3, 2)
+    buffer = {
+        "strided": np.zeros(2 * shape.N, dtype=np.complex128)[::2],
+        "complex64": np.zeros(shape.N, dtype=np.complex64),
+        "read-only": np.zeros(shape.N, dtype=np.complex128),
+        "too short": np.zeros(shape.N - 1, dtype=np.complex128),
+        "2-D": np.zeros((3, 3), dtype=np.complex128),
+    }[out]
+    buffer.flags.writeable = out != "read-only"
+    with pytest.raises(ValueError, match="C-contiguous, writeable complex128 array of shape"):
+        superposition_register(shape, householder_f(3), out=buffer)
+    assert not buffer.any()
+
+
 SMALL_SHAPES = [(d, n) for d in range(2, 6) for n in range(1, 13) if d**n <= 4096]
 
 
@@ -347,19 +385,39 @@ def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
     np.testing.assert_allclose(traj.populations, reference, rtol=0, atol=1e-12)
 
 
+def plant_before_each_update(fault, monkeypatch):
+    """Wrap rank1_update so that fault(amps) runs on each block's amplitudes,
+    flat in the order of the stack, after the step's oracle kicks and before
+    its update."""
+    update = reflections.rank1_update
+
+    def faulty(matrix, alpha, tail, head, scaled):
+        amps = matrix.reshape(-1, order="F")
+        assert np.shares_memory(amps, matrix)
+        fault(amps)
+        update(matrix, alpha, tail, head, scaled)
+
+    monkeypatch.setattr(reflections, "rank1_update", faulty)
+
+
 def test_wrong_carried_overlap_raises(monkeypatch):
-    # an oracle that skips its kick leaves the carried overlap wrong
-    monkeypatch.setattr(reflections, "oracle", lambda s, marked, phi: s)
+    # an undone oracle kick leaves the carried overlap wrong
     cfg = config(3, 3, deterministic_schedule(27), marked=5)
+    undo = np.exp(-1j * cfg.schedule.phi)
+
+    def skip_kick(amps):
+        amps[5] *= undo
+
+    plant_before_each_update(skip_kick, monkeypatch)
     with pytest.raises(RuntimeError, match="carried axis overlap"):
         run_search(cfg)
 
-    # one that writes NaN leaves a NaN drift, which must fail the check too
-    def nan_oracle(s, marked, phi):
-        s.amps[marked] = np.nan
-        return s
+    # a NaN written at the mark leaves a NaN drift, which must fail the check too
+    def write_nan(amps):
+        amps[5] = np.nan
 
-    monkeypatch.setattr(reflections, "oracle", nan_oracle)
+    monkeypatch.undo()
+    plant_before_each_update(write_nan, monkeypatch)
     with pytest.raises(RuntimeError, match="carried axis overlap"):
         run_search(cfg)
 
@@ -526,17 +584,20 @@ def test_stacked_runs_take_an_explicit_gate():
 
 
 def test_fault_in_one_stacked_run_fails_its_overlap_check(monkeypatch):
-    # an oracle that skips run 3's kick leaves only that run's carried
-    # overlap wrong; the stacked update and the other runs stay consistent
+    # undoing run 3's oracle kick leaves only that run's carried overlap
+    # wrong; the stacked update and the other runs stay consistent
     marks = [0, 5, 9, 13, 20]
     cfgs = [config(3, 3, deterministic_schedule(27), marked=m) for m in marks]
-    kick = reflections.oracle
-    monkeypatch.setattr(
-        reflections, "oracle",
-        lambda s, marked, phi: s if marked == marks[3] else kick(s, marked, phi))
+    undo = np.exp(-1j * cfgs[0].schedule.phi)
+
+    def skip_run_3_kick(amps):
+        amps[3 * 27 + marks[3]] *= undo  # run 3's slab starts at 3 N
+
+    plant_before_each_update(skip_run_3_kick, monkeypatch)
     with pytest.raises(RuntimeError, match=r"carried axis overlap .* marked index 13 "):
         engine.run_searches(cfgs)
     # the same runs without run 3 pass
+    monkeypatch.undo()
     del cfgs[3]
     assert all(t.peak_population >= 1 - 1e-9 for t in engine.run_searches(cfgs))
 
