@@ -11,34 +11,27 @@ the overlap <a|s>, is carried from step to step by its exact O(1)
 recurrence, so step k's update is S += c_k tail head^T with a
 coefficient c_k known without touching the state.
 
-The run is tiled in time.  S is cut into blocks of whole columns, each
-at most _BLOCK_BYTES (one block if the state fits).  The block that holds
-the marked amplitude takes the steps one by one: the population, the
-carried overlap and the oracle kick from one read and one write of the
-marked amplitude, then its share of the update.  That records
-c_1 ... c_K.  Every other block then takes the K recorded updates in
-order, in one visit while it sits in cache, instead of being streamed
-from L3 or memory once per step (see _BLOCK_BYTES for the rates).  Each
-amplitude gets the same updates in the same order as in a step-by-step
-loop, so the trajectory and the final state are the same to the bit.
-The shared rank-1 kernel forms each amplitude the same way on any number
-of BLAS threads, so the trajectory does not depend on that count either.
-One contraction of the whole state with the two factors after the last
-step checks the carried overlap.
-
 Searches that share a register, a schedule and F differ in their marked
-index only, so they share the axis too (``run_searches``).  They run as
-one stacked state: run r's amplitudes are the slab [r N, (r + 1) N) of
-one array, and the runs' matrices side by side form the Fortran
-(tail.size x K head.size) matrix whose K updates at step k are one
-rank-1 update with head factor [alpha_1 head, ..., alpha_K head].  Each
-run keeps its own scalar work per step (population, carried overlap,
-oracle kick: one read and one write of its marked amplitude); one rank-1
-update per block then applies every run's update.  A stack holds as many
-runs as fit in _BLOCK_BYTES, so a stack of several runs is a single
-block that takes every step in one visit, and only a lone run is tiled.
-Each run's amplitudes get the same updates, formed the same way, as when
-it runs alone.
+index only, so they share the axis too, and every search runs in a
+stack of K >= 1 of them (``run_searches``; a lone run is a stack of one).
+Run r's amplitudes are the slab [r N, (r + 1) N) of one array, and the
+runs' matrices side by side form the Fortran (tail.size x K head.size)
+matrix, whose K updates at step k are one rank-1 update with head factor
+[c_k1 head, ..., c_kK head].  A stack holds as many runs as fit in
+_BLOCK_BYTES, and it is cut into blocks of whole columns only when one
+run exceeds that.  The block that holds the marked amplitudes goes
+first and takes the steps one by one: each run's population, carried
+overlap and oracle kick (one read and one write of its marked amplitude)
+give its coefficient, then the block takes its share of the update.
+Every other block then takes the recorded updates in order, in one visit
+while it sits in cache, instead of being streamed from L3 or memory once
+per step (see _BLOCK_BYTES for the rates).  Each amplitude gets the same
+updates, formed the same way and in the same order, as in a step-by-step
+loop of its run alone, so the trajectory and the final state are the
+same to the bit.  The shared rank-1 kernel forms each amplitude the same
+way on any number of BLAS threads, so they do not depend on that count
+either.  One contraction of each run's state with the two factors after
+the last step checks its carried overlap.
 """
 
 from __future__ import annotations
@@ -261,8 +254,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
         runs.append((state, state.amps, m,
                      (head.item(m // tail.size) * tail.item(m % tail.size)).conjugate(), []))
     phase = complex(np.exp(1j * phi))  # the oracle's factor, as reflections.oracle forms it
-    rotation = np.exp(1j * phi) - 1.0  # times the overlap, as diffusion_direct forms it
-    kick = complex(rotation)
+    kick = complex(np.exp(1j * phi) - 1.0)  # e^{i phi} - 1, as diffusion_direct forms it
     # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
     # measured, not assumed to be 1; any error in it compounds every step.
     norm2 = _squared_norm(head) * _squared_norm(tail)
@@ -277,39 +269,27 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     # first column of the block that holds the marked amplitudes (every run's)
     home = cfgs[0].marked.flat // tail.size // width * width
     buffer = np.empty(count * min(width, head.size), dtype=np.complex128)
+    # step k's coefficients, one row per run, taken by rank1_update as a column
     coefficients = np.empty((steps, count), dtype=np.complex128)
-    # Step k's coefficients: a column, one row per run, or a lone run's
-    # scalar.  A scalar takes numpy's cheapest multiply, and a (1, 1) array
-    # would take another inner loop on a one-column block, one whose last
-    # bits differ.
-    alphas = coefficients[:, :, None] if count > 1 else coefficients[:, 0]
-
-    def block(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns [start, start + width) of every run's S as one Fortran
-        matrix, head's share of them, and a buffer for rank1_update: alpha
-        head, one row per run."""
-        part = head[start:start + width]
+    alphas = coefficients[:, :, None]
+    for start in [home, *(s for s in range(0, head.size, width) if s != home)]:
+        # columns [start, start + width) of every run's S as one Fortran
+        # matrix, head's share of them as a row, and rank1_update's buffer
         columns = cube[:, start:start + width].reshape((tail.size, -1), order="F")
-        scaled = buffer[:count * part.size]
-        return columns, part, scaled.reshape(count, part.size) if count > 1 else scaled
-
-    columns, part, scaled = block(home)
-    for k in range(steps):
-        for r, (_, amps, m, axis_m, populations) in enumerate(runs):
-            amp = amps.item(m)  # s_m, read once
-            populations.append(abs(amp) ** 2)  # after step k - 1, or the start
-            # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
-            overlap = overlaps[r] + kick * amp * axis_m
-            amps[m] = amp * phase
-            coefficients[k, r] = rotation * overlap
-            # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
-            overlaps[r] = overlap * gain
-        reflections.rank1_update(columns, alphas[k], tail, part, scaled)
-    for start in range(0, head.size, width):
-        if start != home:
-            columns, part, scaled = block(start)
-            for alpha in alphas:
-                reflections.rank1_update(columns, alpha, tail, part, scaled)
+        part = head[None, start:start + width]
+        scaled = buffer[:count * part.size].reshape(count, part.size)
+        for k in range(steps):
+            if start == home:  # the first block records every step's coefficients
+                for r, (_, amps, m, axis_m, populations) in enumerate(runs):
+                    amp = amps.item(m)  # s_m, read once
+                    populations.append(abs(amp) ** 2)  # after step k - 1, or the start
+                    # the oracle moves amplitude m alone: <a|Os> = <a|s> + kick s_m conj(a_m)
+                    overlap = overlaps[r] + kick * amp * axis_m
+                    amps[m] = amp * phase
+                    coefficients[k, r] = kick * overlap
+                    # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
+                    overlaps[r] = overlap * gain
+            reflections.rank1_update(columns, alphas[k], tail, part, scaled)
     trajectories = []
     # Measured only here, over every block, never fed back into a step.
     for (state, _, m, _, populations), overlap in zip(runs, overlaps):

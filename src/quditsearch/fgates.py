@@ -120,10 +120,10 @@ def f_constructor(kind: str) -> Callable[[int], FGate]:
     if kind == "dft":
         return dft
     if kind.startswith("random:"):
-        seed = int(kind.split(":", 1)[1])
-        if seed < 0:
-            raise ValueError(f"random:SEED needs a seed >= 0, got {seed}")
-        return partial(random_phase_f, seed=seed)
+        seed = kind.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit()):  # int() would also take " +1_0"
+            raise ValueError(f"F kind {kind!r}: random:SEED needs an integer seed >= 0")
+        return partial(random_phase_f, seed=int(seed))
     raise ValueError(
         f"unknown F kind {kind!r}; expected 'householder', 'dft', or 'random:SEED'"
     )

@@ -146,13 +146,17 @@ def rank1_update(
 ) -> None:
     """In place: matrix += outer(tail, alpha head), matrix Fortran-contiguous complex128.
 
-    ``alpha`` is a scalar or a column of K coefficients, one per group of
-    head.size columns (K runs side by side).  ``scaled`` (C-contiguous
-    complex128, of shape broadcast(alpha, head)) receives alpha head, which
-    zgeru then takes, flattened, with alpha = 1.  OpenBLAS's threaded zger
-    forms alpha x y^T in another order than its one-thread kernel, so a
-    complex alpha passed to it would make the last bits depend on the
-    thread count; 1 y_j is exact.
+    ``alpha`` is a (K, 1) column of coefficients, one per group of
+    head.size columns (K runs side by side), and ``head`` a (1, w) row;
+    ``scaled`` (C-contiguous complex128 of shape (K, w)) receives their
+    product, which zgeru then takes, flattened, with alpha = 1.  A scalar
+    alpha with a 1-D head is a run of its own (``diffusion_direct``).  The
+    column times the row forms every entry as the scalar product
+    alpha_r head_j does, at any K and w; a (1, 1) column times a 1-D head
+    would not at w = 1, where numpy takes another inner loop.  OpenBLAS's
+    threaded zger forms alpha x y^T in another order than its one-thread
+    kernel, so a complex alpha passed to it would make the last bits depend
+    on the thread count; 1 y_j is exact.
     """
     np.multiply(head, alpha, scaled)  # out positional: the cheaper call
     # zgeru updates the Fortran-contiguous matrix in place.  The arguments

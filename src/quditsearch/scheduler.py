@@ -104,12 +104,7 @@ def _floor_step_index(N: int, beta: float) -> int:
 
 def matched_phase(N: int, steps: int) -> float:
     """Phase that lands exactly on the marked state after ``steps`` iterations."""
-    return _matched_phase(N, _beta(N), steps)
-
-
-def _matched_phase(N: int, beta: float, steps: int) -> float:
-    """matched_phase for a caller that already holds beta = _beta(N)."""
-    arg = math.sin(math.pi / (4 * steps + 2)) / math.sin(beta)
+    arg = math.sin(math.pi / (4 * steps + 2)) / math.sin(_beta(N))
     if arg > 1.0:
         raise ValueError(
             f"no matched phase: {steps} steps is below the minimum for N={N}"
@@ -126,7 +121,7 @@ def deterministic_schedule(N: int) -> SearchSchedule:
         steps = j
     else:
         steps = j + 1
-    return SearchSchedule(N, _matched_phase(N, beta, steps), steps, "deterministic")
+    return SearchSchedule(N, matched_phase(N, steps), steps, "deterministic")
 
 
 def canonical_schedule(N: int) -> SearchSchedule:

@@ -167,6 +167,19 @@ def test_search_sweep_conflicts_with_marked(capsys, marked):
     assert "not allowed with" in err
 
 
+def test_search_sweep_of_no_marks_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--d", "3", "--n", "2", "--sweep", ",")
+    assert (code, out) == (2, "")
+    assert "--sweep needs a comma-separated list" in err
+
+
+@pytest.mark.parametrize("kind", ["random:", "random:x", "random: +1_0 "])
+def test_search_random_f_without_an_integer_seed_is_usage_error(capsys, kind):
+    code, out, err = run_cli(capsys, "search", "--d", "3", "--n", "2", "--f", kind)
+    assert (code, out) == (2, "")
+    assert err == f"error: F kind {kind!r}: random:SEED needs an integer seed >= 0\n"
+
+
 def test_search_missing_required(capsys):
     code, _, err = run_cli(capsys, "search")
     assert code == 2
@@ -349,6 +362,12 @@ def test_validate_f_unknown_kind(capsys):
     code, _, err = run_cli(capsys, "validate-f", "--d", "3", "--f", "haar")
     assert code == 2
     assert "unknown F kind" in err
+
+
+def test_validate_f_rejects_d1(capsys):
+    code, out, err = run_cli(capsys, "validate-f", "--d", "1", "--f", "dft")
+    assert (code, out) == (2, "")
+    assert "dft needs d >= 2" in err
 
 
 # ---- golden output ----------------------------------------------------------

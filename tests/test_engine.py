@@ -229,6 +229,13 @@ def test_explicit_gate_must_meet_f_contract():
         run_search(cfg, f_gate=gate)
 
 
+def test_explicit_gate_of_another_dimension_is_refused():
+    # dft(5) meets the F contract, but a d = 3 register needs a 3 x 3 gate
+    cfg = config(3, 2, deterministic_schedule(9))
+    with pytest.raises(ValueError, match=r"gate has shape \(5, 5\), expected \(3, 3\)"):
+        run_search(cfg, f_gate=dft(5))
+
+
 # ---- config validation --------------------------------------------------------------
 
 
@@ -255,7 +262,7 @@ def test_config_rejects_schedule_size_mismatch():
 def test_unknown_f_kind_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown F kind"):
         config(3, 2, deterministic_schedule(9), f_kind="haar")
-    with pytest.raises(ValueError, match="invalid literal"):
+    with pytest.raises(ValueError, match="'random:seven': random:SEED needs an integer seed"):
         config(3, 2, deterministic_schedule(9), f_kind="random:seven")
     with pytest.raises(ValueError, match="seed >= 0"):
         config(3, 2, deterministic_schedule(9), f_kind="random:-1")

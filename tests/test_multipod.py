@@ -256,6 +256,32 @@ GENERATOR_COUPLINGS = {
 }
 
 
+# each unit-peak envelope's integral over the half window [0, T_MAX]
+HALF_WINDOW_INTEGRALS = {
+    "sech": 2.0 * math.atan(math.tanh(T_MAX / 2.0)),
+    "gaussian": 0.5 * math.sqrt(math.pi) * math.erf(T_MAX),
+}
+
+
+@pytest.mark.parametrize("kind", ["design", "complex"])
+@pytest.mark.parametrize("area", [TWO_PI, 3 * TWO_PI, 100.0, MAX_RMS_AREA, -TWO_PI])
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_resonant_propagator_matches_closed_form(d, shape, area, kind):
+    # At Delta T = 0 the Hamiltonian (A / (2 I_f)) f(t) K commutes with
+    # itself, so U = expm(-i (A / (2 I_f)) 2 I K), with I the envelope's
+    # integral over the half window and K the ungauged coupling block.
+    couplings = GENERATOR_COUPLINGS[kind](d)
+    job = PulseJob(couplings=couplings, detuning=0.0, rms_area=area, shape=shape)
+    unit = couplings / np.linalg.norm(couplings)
+    k = np.zeros((d + 1, d + 1), dtype=np.complex128)
+    k[:d, d] = unit
+    k[d, :d] = unit.conj()
+    angle = area / (2.0 * _ENVELOPES[shape][1]) * 2.0 * HALF_WINDOW_INTEGRALS[shape]
+    error = np.max(np.abs(propagate(job).matrix - expm(-1j * angle * k)))
+    assert error <= 1e-11, error
+
+
 @pytest.mark.parametrize("kind", GENERATOR_COUPLINGS)
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
 @pytest.mark.parametrize("delta_t", [0.0, 0.5, 5.0, 100.0])
