@@ -9,8 +9,8 @@ the only file the CLI touches is the one ``--out`` names.  Angles are
 radians everywhere; floats are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 runtime failure (e.g. pulse left population on
-the ancilla, or a gate too large for memory), 2 usage, validation or
-file error.
+the ancilla, or an allocation failed), 2 usage, validation or file error
+(e.g. a gate dimension above fgates.MAX_GATE_D = 4096).
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def _cmd_pulse_check(args: argparse.Namespace) -> int:
         "deltaT": args.deltaT,
         "area": args.area,
         "extracted_phi": fit.phase,
-        "analytic_phi": analytic_sech_phase(args.deltaT) if args.shape == "sech" else None,
+        "analytic_phi": (analytic_sech_phase(args.deltaT, args.area)
+                         if args.shape == "sech" else None),
         "residual": fit.residual,
         "leakage": fit.leakage,
     }

@@ -1,15 +1,17 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
 A run prepares a = F^(x)n |0...0> as the Kronecker power of F's first
-column (each level d strided passes, one per entry of the column), then
-iterates the Grover step.  That state is also the diffusion axis, kept
-as its two Kronecker halves a = kron(head, tail) (F's first column to
-the floor(n/2)-th and ceil(n/2)-th power, at most d^ceil(n/2) entries
-each) and applied as a rank-1 update of the state viewed as the Fortran
-(tail.size x head.size) matrix S.  The update's only global quantity,
-the overlap <a|s>, is carried from step to step by its exact O(1)
-recurrence, so step k's update is S += c_k tail head^T with a
-coefficient c_k known without touching the state.
+column (each level d strided passes, one per entry of the column),
+built inside the state's own buffer with at most two levels of 64 KiB
+or less beside it, then iterates the Grover step.  That state is also
+the diffusion axis, kept as its two Kronecker halves a = kron(head,
+tail) (F's first column to the floor(n/2)-th and ceil(n/2)-th power, at
+most d^ceil(n/2) entries each) and applied as a rank-1 update of the
+state viewed as the Fortran (tail.size x head.size) matrix S.  The
+update's only global quantity, the overlap <a|s>, is carried from step
+to step by its exact O(1) recurrence, so step k's update is
+S += c_k tail head^T with a coefficient c_k known without touching the
+state.
 
 Searches that share a register, a schedule and F differ in their marked
 index only, so they share the axis too, and every search runs in a
@@ -63,6 +65,13 @@ OVERLAP_TOLERANCE = 1e-8
 # 22 ms in stacks of 6 and 2 against 29 ms one after another.
 _BLOCK_BYTES = 2 << 20
 
+# Largest prefix of a Kronecker power, in entries, that _kron_power copies
+# aside (64 KiB) to expand it in one chunk.  A level up to that size takes
+# d passes, as a build into a fresh array would, so small builds (a
+# sweep's 3^9 states) keep their call count; each chunk above it costs d
+# more numpy calls.
+_SCRATCH = 1 << 12
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,10 +120,20 @@ def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
 def _kron_power(column: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """column^(x)k, multiplied left to right (ones(1) at k = 0), into ``out`` if given.
 
-    Each level forms the products np.multiply.outer(power, column) would,
-    power first, as d strided passes, one per entry b of column: pass b
-    writes power column[b] into every d-th amplitude, from offset b.  So
-    numpy's inner loop runs d^(k-1) long, not d entries long.
+    If level k - 1 has more than _SCRATCH entries, it is built inside
+    ``out``, in its first d^(k-1) entries (by the same method), and then
+    expanded from the top down.  Each chunk expands the sources [hi/d, hi)
+    into the targets [hi, hi d), which lie past them, so no chunk writes an
+    entry that it or a later chunk reads, and numpy never buffers an
+    overlapping ``out``.  Once the remaining prefix has at most _SCRATCH
+    entries (64 KiB), it is copied once and expanded from the copy.  A
+    smaller level k - 1 is built in a fresh array, as that copy would be.
+    So the arrays beside ``out`` are levels of at most 64 KiB, two at a
+    time.  Each expansion forms the products np.multiply.outer(power,
+    column) would, power first, as d strided passes, one per entry b of
+    column: pass b writes power column[b] into every d-th target, from
+    offset b.  So numpy's inner loop runs as long as the chunk, not d
+    entries long.
     """
     if k < 2:
         power = column if k else np.ones(1, dtype=np.complex128)
@@ -122,13 +141,26 @@ def _kron_power(column: np.ndarray, k: int, out: np.ndarray | None = None) -> np
             return power
         np.copyto(out, power)
         return out
-    power = _kron_power(column, k - 1)
+    d, hi = column.size, column.size ** (k - 1)
     if out is None:
-        out = np.empty(power.size * column.size, dtype=np.complex128)
+        out = np.empty(hi * d, dtype=np.complex128)
+    if hi <= _SCRATCH:
+        power = _kron_power(column, k - 1)
+    else:
+        _kron_power(column, k - 1, out[:hi])
+        while hi > _SCRATCH:
+            _expand(out[hi // d:hi], column, out[hi:hi * d])
+            hi //= d
+        power = out[:hi].copy()
+    _expand(power, column, out[:hi * d])
+    return out
+
+
+def _expand(power: np.ndarray, column: np.ndarray, out: np.ndarray) -> None:
+    """out = np.multiply.outer(power, column).ravel(), as d strided passes."""
     grid = out.reshape(power.size, column.size)
     for b, entry in enumerate(column):
         np.multiply(power, entry, out=grid[:, b])
-    return out
 
 
 def superposition_register(
@@ -144,11 +176,12 @@ def superposition_register(
     multiply may fuse a multiply-add that the einsum loop rounds twice.
     Each level of the power takes d strided passes, one per entry of the
     column, and gives the same bits as a left-to-right chain of
-    np.multiply.outer; the last level reads the N/d-entry power below it,
-    the one transient.  ``out``, if given, is a C-contiguous, writeable
-    complex128 array of shape (N,) (a run's slab of a stacked state): the
-    last level is written into it, and it becomes the state's buffer.
-    Any other ``out`` raises ValueError, since it could not be that buffer.
+    np.multiply.outer.  The build runs inside the state's buffer, with at
+    most two levels of 64 KiB or less beside it (see _kron_power).
+    ``out``, if given, is a C-contiguous, writeable complex128 array of
+    shape (N,) (a run's slab of a stacked state): the power is built in
+    it, and it becomes the state's buffer.  Any other ``out`` raises
+    ValueError, since it could not be that buffer.
     """
     if out is not None and not (
         out.dtype == np.complex128 and out.shape == (shape.N,)

@@ -5,10 +5,12 @@ with simultaneous fields of Rabi amplitudes Omega_k and a common
 detuning Delta on the ancilla.  In the Morris-Shore picture only the
 bright superposition of qudit states, u = Omega / |Omega|, talks to |c>
 with the RMS Rabi frequency |Omega|; the d-1 dark states, which span the
-complement of u, are frozen.  When the RMS pulse area is 2(2l+1)pi the
-population returns to the qudit manifold and the qudit block of the
-propagator is the generalized reflection M(chi, phi) with chi = u.  For
-a sech pulse of area 2 pi the acquired phase is phi = pi - 2 arctan(Delta T).
+complement of u, are frozen.  When the RMS pulse area of a sech pulse is
+a multiple 2k pi of 2 pi, the population returns to the qudit manifold
+and the qudit block of the propagator is the generalized reflection
+M(chi, phi) with chi = u.  The acquired phase is
+phi = k pi - 2 sum_{j=1..k} arctan(Delta T / (2j - 1)), which is
+pi - 2 arctan(Delta T) at area 2 pi (``analytic_sech_phase``).
 
 The propagator is obtained by direct numerical integration of the full
 (d+1)-level Schrodinger equation (no Morris-Shore shortcut), so the
@@ -453,7 +455,7 @@ def extract_reflection(u: Propagator, couplings: np.ndarray) -> ReflectionFit:
     expectation value.  Rejects the fit if the leaked ancilla amplitude
     (2-norm of the ancilla row, which bounds every per-column |<c|U|k>|)
     is at or above 1e-4: the pulse did not return the population, e.g.
-    the area is not of the form 2(2l+1)pi or the window is too short.
+    the area is not a multiple of 2 pi or the window is too short.
     Couplings that are not 1-D, not finite or all zero raise ValueError,
     as in ``PulseJob``.
     """
@@ -468,7 +470,7 @@ def extract_reflection(u: Propagator, couplings: np.ndarray) -> ReflectionFit:
     if leakage >= LEAKAGE_LIMIT:
         raise LeakageError(
             f"ancilla leakage {leakage:.3e} >= {LEAKAGE_LIMIT:.0e}; pulse area is "
-            f"not a qudit-manifold return (not 2(2l+1)pi) or the window is too short"
+            f"not a qudit-manifold return (not a multiple of 2 pi) or the window is too short"
         )
     block = matrix[:d, :d]
     axis = couplings / np.linalg.norm(couplings)
@@ -480,9 +482,19 @@ def extract_reflection(u: Propagator, couplings: np.ndarray) -> ReflectionFit:
     return ReflectionFit(phase, residual, leakage)
 
 
-def analytic_sech_phase(delta_t: float) -> float:
-    """Reflection phase of a 2 pi sech pulse: pi - 2 arctan(Delta T)."""
-    return math.pi - 2.0 * math.atan(delta_t)
+def analytic_sech_phase(delta_t: float, rms_area: float = 2.0 * math.pi) -> float:
+    """Reflection phase of a sech pulse of area 2k pi, on ``wrap_phase``'s branch.
+
+    phi_k = k pi - 2 sum_{j=1..k} arctan(Delta T / (2j - 1)) with
+    k = round(|rms_area| / 2 pi), reduced to (-pi, pi]: the Rosen-Zener
+    sech model (Phys. Rev. 40, 502 (1932)).  At area 2 pi this is
+    pi - 2 arctan(Delta T).
+    """
+    k = round(abs(rms_area) / (2.0 * math.pi))
+    phase = k * math.pi - 2.0 * sum(math.atan(delta_t / (2 * j - 1)) for j in range(1, k + 1))
+    # remainder is exact, so a phase already in [-pi, pi] keeps its bits
+    phase = math.remainder(phase, 2.0 * math.pi)
+    return math.pi if phase <= -math.pi + 1e-12 else phase
 
 
 @dataclass(frozen=True)

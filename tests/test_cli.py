@@ -260,6 +260,20 @@ def test_pulse_check_detuned(capsys):
     assert payload["analytic_phi"] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta_t, area, phi", [
+    ("0.5", "12.566370614359172", "-1.25759257283"),  # 4 pi
+    ("0.5", "18.84955592153876", "1.68466277578"),  # 6 pi
+    ("-1.5", "6.283185307179586", "-1.1760052071"),  # 2 pi, phase past pi
+])
+def test_pulse_check_analytic_phase_follows_the_area(capsys, delta_t, area, phi):
+    # the law of a 2k pi area, printed on the extracted phase's branch
+    code, out, _ = run_cli(capsys, "pulse-check", "--d", "3", "--deltaT", delta_t,
+                           "--area", area)
+    assert code == 0
+    values = dict(row for row in parse_csv(out)[1])
+    assert values["extracted_phi"] == values["analytic_phi"] == phi
+
+
 def test_pulse_check_off_return_area_fails(capsys):
     code, _, err = run_cli(capsys, "pulse-check", "--d", "4", "--area", "12.566")
     assert code == 1
@@ -317,12 +331,15 @@ def cap_address_space():
 @pytest.mark.parametrize("argv", [
     pytest.param(["validate-f", "--d", "3000000"], id="validate-f"),
     pytest.param(["search", "--d", "3000000", "--n", "1"], id="search"),
+    pytest.param(["validate-f", "--d", "4097", "--f", "dft"], id="validate-f-4097"),
+    pytest.param(["search", "--d", "4097", "--n", "1"], id="search-4097"),
 ])
-def test_gate_too_large_for_memory_is_a_runtime_error(argv):
-    # F is a dense d x d matrix: 65.5 TiB at this d
-    proc = run_fresh("-m", "quditsearch", *argv, preexec_fn=cap_address_space)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+def test_gate_too_large_is_refused_before_allocation(argv):
+    # F is a dense d x d matrix: 65.5 TiB at d = 3000000, and its check costs
+    # O(d^3); the capped address space and the timeout fail a missed check
+    proc = run_fresh("-m", "quditsearch", *argv, preexec_fn=cap_address_space, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "exceeds the limit 4096" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -198,7 +198,8 @@ def test_norm_preserved_over_long_run():
 
 def test_run_search_holds_one_state_sized_array():
     # the axis is two factors of 729 entries, not a second N-sized vector;
-    # the state's Kronecker build holds N/3 more amplitudes while it runs
+    # the state's Kronecker build runs inside its own buffer, with levels
+    # of at most 64 KiB beside it
     cfg = config(3, 12, deterministic_schedule(3**12), marked=12345)
     run_search(cfg)  # scipy's BLAS loads on the first step, not in the trace
     tracemalloc.start()
@@ -208,7 +209,23 @@ def test_run_search_holds_one_state_sized_array():
     finally:
         tracemalloc.stop()
     state_bytes = 16 * cfg.shape.N
-    assert peak < 1.5 * state_bytes, f"run_search peaked at {peak / state_bytes:.2f}x the state"
+    assert peak < state_bytes + (1 << 20), (
+        f"run_search peaked at {(peak - state_bytes) / 1024:.0f} KiB beside the state"
+    )
+
+
+def test_superposition_register_builds_inside_its_buffer():
+    # every level above 64 KiB is built in the caller's buffer, so a 3^12
+    # build allocates a few small levels only, not the N/3-entry level below
+    shape, f = QuditShape(3, 12), householder_f(3)
+    buffer = np.empty(shape.N, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        superposition_register(shape, f, buffer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"the build allocated {peak / 1024:.0f} KiB"
 
 
 def test_pulse_style_custom_gate_override():
@@ -306,21 +323,26 @@ def test_superposition_register_owns_its_amplitudes():
 @pytest.mark.parametrize("d", range(2, 9))
 def test_kronecker_builds_match_outer_product_chain_to_the_bit(d, kind):
     # the strided passes form every product np.multiply.outer forms, with the
-    # same operands in the same order, for every n with N <= 2^16
+    # same operands in the same order, for every n with N <= 2^18: levels
+    # that expand a fresh power and levels built in chunks inside their own
+    # buffer, there a slab in the middle of a stack, as _run_stack passes it
     f = make_f(d, kind)
     column = np.array(f.matrix[:, 0], dtype=np.complex128)
     n = 1
-    while d**n <= 2**16:
+    while d**n <= 2**18:
         shape = QuditShape(d, n)
         reference = kron_power_outer(column, n).tobytes()
         assert superposition_register(shape, f).amps.tobytes() == reference
-        buffer = np.full(shape.N, np.nan, dtype=np.complex128)
-        state = superposition_register(shape, f, out=buffer)
-        assert state.amps is buffer and buffer.tobytes() == reference
+        stack = np.full(3 * shape.N, np.nan, dtype=np.complex128)
+        slab = stack[shape.N:2 * shape.N]
+        state = superposition_register(shape, f, out=slab)
+        assert state.amps is slab and slab.tobytes() == reference
+        assert np.isnan(stack[:shape.N]).all() and np.isnan(stack[2 * shape.N:]).all()
         head, tail = diffusion_axis(shape, f)
         assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
         assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
         n += 1
+    assert d ** (n - 2) > engine._SCRATCH  # the top level was built in chunks
 
 
 @pytest.mark.parametrize("out", ["strided", "complex64", "read-only", "too short", "2-D"])

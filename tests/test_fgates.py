@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quditsearch.fgates import (
+    MAX_GATE_D,
     FGate,
     FValidation,
     coupling_design,
@@ -162,6 +163,12 @@ def test_make_f_parses_random_seed():
 def test_make_f_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown F kind"):
         make_f(3, "haar")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_make_f_refuses_a_gate_above_the_limit(kind):
+    with pytest.raises(ValueError, match=f"d {MAX_GATE_D + 1} exceeds the limit {MAX_GATE_D}"):
+        make_f(MAX_GATE_D + 1, kind)
 
 
 def test_fgate_matrix_is_immutable():

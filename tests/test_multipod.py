@@ -496,6 +496,26 @@ def test_analytic_phase_values():
     assert analytic_sech_phase(1e6) < 1e-5
 
 
+@pytest.mark.parametrize("delta_t", [0.0, 0.3, 0.5, 1.0, 2.0, 5.0])
+def test_analytic_phase_at_two_pi_keeps_its_closed_form_bits(delta_t):
+    assert analytic_sech_phase(delta_t) == math.pi - 2.0 * math.atan(delta_t)
+    assert analytic_sech_phase(delta_t, -TWO_PI) == analytic_sech_phase(delta_t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_phase_law_matches_integration_at_every_return_area(d, k):
+    # an area 2k pi returns the population with the phase
+    # k pi - 2 sum_j arctan(Delta T / (2j - 1)), on the fit's branch (-pi, pi]
+    for area in (k * TWO_PI, -k * TWO_PI):
+        for delta_t in (0.0, 0.3, 0.5, 1.0, 2.0, 5.0, -1.5):
+            job = sech_job(d, delta_t, area)
+            fit = extract_reflection(propagate(job), job.couplings)
+            analytic = analytic_sech_phase(delta_t, area)
+            assert -math.pi < analytic <= math.pi
+            assert abs(fit.phase - analytic) < 1e-9, (area, delta_t)
+
+
 @pytest.mark.parametrize("delta_t", [0.0, 0.75, 1.5, 2.25, 3.0])
 def test_phase_law_matches_integration(delta_t):
     job = sech_job(2, delta_t)
