@@ -38,7 +38,6 @@ the last step checks its carried overlap.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ from .fgates import FGate, f_constructor, make_f, validate_f
 # apply_local_gate and grover_step are unused here but kept importable under
 # these names: the benchmark tracer (benchmark/run.py) wraps both in this module.
 from .reflections import Axis, apply_local_gate, axis_overlap, grover_step  # noqa: F401
-from .register import BasisIndex, QuditShape, StateVector, population
+from .register import BasisIndex, QuditShape, StateVector, population, squared_norm
 from .scheduler import SearchSchedule
 
 # Largest |carried - measured| axis overlap a run accepts after its last step.
@@ -204,19 +203,6 @@ def diffusion_axis(shape: QuditShape, f: FGate) -> Axis:
     return _kron_power(column, shape.n // 2), _kron_power(column, shape.n - shape.n // 2)
 
 
-def _squared_norm(amps: np.ndarray) -> float:
-    """sum_x |amps_x|^2, accurate to a few ulp and independent of BLAS threads.
-
-    numpy sums each block pairwise on one thread and fsum adds the block
-    sums exactly, with no N-sized temporary.  BLAS zdotc is neither: at
-    N=3^12 its sequential sum is off by about 7e-13, by a different amount
-    on one thread than on two.
-    """
-    x = amps.view(np.float64)
-    block = 1 << 13  # 64 KiB of squares at a time
-    return math.fsum(float(np.sum(np.square(x[i:i + block]))) for i in range(0, x.size, block))
-
-
 def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:
     """The explicit gate if given (it must meet the F contract), else cfg.f_kind."""
     if f_gate is None:
@@ -290,7 +276,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     kick = complex(np.exp(1j * phi) - 1.0)  # e^{i phi} - 1, as diffusion_direct forms it
     # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
     # measured, not assumed to be 1; any error in it compounds every step.
-    norm2 = _squared_norm(head) * _squared_norm(tail)
+    norm2 = squared_norm(head) * squared_norm(tail)
     gain = 1.0 + kick * norm2
     overlaps = [complex(norm2)] * count  # <a|s>: each state starts on the axis
     # S[i, j, r] = amplitude j * tail.size + i of run r: every run's state

@@ -49,7 +49,12 @@ Axis = tuple[np.ndarray, np.ndarray]
 # threads, one per core.  Pairing numpy's np.vdot with scipy's zaxpy made the
 # two pools fight over the cores: on a 2-core machine a step at N=3^12 took
 # 8.0 ms that way against 0.8 ms with both kernels from scipy.  Keep the
-# overlap (zgemv, zdotc) and the update (zgeru) on one library.
+# overlap (zgemv, zdotc) and the update (zgeru) on one library.  A pool
+# also outlives its call: after a threaded kernel its threads spin for about
+# 0.1-0.2 s before they sleep.  np.linalg.norm of a state (numpy's ddot, on
+# its threads above 10000 entries) slowed the searches after it up to 2x
+# that way, so no state-sized norm uses numpy's BLAS either:
+# StateVector.norm and the axis norm share register.squared_norm.
 #
 # The kernels come straight from scipy's f2py extension linalg/_fblas, loaded
 # from its file on the first step: the scipy.linalg package around it costs

@@ -5,10 +5,14 @@ each named by its flat index in [0, N).  The flat index is big-endian in
 the qudits: qudit 0 is the most significant digit, so the basis state
 |q_0 q_1 ... q_{n-1}> has flat index sum_k q_k * d**(n-1-k).
 Amplitudes are stored as a dense complex128 array of length N.
+``squared_norm`` is the one squared norm of a state or an axis factor:
+numpy's own pairwise sums and an exact fsum, never numpy's BLAS (see the
+one-pool comment in ``reflections``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +87,22 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return math.sqrt(squared_norm(self.amps))
+
+
+def squared_norm(amps: np.ndarray) -> float:
+    """sum_x |amps_x|^2 of a contiguous complex128 array, accurate to a few
+    ulp and independent of BLAS threads.
+
+    numpy sums each block pairwise on one thread and fsum adds the block
+    sums exactly, with no N-sized temporary.  BLAS is neither: at N=3^12
+    zdotc's sequential sum is off by about 7e-13, by a different amount on
+    one thread than on two, and numpy's threaded ddot (np.linalg.norm)
+    leaves numpy's pool spinning against the step kernels' pool.
+    """
+    x = amps.view(np.float64)
+    block = 1 << 13  # 64 KiB of squares at a time
+    return math.fsum(float(np.sum(np.square(x[i:i + block]))) for i in range(0, x.size, block))
 
 
 def basis_state(shape: QuditShape, flat: int) -> StateVector:

@@ -1,19 +1,24 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quditsearch.fgates import householder_f
+from quditsearch.engine import run_search, run_searches, superposition_register
+from quditsearch.fgates import householder_f, make_f
 from quditsearch.register import (
     BasisIndex,
     QuditShape,
     StateVector,
     basis_state,
     population,
+    squared_norm,
 )
 from quditsearch.reflections import diffusion_direct
+from quditsearch.scheduler import deterministic_schedule
 
-from helpers import inner_product
+from helpers import config, inner_product, run_python
 
 
 def test_shape_validation():
@@ -167,3 +172,80 @@ def test_float64_input_becomes_a_complex_buffer():
     expected = values + (np.exp(0.7j) - 1) * np.vdot(chi, values) * chi
     diffusion_direct(s, (np.ones(1), chi), 0.7)
     np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
+
+
+# ---- the squared norm -----------------------------------------------------------
+
+
+def _exact_norm(amps: np.ndarray) -> float:
+    """sqrt of the exactly summed squares of the amplitudes' parts."""
+    return math.sqrt(math.fsum(np.square(amps.view(np.float64)).tolist()))
+
+
+def _random_state(shape: QuditShape, seed: int) -> StateVector:
+    rng = np.random.default_rng(seed)
+    return StateVector(shape, rng.standard_normal(2 * shape.N).view(np.complex128))
+
+
+NORM_BITS = """
+import numpy as np
+from quditsearch.engine import superposition_register
+from quditsearch.fgates import make_f
+from quditsearch.register import QuditShape, StateVector
+start = superposition_register(QuditShape(3, 12), make_f(3, "householder"))
+small = QuditShape(3, 9)
+stack = np.random.default_rng(3).standard_normal(6 * small.N).view(np.complex128)
+slab = StateVector(small, stack[small.N:2 * small.N])  # run 1 of a stack of 3
+print(start.norm().hex(), slab.norm().hex())
+"""
+
+
+def test_norm_bits_do_not_depend_on_blas_threads(monkeypatch):
+    # numpy's threaded ddot (np.linalg.norm) read 0.9999999999988199 at the
+    # 3^12 start on one thread and 1.0000000000003162 on two
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    unset = run_python(NORM_BITS)
+    assert run_python(NORM_BITS, OPENBLAS_NUM_THREADS="1") == unset
+    assert unset.count(" ") == 1
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (5, 1), (9, 2), (12, 3)])
+def test_norm_is_within_two_ulp_of_the_exact_sum(n, seed):
+    s = _random_state(QuditShape(3, n), seed)
+    exact_square = math.fsum(np.square(s.amps.view(np.float64)).tolist())
+    assert abs(squared_norm(s.amps) - exact_square) <= 2 * math.ulp(exact_square)
+    exact = _exact_norm(s.amps)
+    assert abs(s.norm() - exact) <= 2 * math.ulp(exact)
+
+
+def test_norm_of_the_householder_start_is_within_two_ulp():
+    start = superposition_register(QuditShape(3, 12), make_f(3, "householder"))
+    exact = _exact_norm(start.amps)
+    # np.linalg.norm read 1.0000000000003162 here on two BLAS threads, 3.2e-13 off
+    assert abs(start.norm() - exact) <= 2 * math.ulp(exact)
+
+
+def test_norm_allocates_no_state_sized_temporary():
+    s = _random_state(QuditShape(3, 12), 4)  # 8.1 MiB
+    tracemalloc.start()
+    try:
+        s.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_norm_and_searches_run_without_numpy_linalg_norm(monkeypatch):
+    # np.linalg.norm runs numpy's threaded BLAS, whose pool then spins
+    # against scipy's through the next steps; no state-sized norm may use it
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    s = _random_state(QuditShape(3, 9), 5)
+    assert abs(s.norm() - _exact_norm(s.amps)) <= 2 * math.ulp(s.norm())
+    schedule = deterministic_schedule(s.shape.N)
+    assert run_search(config(3, 9, schedule, marked=100)).peak_population > 0.999
+    runs = run_searches([config(3, 9, schedule, marked=m) for m in (0, 7777, 19682)])
+    assert [t.peak_step for t in runs] == [schedule.steps] * 3
