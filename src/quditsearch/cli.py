@@ -38,7 +38,8 @@ from .scheduler import (
 
 
 def _cell(v) -> str:
-    """A CSV cell for a value that is not a float (floats are formatted inline)."""
+    if isinstance(v, float):
+        return format(v, ".12g")
     return "" if v is None else str(v)
 
 
@@ -50,9 +51,7 @@ def _emit(fmt: str, out: str | None, doc, header: str, rows) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = header + "\n" + "".join([
-            f"{key},{value:.12g}\n" if isinstance(value, float) else f"{key},{_cell(value)}\n"
-            for key, value in rows])
+        text = header + "\n" + "".join([f"{key},{_cell(value)}\n" for key, value in rows])
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -48,7 +48,7 @@ from .fgates import FGate, f_constructor, make_f, validate_f
 # apply_local_gate and grover_step are unused here but kept importable under
 # these names: the benchmark tracer (benchmark/run.py) wraps both in this module.
 from .reflections import Axis, apply_local_gate, axis_overlap, grover_step  # noqa: F401
-from .register import BasisIndex, QuditShape, StateVector, population, squared_norm
+from .register import BasisIndex, QuditShape, StateVector, population, _squared_norm
 from .scheduler import SearchSchedule
 
 # Largest |carried - measured| axis overlap a run accepts after its last step.
@@ -276,7 +276,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     kick = complex(np.exp(1j * phi) - 1.0)  # e^{i phi} - 1, as diffusion_direct forms it
     # An explicit gate meets the F contract only to 1e-10, so ||a||^2 is
     # measured, not assumed to be 1; any error in it compounds every step.
-    norm2 = squared_norm(head) * squared_norm(tail)
+    norm2 = _squared_norm(head) * _squared_norm(tail)
     gain = 1.0 + kick * norm2
     overlaps = [complex(norm2)] * count  # <a|s>: each state starts on the axis
     # S[i, j, r] = amplitude j * tail.size + i of run r: every run's state

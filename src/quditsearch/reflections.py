@@ -54,7 +54,7 @@ Axis = tuple[np.ndarray, np.ndarray]
 # 0.1-0.2 s before they sleep.  np.linalg.norm of a state (numpy's ddot, on
 # its threads above 10000 entries) slowed the searches after it up to 2x
 # that way, so no state-sized norm uses numpy's BLAS either:
-# StateVector.norm and the axis norm share register.squared_norm.
+# StateVector.norm and the axis norm share register._squared_norm.
 #
 # The kernels come straight from scipy's f2py extension linalg/_fblas, loaded
 # from its file on the first step: the scipy.linalg package around it costs

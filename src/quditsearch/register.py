@@ -5,7 +5,7 @@ each named by its flat index in [0, N).  The flat index is big-endian in
 the qudits: qudit 0 is the most significant digit, so the basis state
 |q_0 q_1 ... q_{n-1}> has flat index sum_k q_k * d**(n-1-k).
 Amplitudes are stored as a dense complex128 array of length N.
-``squared_norm`` is the one squared norm of a state or an axis factor:
+``_squared_norm`` is the one squared norm of a state or an axis factor:
 numpy's own pairwise sums and an exact fsum, never numpy's BLAS (see the
 one-pool comment in ``reflections``).
 """
@@ -87,10 +87,10 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
-        return math.sqrt(squared_norm(self.amps))
+        return math.sqrt(_squared_norm(self.amps))
 
 
-def squared_norm(amps: np.ndarray) -> float:
+def _squared_norm(amps: np.ndarray) -> float:
     """sum_x |amps_x|^2 of a contiguous complex128 array, accurate to a few
     ulp and independent of BLAS threads.
 

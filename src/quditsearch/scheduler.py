@@ -20,7 +20,6 @@ the k-th power of the 2x2 Grover operator on the plane, for any phi.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -148,20 +147,12 @@ def predicted_population(N: int, k: int, phi: float) -> float:
     |(G^k s)_0|^2 with s the starting superposition, and G^k is formed by
     repeated squaring, O(log k) 2x2 products for any phi.
     """
-    s, g = _plane_model(N, phi)
+    beta = _beta(N)
     if k < 0:
         raise ValueError(f"step count must be >= 0, got {k}")
-    return float(abs((np.linalg.matrix_power(g, k) @ s)[0]) ** 2)
-
-
-@functools.lru_cache(maxsize=64)
-def _plane_model(N: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(s, G) of predicted_population, built once per (N, phi) and read-only."""
-    beta = _beta(N)
     s = np.array([math.sin(beta), math.cos(beta)], dtype=np.complex128)
     phase = np.exp(1j * phi)
     m_marked = np.diag([phase, 1.0])
     m_super = np.eye(2) + (phase - 1.0) * np.outer(s, s.conj())
     g = m_super @ m_marked
-    s.flags.writeable = g.flags.writeable = False
-    return s, g
+    return float(abs((np.linalg.matrix_power(g, k) @ s)[0]) ** 2)

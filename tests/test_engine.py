@@ -16,7 +16,7 @@ from quditsearch.engine import (
     superposition_register,
 )
 from quditsearch.fgates import FGate, dft, householder_f, make_f, validate_f
-from quditsearch.register import BasisIndex, QuditShape, basis_state, population, squared_norm
+from quditsearch.register import BasisIndex, QuditShape, basis_state, population, _squared_norm
 from quditsearch.reflections import apply_local_gate, grover_step, oracle
 from quditsearch.scheduler import (
     canonical_schedule,
@@ -461,7 +461,7 @@ def stepwise_search(cfg, f):
     state = superposition_register(cfg.shape, f)
     axis = head, tail = diffusion_axis(cfg.shape, f)
     kick = complex(np.exp(1j * phi)) - 1.0
-    norm2 = squared_norm(head) * squared_norm(tail)
+    norm2 = _squared_norm(head) * _squared_norm(tail)
     axis_m = (head[marked // tail.size] * tail[marked % tail.size]).conjugate()
     overlap = complex(norm2)
     populations = [population(state, marked)]
