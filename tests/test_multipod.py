@@ -40,6 +40,7 @@ from helpers import (
     magnus_generators,
     phase_distance,
     real_form,
+    run_python,
     stacked_commutator_basis,
     stacked_magnus_generators,
 )
@@ -138,9 +139,11 @@ def test_propagator_unitarity_and_dark_space_grid(d, seed, area, delta_t):
     assert np.max(np.abs(sub - np.exp(1j * gamma) * np.eye(d - 1))) < 1e-6
 
 
-def column_reference(job):
+def column_reference(job, decay=0.0):
     """Propagator integrated one basis column at a time over the whole
-    window [-T_MAX, T_MAX], at tight tolerances, in the ungauged basis."""
+    window [-T_MAX, T_MAX], at tight tolerances, in the ungauged basis;
+    decay is the ancilla's loss rate Gamma T, entered as the complex
+    detuning Delta T - i Gamma T / 2."""
     d = job.d
     f, integral = _ENVELOPES[job.shape]
     unit = job.couplings / np.linalg.norm(job.couplings)
@@ -149,7 +152,7 @@ def column_reference(job):
     h_couple[d, :d] = unit.conj()
     h_couple *= job.rms_area / (2 * integral)
     h_detune = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    h_detune[d, d] = job.detuning
+    h_detune[d, d] = job.detuning - 0.5j * decay
 
     def rhs(t, y):
         return -1j * ((h_couple * f(t) + h_detune) @ y)
@@ -200,6 +203,36 @@ def test_propagator_matches_column_reference_at_large_detuning(couplings, shape,
     # the lab-frame grid must follow the ancilla's free phase, also where
     # it turns many times over the window
     test_propagator_matches_column_reference(couplings, shape, area, 5.0)
+
+
+@pytest.mark.parametrize(
+    "couplings, delta_t, area, shape, decay",
+    [
+        pytest.param(coupling_design(3), 0.0, TWO_PI, "sech", 0.1, id="3-resonant"),
+        pytest.param(complex_couplings(3, 5), 2.0, 3 * TWO_PI, "sech", 1.0, id="3-complex"),
+        pytest.param(coupling_design(5), 0.5, TWO_PI, "gaussian", 0.5, id="5-gaussian"),
+    ],
+)
+def test_propagator_with_ancilla_decay_matches_column_reference(
+    monkeypatch, couplings, delta_t, area, shape, decay
+):
+    # a decaying ancilla makes D complex symmetric, Delta T - i Gamma T / 2
+    # on its diagonal: the same kernel must take it, since H stays
+    # symmetric and even in t and U(0, -T) = U(T, 0)^T needs no unitarity
+    gauged_terms = multipod._gauged_terms
+
+    def decaying_terms(job):
+        gauge, coupling, detuning = gauged_terms(job)
+        detuning = detuning.astype(np.complex128)
+        detuning[-1, -1] -= 0.5j * decay
+        return gauge, coupling, detuning
+
+    monkeypatch.setattr(multipod, "_gauged_terms", decaying_terms)
+    job = PulseJob(couplings=couplings, detuning=delta_t, rms_area=area, shape=shape)
+    prop = propagate(job)
+    error = np.max(np.abs(prop.matrix - column_reference(job, decay)))
+    assert error < 2e-10
+    assert unitarity_defect(prop.matrix) > 1e-3  # the loss is really there
 
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
@@ -391,6 +424,25 @@ def test_propagate_twice_gives_the_same_matrix():
     assert first.steps == second.steps
 
 
+PULSE_BITS = """
+import hashlib
+import math
+from quditsearch.fgates import coupling_design
+from quditsearch.multipod import PulseJob, propagate
+for d, delta_t, shape in ((8, 5.0, "sech"), (16, 3.0, "gaussian")):
+    prop = propagate(PulseJob(coupling_design(d), delta_t, 6 * math.pi, shape))
+    print(prop.steps, hashlib.sha256(prop.matrix.tobytes()).hexdigest())
+"""
+
+
+def test_pulse_bits_do_not_depend_on_blas_threads():
+    # the two pulses whose (steps, 11) @ (11, 4 n^2) generator product is
+    # large enough to run on numpy's BLAS threads
+    one = run_python(PULSE_BITS, OPENBLAS_NUM_THREADS="1")
+    assert run_python(PULSE_BITS, OPENBLAS_NUM_THREADS="2") == one
+    assert one.count("\n") == 2
+
+
 def test_step_cap_raises(monkeypatch):
     # a Delta T = 10 pulse needs 512 steps; under a cap of 256 it must fail
     # loudly rather than return a propagator short of the tolerance
@@ -528,6 +580,9 @@ def test_wrap_phase_branch():
     assert wrap_phase(-math.pi) == pytest.approx(math.pi)
     assert wrap_phase(3 * math.pi) == pytest.approx(math.pi)
     assert wrap_phase(0.3 - 2 * math.pi) == pytest.approx(0.3, abs=1e-12)
+    # the reduction is exact: an angle on the branch keeps its bits
+    for x in (0.1, 0.3, -3.0, 2.5, math.pi / 3, -math.pi + 1e-9):
+        assert wrap_phase(x) == x
 
 
 # ---- verify_f_pulse ------------------------------------------------------------------
