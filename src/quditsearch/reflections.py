@@ -16,24 +16,22 @@ N-sized axis anywhere.  F^(x)n |0> splits this way by construction; a
 general axis chi is the pair (ones(1), chi).  The update's one global
 number, the overlap <chi|s>, is passed in by a caller that knows it (the
 search loop carries it from step to step in O(1)); otherwise it is
-measured as tail^dagger S conj(head) with zgemv and zdotc.
+measured as tail^dagger S conj(head) with numpy's matmul and vdot.
 
-``rank1_update`` is the one zgeru call: ``diffusion_direct`` applies it
-to the whole matrix, and the search loop to one block of its columns at
-a time, or to several runs' matrices side by side with one coefficient
-per run.  It folds the coefficient into the head factor first and calls
-zgeru with alpha = 1, so every amplitude is formed as tail_i (alpha
-head_j) on any number of BLAS threads and in any block of columns.
+``rank1_update`` is the one zgeru call, through a ``Rank1Kernel`` bound
+to one matrix: ``diffusion_direct`` binds the whole matrix, and the
+search loop one block of its columns at a time, or several runs'
+matrices side by side with one coefficient per run.  It folds the
+coefficient into the head factor first and calls zgeru with alpha = 1,
+so every amplitude is formed as tail_i (alpha head_j) on any number of
+BLAS threads and in any block of columns.
 """
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it already, so this costs nothing
 import functools
-import importlib.util
-import os
-import sys
-from importlib.machinery import EXTENSION_SUFFIXES
-from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,52 +41,68 @@ from .register import StateVector
 Axis = tuple[np.ndarray, np.ndarray]
 
 
-# Every step kernel comes from scipy's BLAS.  numpy's wheel and scipy's wheel
-# each bundle their own OpenBLAS (scipy-openblas64 0.3.31 for numpy,
-# scipy-openblas32 0.3.30 for scipy), and each library keeps its own pool of
-# threads, one per core.  Pairing numpy's np.vdot with scipy's zaxpy made the
-# two pools fight over the cores: on a 2-core machine a step at N=3^12 took
-# 8.0 ms that way against 0.8 ms with both kernels from scipy.  Keep the
-# overlap (zgemv, zdotc) and the update (zgeru) on one library.  A pool
-# also outlives its call: after a threaded kernel its threads spin for about
-# 0.1-0.2 s before they sleep.  np.linalg.norm of a state (numpy's ddot, on
-# its threads above 10000 entries) slowed the searches after it up to 2x
-# that way, so no state-sized norm uses numpy's BLAS either:
-# StateVector.norm and the axis norm share register._squared_norm.
-#
-# The kernels come straight from scipy's f2py extension linalg/_fblas, loaded
-# from its file on the first step: the scipy.linalg package around it costs
-# a fresh interpreter about 0.3 s and 27 MiB, the extension about 10 ms and
-# 3 MiB, and schedule, validate-f and the pulse commands need neither.  The
-# extension is registered under its own name, so a later import of
-# scipy.linalg.blas in the same process hands out these same functions (one
-# OpenBLAS, one pool).
-_FBLAS_MODULE = "scipy.linalg._fblas"
-
-
-def _scipy_dirs() -> list[str]:
-    """scipy's package directories, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    return spec.submodule_search_locations if spec else []
+# One OpenBLAS per process, by construction: zgeru comes from the OpenBLAS in
+# numpy's wheel, which numpy's matmul and vdot (the pulse's products among
+# them) run on too.  Each OpenBLAS keeps a pool of threads, one per core,
+# spinning for 0.1-0.2 s after a threaded call.  Not scipy's zgeru: scipy's
+# wheel bundles a second OpenBLAS, which costs a search 2.7 MiB to load and
+# whose pool fights numpy's over the cores (on 2 cores a sweep right after
+# a pulse runs 2x slower).  numpy has no Python entry for zgeru; its
+# OpenBLAS exports the Fortran one, prefixed and with 64-bit ints, and
+# dlsym on numpy's _multiarray_umath finds it among that extension's
+# dependencies.
+_ZGERU = "scipy_zgeru_64_"
 
 
 @functools.cache
-def _fblas() -> ModuleType:
-    """scipy's BLAS extension, loaded on the first call and cached after it."""
-    fblas = sys.modules.get(_FBLAS_MODULE)  # already there if scipy.linalg was imported
-    if fblas is None:
-        paths = (os.path.join(root, "linalg", "_fblas" + suffix)
-                 for root in _scipy_dirs() for suffix in EXTENSION_SUFFIXES)
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        if path is None:
-            import scipy  # for its version; a missing scipy raises here
-            raise ImportError(f"scipy {scipy.__version__} has no linalg/_fblas "
-                              f"extension, which the step's BLAS kernels come from")
-        spec = importlib.util.spec_from_file_location(_FBLAS_MODULE, path)
-        fblas = importlib.util.module_from_spec(spec)
-        sys.modules[_FBLAS_MODULE] = fblas
-        spec.loader.exec_module(fblas)
-    return fblas
+def _zgeru() -> ctypes._CFuncPtr:
+    """numpy's OpenBLAS zgeru, looked up on the first call and cached after it."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        zgeru = getattr(ctypes.CDLL(_multiarray_umath.__file__), _ZGERU)
+    except AttributeError:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        raise ImportError(f"numpy {np.__version__}'s BLAS ({blas.get('name')} "
+                          f"{blas.get('version')}) exports no {_ZGERU}") from None
+    zgeru.restype = None
+    return zgeru
+
+
+class Rank1Kernel(NamedTuple):
+    """zgeru bound by ``rank1_kernel``: zgeru() adds outer(tail, scaled.ravel()) to matrix."""
+
+    matrix: np.ndarray
+    scaled: np.ndarray
+    zgeru: functools.partial
+
+
+def rank1_kernel(matrix: np.ndarray, tail: np.ndarray, shape: tuple[int, ...]) -> Rank1Kernel:
+    """zgeru bound to update ``matrix`` in place by tail and a new (C-contiguous
+    complex128) ``scaled`` buffer of ``shape``, which ``rank1_update`` fills.
+
+    zgeru writes through a raw pointer, so ``matrix`` must be Fortran-
+    contiguous, writeable complex128 (ValueError otherwise): a copy would
+    take the update silently.  ``tail`` is made contiguous complex128.  The
+    nine by-reference arguments are ctypes objects built once here, with no
+    argtypes, so a call converts nothing (argtypes cost about 1 us a call,
+    a tenth of a step at N=3^9); ``data_as`` pointers keep their arrays alive.
+    """
+    if not (matrix.dtype == np.complex128 and matrix.ndim == 2
+            and matrix.flags.f_contiguous and matrix.flags.writeable):
+        raise ValueError("the rank-1 update needs a Fortran-contiguous, "
+                         "writeable complex128 matrix")
+    tail = np.ascontiguousarray(tail, dtype=np.complex128)
+    scaled = np.empty(shape, dtype=np.complex128)
+    if (tail.size, scaled.size) != matrix.shape:
+        raise ValueError(f"shape mismatch: factors {tail.size} x {scaled.size} "
+                         f"vs matrix {matrix.shape}")
+    ints = (ctypes.c_int64 * 4)(*matrix.shape, 1, max(1, matrix.shape[0]))
+    m, n, inc, lda = (ctypes.byref(ints, 8 * k) for k in range(4))
+    x, y, a = (v.ctypes.data_as(ctypes.c_void_p) for v in (tail, scaled, matrix))
+    one = ctypes.byref((ctypes.c_double * 2)(1.0, 0.0))
+    zgeru = functools.partial(_zgeru(), m, n, one, x, inc, y, inc, a, lda)
+    return Rank1Kernel(matrix, scaled, zgeru)
 
 
 def axis_view(s: StateVector, axis: Axis) -> np.ndarray:
@@ -105,8 +119,7 @@ def axis_view(s: StateVector, axis: Axis) -> np.ndarray:
 def axis_overlap(s: StateVector, axis: Axis) -> complex:
     """<kron(head, tail)|s> = tail^dagger S conj(head), S the state as a matrix."""
     head, tail = axis
-    blas = _fblas()
-    return complex(blas.zdotc(tail, blas.zgemv(1.0, axis_view(s, axis), head.conj())))
+    return complex(np.vdot(tail, axis_view(s, axis) @ head.conj()))
 
 
 def unitarity_defect(g: np.ndarray) -> float:
@@ -142,33 +155,23 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     return s
 
 
-def rank1_update(
-    matrix: np.ndarray,
-    alpha: complex | np.ndarray,
-    tail: np.ndarray,
-    head: np.ndarray,
-    scaled: np.ndarray,
-) -> None:
-    """In place: matrix += outer(tail, alpha head), matrix Fortran-contiguous complex128.
+def rank1_update(kernel: Rank1Kernel, alpha: complex | np.ndarray, head: np.ndarray) -> None:
+    """In place: kernel.matrix += outer(tail, alpha head), tail the kernel's.
 
     ``alpha`` is a (K, 1) column of coefficients, one per group of
     head.size columns (K runs side by side), and ``head`` a (1, w) row;
-    ``scaled`` (C-contiguous complex128 of shape (K, w)) receives their
-    product, which zgeru then takes, flattened, with alpha = 1.  A scalar
-    alpha with a 1-D head is a run of its own (``diffusion_direct``).  The
-    column times the row forms every entry as the scalar product
-    alpha_r head_j does, at any K and w; a (1, 1) column times a 1-D head
-    would not at w = 1, where numpy takes another inner loop.  OpenBLAS's
-    threaded zger forms alpha x y^T in another order than its one-thread
-    kernel, so a complex alpha passed to it would make the last bits depend
-    on the thread count; 1 y_j is exact.
+    the kernel's (K, w) ``scaled`` buffer receives their product, which
+    zgeru then takes, flattened, with alpha = 1.  A scalar alpha with a
+    1-D head is a run of its own (``diffusion_direct``).  The column
+    times the row forms every entry as the scalar product alpha_r head_j
+    does, at any K and w; a (1, 1) column times a 1-D head would not at
+    w = 1, where numpy takes another inner loop.  OpenBLAS's threaded
+    zger forms alpha x y^T in another order than its one-thread kernel,
+    so a complex alpha passed to it would make the last bits depend on
+    the thread count; 1 y_j is exact.
     """
-    np.multiply(head, alpha, scaled)  # out positional: the cheaper call
-    # zgeru updates the Fortran-contiguous matrix in place.  The arguments
-    # are positional, (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y,
-    # overwrite_a): f2py takes about 1 us longer to parse keywords, a tenth
-    # of a step at N=3^9.
-    _fblas().zgeru(1.0, tail, scaled.ravel(), 1, 1, matrix, 1, 1, 1)
+    np.multiply(head, alpha, kernel.scaled)  # out positional: the cheaper call
+    kernel.zgeru()
 
 
 def diffusion_direct(
@@ -181,7 +184,7 @@ def diffusion_direct(
 
     ``axis`` is the pair (head, tail); a general axis chi is (ones(1), chi).
     ``overlap`` is <chi|s> if the caller knows it; the update is then one
-    zgeru pass.  With none given it is measured with zgemv and zdotc
+    zgeru pass.  With none given it is measured with ``axis_overlap``
     first.  The axis is assumed unit-norm up to rounding (it is
     F^(x)n |0> in the search loop); no per-call normalization check.
     """
@@ -189,8 +192,7 @@ def diffusion_direct(
     view = axis_view(s, axis)  # the StateVector's buffer is contiguous and writeable
     if overlap is None:
         overlap = axis_overlap(s, axis)
-    scaled = np.empty(head.shape, dtype=np.complex128)
-    rank1_update(view, (np.exp(1j * phi) - 1.0) * overlap, tail, head, scaled)
+    rank1_update(rank1_kernel(view, tail, head.shape), (np.exp(1j * phi) - 1.0) * overlap, head)
     return s
 
 

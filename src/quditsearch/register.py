@@ -6,8 +6,7 @@ the qudits: qudit 0 is the most significant digit, so the basis state
 |q_0 q_1 ... q_{n-1}> has flat index sum_k q_k * d**(n-1-k).
 Amplitudes are stored as a dense complex128 array of length N.
 ``_squared_norm`` is the one squared norm of a state or an axis factor:
-numpy's own pairwise sums and an exact fsum, never numpy's BLAS (see the
-one-pool comment in ``reflections``).
+numpy's own pairwise sums and an exact fsum, never a BLAS dot product.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # Dense storage only; anything bigger than this is refused outright.  The
-# step's BLAS kernels are scipy's 32-bit-int builds: zgeru and zgemv take the
-# state matrix's m and n (each at most d^ceil(n/2) on the search path) as
-# 32-bit ints.  The limit stays at 2^31 - 1 all the same: a general axis
-# (ones(1), chi) makes m = N, and 2^31 amplitudes are already 32 GiB.
+# step's zgeru is numpy's 64-bit-int OpenBLAS build, so the state matrix's m
+# and n (m = N for a general axis (ones(1), chi)) would fit at any size; the
+# limit stays at 2^31 - 1 all the same, since 2^31 amplitudes are already
+# 32 GiB.
 MAX_STATES = 2**31 - 1
 
 
@@ -97,8 +96,7 @@ def _squared_norm(amps: np.ndarray) -> float:
     numpy sums each block pairwise on one thread and fsum adds the block
     sums exactly, with no N-sized temporary.  BLAS is neither: at N=3^12
     zdotc's sequential sum is off by about 7e-13, by a different amount on
-    one thread than on two, and numpy's threaded ddot (np.linalg.norm)
-    leaves numpy's pool spinning against the step kernels' pool.
+    one thread than on two.
     """
     x = amps.view(np.float64)
     block = 1 << 13  # 64 KiB of squares at a time

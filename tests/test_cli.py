@@ -593,30 +593,84 @@ def test_pulse_check_leaves_integrator_unloaded():
 
 
 def test_cli_import_leaves_blas_unloaded():
-    # only a stepped state vector needs scipy's BLAS; schedule and validate-f do not
-    probe = "import sys, quditsearch.cli; print('scipy.linalg' in sys.modules)"
-    assert run_python(probe).strip() == "False"
-    # a search loads the _fblas extension alone, not the scipy.linalg package
+    # only a stepped state vector needs zgeru; importing the CLI binds nothing
+    probe = ("import quditsearch.cli\n"
+             "from quditsearch import reflections\n"
+             "print(reflections._zgeru.cache_info().currsize)")
+    assert run_python(probe).strip() == "0"
+    # a search binds numpy's zgeru and imports no scipy module at all
     probe = ("import contextlib, io, sys\n"
+             "from quditsearch import reflections\n"
              "from quditsearch.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(['search', '--d', '3', '--n', '5'])\n"
-             "print(code, 'scipy.linalg' in sys.modules, 'scipy.linalg._fblas' in sys.modules)")
-    assert run_python(probe).strip() == "0 False True"
+             "print(code, reflections._zgeru.cache_info().currsize,\n"
+             "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert run_python(probe).strip() == "0 1 []"
 
 
 def test_commands_without_a_step_leave_blas_unloaded():
-    # the kernels load on the first Grover step; a command that steps no
-    # state loads neither the _fblas extension nor anything else of scipy.linalg
-    probe = ("import contextlib, io, sys\n"
+    # zgeru is looked up on the first Grover step; a command that steps no
+    # state leaves the loader's cache empty
+    probe = ("import contextlib, io\n"
+             "from quditsearch import reflections\n"
              "from quditsearch.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    codes = [main(['validate-f', '--d', '7', '--f', 'dft']),\n"
              "             main(['schedule', '--N', '243']),\n"
              "             main(['pulse-check', '--d', '3', '--deltaT', '0.5'])]\n"
-             "print(codes, 'scipy.linalg._fblas' in sys.modules,\n"
-             "      [m for m in sys.modules if m.startswith('scipy.linalg')])")
-    assert run_python(probe).strip() == "[0, 0, 0] False []"
+             "print(codes, reflections._zgeru.cache_info().currsize)")
+    assert run_python(probe).strip() == "[0, 0, 0] 0"
+
+
+# Every console-script command that CI runs after uninstalling scipy, plus the
+# tiled lone run at 3^12 and a sweep at 3^9; stdout is each exit code and output.
+COMMANDS = """\
+import contextlib, io, sys
+{block}
+from quditsearch.cli import main
+for argv in [
+    ["search", "--d", "3", "--n", "12"],
+    ["search", "--d", "3", "--n", "9", "--sweep", "17,1000,2500,7777,9999,12345,15000,19682"],
+    ["pulse-check", "--d", "3", "--deltaT", "0.5"],
+    ["validate-f", "--d", "7", "--f", "dft"],
+    ["schedule", "--N", "243"],
+]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, repr(out.getvalue()))
+"""
+
+
+def test_commands_run_without_scipy():
+    # scipy is a test-time reference only: with every scipy import made to
+    # fail, each command exits 0 with the same stdout as with scipy importable
+    without = run_python(COMMANDS.format(block='sys.modules["scipy"] = None'))
+    with_scipy = run_python(COMMANDS.format(block="import scipy.linalg"))
+    assert [line.split(" ", 1)[0] for line in without.splitlines()] == ["0"] * 5
+    assert without == with_scipy
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux's /proc/self/maps")
+def test_searches_and_pulses_share_one_openblas():
+    # the step's zgeru and the pulse's matmuls run on numpy's OpenBLAS, so a
+    # process that does both maps one OpenBLAS library and runs one pool
+    probe = """
+import json, os
+import numpy as np
+from quditsearch import PulseJob, coupling_design, propagate, run_searches
+from quditsearch import QuditShape, BasisIndex, ExperimentConfig, deterministic_schedule
+shape = QuditShape(3, 9)
+schedule = deterministic_schedule(shape.N)
+run_searches([ExperimentConfig(shape, BasisIndex(m), schedule) for m in (17, 1000, 19682)])
+propagate(PulseJob(couplings=coupling_design(8), detuning=5.0, rms_area=6 * np.pi))
+with open("/proc/self/maps") as fh:
+    libraries = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+print(json.dumps(sorted(os.path.basename(path) for path in libraries)))
+"""
+    libraries = json.loads(run_python(probe))
+    assert len(libraries) == 1, libraries
 
 
 # A search through the CLI whose stdout is the number of states it built, a

@@ -201,7 +201,7 @@ def test_run_search_holds_one_state_sized_array():
     # the state's Kronecker build runs inside its own buffer, with levels
     # of at most 64 KiB beside it
     cfg = config(3, 12, deterministic_schedule(3**12), marked=12345)
-    run_search(cfg)  # scipy's BLAS loads on the first step, not in the trace
+    run_search(cfg)  # zgeru is looked up on the first step, not in the trace
     tracemalloc.start()
     try:
         run_search(cfg)
@@ -420,11 +420,11 @@ def plant_before_each_update(fault, monkeypatch):
     its update."""
     update = reflections.rank1_update
 
-    def faulty(matrix, alpha, tail, head, scaled):
-        amps = matrix.reshape(-1, order="F")
-        assert np.shares_memory(amps, matrix)
+    def faulty(kernel, alpha, head):
+        amps = kernel.matrix.reshape(-1, order="F")
+        assert np.shares_memory(amps, kernel.matrix)
         fault(amps)
-        update(matrix, alpha, tail, head, scaled)
+        update(kernel, alpha, head)
 
     monkeypatch.setattr(reflections, "rank1_update", faulty)
 
@@ -529,14 +529,14 @@ def test_fault_in_a_replayed_block_fails_the_overlap_check(fault, monkeypatch):
     update = reflections.rank1_update
     calls = []
 
-    def faulty(matrix, alpha, tail, head, scaled):
+    def faulty(kernel, alpha, head):
         calls.append(alpha)
         if len(calls) > steps:
             if fault == "skipped coefficient" and len(calls) == steps + 3:
                 return
             if fault == "conjugated head":
                 head = head.conj()
-        update(matrix, alpha, tail, head, scaled)
+        update(kernel, alpha, head)
 
     monkeypatch.setattr(reflections, "rank1_update", faulty)
     if fault is None:

@@ -1,5 +1,4 @@
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -396,37 +395,69 @@ def test_unitarity_defect_helper():
     assert unitarity_defect(np.array([[1.0, 0.0], [1.0, 1.0]])) > 0.5
 
 
-# ---- the step's BLAS kernels ------------------------------------------------
+# ---- the step's rank-1 kernel ---------------------------------------------
 
 
-def test_fblas_kernels_are_scipy_linalg_blas():
-    # the kernels load from scipy's private _fblas extension under its own
-    # name, so scipy.linalg.blas, imported later, hands out the same objects
-    probe = """
-import sys
+RANK1_AGAINST_SCIPY = """
 import numpy as np
+from scipy.linalg.blas import zgeru
 from quditsearch import reflections
-fblas = reflections._fblas()
-print('scipy.linalg' in sys.modules, reflections._fblas() is fblas)
-import scipy.linalg.blas as blas
-print(all(getattr(fblas, k) is getattr(blas, k) for k in ('zdotc', 'zgemv', 'zgeru')))
 rng = np.random.default_rng(5)
 def cvec(*size):
     return rng.normal(size=size) + 1j * rng.normal(size=size)
-a, x, y = np.asfortranarray(cvec(81, 243)), cvec(81), cvec(243)
-ours = [fblas.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
-        fblas.zgemv(1.0, a, y), fblas.zdotc(x, x)]
-theirs = [blas.zgeru(0.3 - 0.7j, x, y, 1, 1, a.copy(order='F'), 1, 1, 0),
-          blas.zgemv(1.0, a, y), blas.zdotc(x, x)]
-print(all(np.array_equal(p, q) for p, q in zip(ours, theirs)))
+# (rows, head entries, runs): a tiled 3^12 block, 8 stacked runs at 3^9, and
+# a general axis (ones(1), chi) at N = 3^9, where m = N; each is big enough
+# for OpenBLAS to split zger over its threads
+for m, w, k in [(729, 179, 1), (243, 81, 8), (3**9, 1, 1)]:
+    ours = np.asfortranarray(cvec(m, k * w))
+    theirs = ours.copy(order="F")
+    tail, head = cvec(m), cvec(1, w)
+    kernel = reflections.rank1_kernel(ours, tail, (k, w))
+    same = True
+    for _ in range(50):
+        alpha = cvec(k, 1)
+        reflections.rank1_update(kernel, alpha, head)
+        theirs = zgeru(1.0, tail, np.multiply(head, alpha).ravel(), 1, 1, theirs, 1, 1, 1)
+        same = same and np.array_equal(ours, theirs)
+    print(same)
 """
-    assert run_python(probe).split() == ["False", "True", "True", "True"]
 
 
-def test_missing_fblas_names_the_scipy_version(tmp_path, monkeypatch):
-    import scipy
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rank1_update_matches_scipy_zgeru_to_the_bit(threads):
+    # scipy's f2py zgeru is the reference: 50 updates with alpha = 1 and the
+    # head pre-scaled give the same bits
+    assert run_python(RANK1_AGAINST_SCIPY, OPENBLAS_NUM_THREADS=threads).split() == ["True"] * 3
 
-    monkeypatch.setattr(reflections, "_scipy_dirs", lambda: [str(tmp_path)])
-    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
-    with pytest.raises(ImportError, match=f"scipy {re.escape(scipy.__version__)} "):
-        reflections._fblas.__wrapped__()  # past the cache, which may hold the module
+
+@pytest.mark.parametrize("matrix", ["C-ordered", "strided", "read-only", "complex64"])
+def test_rank1_kernel_refuses_a_matrix_it_cannot_write_in_place(matrix):
+    # zgeru writes through a raw pointer: a matrix it cannot update in place
+    # raises, and the state under it keeps its amplitudes
+    shape = QuditShape(3, 4)
+    s = random_state(shape, 80)
+    before = s.amps.copy()
+    view = {
+        "C-ordered": s.amps.reshape(9, 9),
+        "strided": s.amps.reshape((9, 9), order="F")[::2],
+        "read-only": np.lib.stride_tricks.as_strided(
+            s.amps.reshape((9, 9), order="F"), writeable=False),
+        "complex64": s.amps.reshape((9, 9), order="F").astype(np.complex64, order="F"),
+    }[matrix]
+    rows = view.shape[0]
+    with pytest.raises(ValueError, match="Fortran-contiguous, writeable complex128"):
+        reflections.rank1_kernel(view, np.ones(rows), (9,))
+    np.testing.assert_array_equal(s.amps, before)
+
+
+def test_rank1_kernel_refuses_factors_of_the_wrong_size():
+    matrix = np.zeros((9, 9), dtype=complex, order="F")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        reflections.rank1_kernel(matrix, np.ones(9), (2, 9))
+
+
+def test_missing_zgeru_names_numpys_blas(monkeypatch):
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    monkeypatch.setattr(reflections, "_ZGERU", "no_such_zgeru_64_")
+    with pytest.raises(ImportError, match=f"BLAS \\({re.escape(blas['name'])} "):
+        reflections._zgeru.__wrapped__()  # past the cache, which may hold the function
