@@ -623,8 +623,9 @@ def test_commands_without_a_step_leave_blas_unloaded():
     assert run_python(probe).strip() == "[0, 0, 0] 0"
 
 
-# Every console-script command that CI runs after uninstalling scipy, plus the
-# tiled lone run at 3^12 and a sweep at 3^9; stdout is each exit code and output.
+# One call of each command: search as the tiled lone run at 3^12 and as a
+# stacked sweep at 3^9, then pulse-check, validate-f and schedule; stdout is
+# each exit code and output.
 COMMANDS = """\
 import contextlib, io, sys
 {block}
