@@ -9,28 +9,24 @@ special cases drive the search:
   applied directly as a rank-1 update.
 
 The direct diffusion takes its axis as a Kronecker pair (head, tail),
-chi = kron(head, tail).  Viewed as a Fortran (tail.size x head.size)
-matrix, the state then takes the update as one in-place zgeru with the
-two small factors: 32 N bytes moved (read and write the state), and no
-N-sized axis anywhere.  F^(x)n |0> splits this way by construction; a
-general axis chi is the pair (ones(1), chi).  The update's one global
-number, the overlap <chi|s>, is passed in by a caller that knows it (the
-search loop carries it from step to step in O(1)); otherwise it is
-measured as tail^dagger S conj(head) with numpy's matmul and vdot.
-
-``rank1_update`` is the one zgeru call, through a ``Rank1Kernel`` bound
-to one matrix: ``diffusion_direct`` binds the whole matrix, and the
-search loop one block of its columns at a time, or several runs'
-matrices side by side with one coefficient per run.  It folds the
-coefficient into the head factor first and calls zgeru with alpha = 1,
-so every amplitude is formed as tail_i (alpha head_j) on any number of
-BLAS threads and in any block of columns.
+chi = kron(head, tail) (a general axis chi is (ones(1), chi)).  Viewed as
+a Fortran (tail.size x head.size) matrix S, the state takes the update as
+one in-place zgeru with the two small factors: 32 N bytes moved, and no
+N-sized axis.  Its one global number, the overlap <chi|s>, comes from a
+caller that knows it (the search loop carries it in O(1)) or is measured
+as tail^dagger S conj(head).  ``rank1_update`` is the one zgeru call,
+through a kernel ``rank1_kernel`` binds to the whole matrix, to a block
+of its columns or to several runs' matrices side by side; it folds the
+coefficient into the head factor and calls zgeru with alpha = 1, so every
+amplitude is tail_i (alpha head_j) on any number of BLAS threads.
 """
 
 from __future__ import annotations
 
 import ctypes  # numpy imports it already, so this costs nothing
 import functools
+import weakref
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -41,35 +37,39 @@ from .register import StateVector
 Axis = tuple[np.ndarray, np.ndarray]
 
 
-# One OpenBLAS per process, by construction: zgeru comes from the OpenBLAS in
-# numpy's wheel, which numpy's matmul and vdot (the pulse's products among
-# them) run on too.  Each OpenBLAS keeps a pool of threads, one per core,
-# spinning for 0.1-0.2 s after a threaded call.  Not scipy's zgeru: scipy's
-# wheel bundles a second OpenBLAS, which costs a search 2.7 MiB to load and
-# whose pool fights numpy's over the cores (on 2 cores a sweep right after
-# a pulse runs 2x slower).  numpy has no Python entry for zgeru; its
-# OpenBLAS exports the Fortran one, prefixed and with 64-bit ints, and
-# dlsym on numpy's _multiarray_umath finds it among that extension's
-# dependencies.
+# One OpenBLAS per process: zgeru comes from the OpenBLAS in numpy's wheel,
+# which numpy's matmul (the pulse's products among them) runs on too.  Each
+# OpenBLAS keeps a pool of threads, one per core, spinning 0.1-0.2 s after a
+# threaded call; scipy's wheel bundles a second one, which costs a search
+# 2.7 MiB and whose pool fights numpy's (a sweep right after a pulse ran 2x
+# slower).  numpy's OpenBLAS exports the Fortran zgeru, prefixed and with
+# 64-bit ints, which dlsym on numpy's _multiarray_umath finds among its
+# dependencies on Linux.  Where it finds none (numpy on Accelerate, MKL or a
+# distribution's BLAS; Windows) the step takes scipy's zgeru.
 _ZGERU = "scipy_zgeru_64_"
 
 
 @functools.cache
-def _zgeru() -> ctypes._CFuncPtr:
-    """numpy's OpenBLAS zgeru, looked up on the first call and cached after it."""
+def _zgeru() -> Callable[..., object]:
+    """numpy's OpenBLAS zgeru (ctypes) or else scipy's, looked up once."""
     from numpy._core import _multiarray_umath
 
     try:
         zgeru = getattr(ctypes.CDLL(_multiarray_umath.__file__), _ZGERU)
-    except AttributeError:
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-        raise ImportError(f"numpy {np.__version__}'s BLAS ({blas.get('name')} "
-                          f"{blas.get('version')}) exports no {_ZGERU}") from None
+    except (AttributeError, OSError):
+        try:
+            from scipy.linalg.blas import zgeru
+        except ImportError:
+            blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+            raise ImportError(f"numpy {np.__version__}'s BLAS ({blas.get('name')} "
+                              f"{blas.get('version')}) exports no {_ZGERU}, and scipy "
+                              f"is not installed") from None
+        return zgeru
     zgeru.restype = None
     return zgeru
 
 
-class Rank1Kernel(NamedTuple):
+class _Rank1Kernel(NamedTuple):
     """zgeru bound by ``rank1_kernel``: zgeru() adds outer(tail, scaled.ravel()) to matrix."""
 
     matrix: np.ndarray
@@ -77,16 +77,16 @@ class Rank1Kernel(NamedTuple):
     zgeru: functools.partial
 
 
-def rank1_kernel(matrix: np.ndarray, tail: np.ndarray, shape: tuple[int, ...]) -> Rank1Kernel:
+def rank1_kernel(matrix: np.ndarray, tail: np.ndarray, shape: tuple[int, ...]) -> _Rank1Kernel:
     """zgeru bound to update ``matrix`` in place by tail and a new (C-contiguous
     complex128) ``scaled`` buffer of ``shape``, which ``rank1_update`` fills.
 
     zgeru writes through a raw pointer, so ``matrix`` must be Fortran-
     contiguous, writeable complex128 (ValueError otherwise): a copy would
     take the update silently.  ``tail`` is made contiguous complex128.  The
-    nine by-reference arguments are ctypes objects built once here, with no
-    argtypes, so a call converts nothing (argtypes cost about 1 us a call,
-    a tenth of a step at N=3^9); ``data_as`` pointers keep their arrays alive.
+    nine by-reference arguments are built here, with no argtypes, so a call
+    converts nothing (argtypes cost about 1 us a call, a tenth of a step at
+    N=3^9); ``data_as`` pointers keep their arrays alive.
     """
     if not (matrix.dtype == np.complex128 and matrix.ndim == 2
             and matrix.flags.f_contiguous and matrix.flags.writeable):
@@ -97,12 +97,17 @@ def rank1_kernel(matrix: np.ndarray, tail: np.ndarray, shape: tuple[int, ...]) -
     if (tail.size, scaled.size) != matrix.shape:
         raise ValueError(f"shape mismatch: factors {tail.size} x {scaled.size} "
                          f"vs matrix {matrix.shape}")
+    zgeru = _zgeru()
+    if not isinstance(zgeru, ctypes._CFuncPtr):  # scipy's: (alpha, x, y, incx, incy,
+        # a, overwrite_x, overwrite_y, overwrite_a), positional, a updated in place
+        return _Rank1Kernel(matrix, scaled, functools.partial(
+            zgeru, 1.0, tail, scaled.reshape(-1), 1, 1, matrix, 1, 1, 1))
     ints = (ctypes.c_int64 * 4)(*matrix.shape, 1, max(1, matrix.shape[0]))
     m, n, inc, lda = (ctypes.byref(ints, 8 * k) for k in range(4))
     x, y, a = (v.ctypes.data_as(ctypes.c_void_p) for v in (tail, scaled, matrix))
     one = ctypes.byref((ctypes.c_double * 2)(1.0, 0.0))
-    zgeru = functools.partial(_zgeru(), m, n, one, x, inc, y, inc, a, lda)
-    return Rank1Kernel(matrix, scaled, zgeru)
+    zgeru = functools.partial(zgeru, m, n, one, x, inc, y, inc, a, lda)
+    return _Rank1Kernel(matrix, scaled, zgeru)
 
 
 def axis_view(s: StateVector, axis: Axis) -> np.ndarray:
@@ -139,10 +144,8 @@ def oracle(s: StateVector, marked: int, phi: float) -> StateVector:
 def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     """Apply a d x d gate to qudit k: s' = (1 ... (x) g at slot k (x) ... 1) s.
 
-    The amplitude array is viewed as (d**k, d, d**(n-1-k)); the gate
-    contracts the middle axis, i.e. groups of d amplitudes at stride
-    d**(n-1-k), vectorized over all N/d groups; the result is written back
-    into the state's buffer.
+    The amplitudes, viewed as (d**k, d, d**(n-1-k)), have their middle axis
+    contracted with g, and the result is written back into the state's buffer.
     """
     d, n = s.shape.d, s.shape.n
     if not 0 <= k < n:
@@ -155,59 +158,58 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     return s
 
 
-def rank1_update(kernel: Rank1Kernel, alpha: complex | np.ndarray, head: np.ndarray) -> None:
+def rank1_update(kernel: _Rank1Kernel, alpha: complex | np.ndarray, head: np.ndarray) -> None:
     """In place: kernel.matrix += outer(tail, alpha head), tail the kernel's.
 
-    ``alpha`` is a (K, 1) column of coefficients, one per group of
-    head.size columns (K runs side by side), and ``head`` a (1, w) row;
-    the kernel's (K, w) ``scaled`` buffer receives their product, which
-    zgeru then takes, flattened, with alpha = 1.  A scalar alpha with a
-    1-D head is a run of its own (``diffusion_direct``).  The column
-    times the row forms every entry as the scalar product alpha_r head_j
-    does, at any K and w; a (1, 1) column times a 1-D head would not at
-    w = 1, where numpy takes another inner loop.  OpenBLAS's threaded
-    zger forms alpha x y^T in another order than its one-thread kernel,
-    so a complex alpha passed to it would make the last bits depend on
-    the thread count; 1 y_j is exact.
+    ``alpha`` is a (K, 1) column of coefficients, one per group of head.size
+    columns (K runs side by side), and ``head`` a (1, w) row; the kernel's
+    (K, w) ``scaled`` buffer receives their product, which zgeru takes,
+    flattened, with alpha = 1.  A scalar alpha with a 1-D head is a run of
+    its own (``diffusion_direct``).  The column times the row forms every
+    entry as the scalar alpha_r head_j does, at any K and w (a (1, 1) column
+    times a 1-D head would not at w = 1).  OpenBLAS's threaded zger forms
+    alpha x y^T in another order than its one-thread kernel, so a complex
+    alpha would make the last bits depend on the thread count; 1 y_j is exact.
     """
     np.multiply(head, alpha, kernel.scaled)  # out positional: the cheaper call
     kernel.zgeru()
 
 
-def diffusion_direct(
-    s: StateVector,
-    axis: Axis,
-    phi: float,
-    overlap: complex | None = None,
-) -> StateVector:
+# diffusion_direct's kernel for the (state, tail) it last updated, so stepping
+# one state about one axis binds zgeru once (a binding costs about 4 us, a
+# step at N = 3^5 about 3.5); the slot lets go when the state does.
+_bound: dict[str, tuple] = {}
+
+
+def diffusion_direct(s: StateVector, axis: Axis, phi: float,
+                     overlap: complex | None = None) -> StateVector:
     """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>, chi = kron(head, tail).
 
     ``axis`` is the pair (head, tail); a general axis chi is (ones(1), chi).
-    ``overlap`` is <chi|s> if the caller knows it; the update is then one
-    zgeru pass.  With none given it is measured with ``axis_overlap``
-    first.  The axis is assumed unit-norm up to rounding (it is
+    ``overlap`` is <chi|s> if the caller knows it, else ``axis_overlap``
+    measures it first.  The axis is assumed unit-norm up to rounding (it is
     F^(x)n |0> in the search loop); no per-call normalization check.
     """
     head, tail = axis
     view = axis_view(s, axis)  # the StateVector's buffer is contiguous and writeable
     if overlap is None:
         overlap = axis_overlap(s, axis)
-    rank1_update(rank1_kernel(view, tail, head.shape), (np.exp(1j * phi) - 1.0) * overlap, head)
+    tail = np.ascontiguousarray(tail, dtype=np.complex128)  # as the kernel holds it
+    bound = _bound.get("last")
+    if not (bound and bound[0]() is s and bound[1] is tail
+            and bound[2].scaled.shape == head.shape):
+        bound = _bound["last"] = (weakref.ref(s, lambda _: _bound.clear()), tail,
+                                  rank1_kernel(view, tail, head.shape))
+    rank1_update(bound[2], (np.exp(1j * phi) - 1.0) * overlap, head)
     return s
 
 
-def grover_step(
-    s: StateVector,
-    marked: int,
-    phi: float,
-    axis: Axis,
-    overlap: complex | None = None,
-) -> StateVector:
+def grover_step(s: StateVector, marked: int, phi: float, axis: Axis,
+                overlap: complex | None = None) -> StateVector:
     """One search iteration: oracle at the marked index, then diffusion, both at phi.
 
-    ``axis`` is the diffusion's (head, tail) pair.  ``overlap`` is passed
-    on to the diffusion: <axis|O s>, the overlap after the oracle kick, if
-    the caller carries it.
+    ``axis`` is the diffusion's (head, tail) pair; ``overlap``, if the caller
+    carries it, is <axis|O s>, the overlap after the oracle kick.
     """
     oracle(s, marked, phi)
     diffusion_direct(s, axis, phi, overlap)

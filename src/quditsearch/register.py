@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Dense storage only; anything bigger than this is refused outright.  The
-# step's zgeru is numpy's 64-bit-int OpenBLAS build, so the state matrix's m
-# and n (m = N for a general axis (ones(1), chi)) would fit at any size; the
-# limit stays at 2^31 - 1 all the same, since 2^31 amplitudes are already
-# 32 GiB.
+# Dense storage only; anything bigger is refused outright.  The step's zgeru
+# takes the state matrix's m and n (m = N for a general axis (ones(1), chi))
+# as 64-bit ints from numpy's OpenBLAS and as 32-bit ones from scipy's, which
+# 2^31 - 1 fits; 2^31 amplitudes would already be 32 GiB.
 MAX_STATES = 2**31 - 1
 
 

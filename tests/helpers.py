@@ -1,14 +1,17 @@
 """Reference helpers the tests share; the package itself does not need them."""
 
+import ctypes
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import quditsearch
 from quditsearch.engine import ExperimentConfig, diffusion_axis
 from quditsearch.fgates import make_f
+from quditsearch import reflections
 from quditsearch.multipod import _ENVELOPES, _GAUSS_NODES, _magnus_grid
 from quditsearch.reflections import apply_local_gate, grover_step, oracle, unitarity_defect
 from quditsearch.register import BasisIndex, QuditShape, StateVector, basis_state
@@ -106,6 +109,22 @@ def run_python(code, **env):
     proc = run_fresh("-c", code, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def numpy_exports_zgeru() -> bool:
+    """Whether numpy's own BLAS exports the zgeru the step binds, as numpy's
+    Linux wheels do; elsewhere the step runs on scipy's."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        return hasattr(ctypes.CDLL(_multiarray_umath.__file__), reflections._ZGERU)
+    except OSError:
+        return False
+
+
+# Marks a test of a search on numpy's own zgeru: one OpenBLAS and no scipy
+needs_numpys_zgeru = pytest.mark.skipif(
+    not numpy_exports_zgeru(), reason="numpy's BLAS exports no zgeru; the step runs on scipy's")
 
 
 def commutator(x: np.ndarray, y: np.ndarray, sign: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from quditsearch import engine
 from quditsearch.cli import main
 from quditsearch.register import MAX_STATES
 
-from helpers import run_fresh, run_python
+from helpers import needs_numpys_zgeru, run_fresh, run_python
 
 
 def run_cli(capsys, *argv):
@@ -592,6 +592,7 @@ def test_pulse_check_leaves_integrator_unloaded():
     assert run_python(probe).strip() == "0 False"
 
 
+@needs_numpys_zgeru
 def test_cli_import_leaves_blas_unloaded():
     # only a stepped state vector needs zgeru; importing the CLI binds nothing
     probe = ("import quditsearch.cli\n"
@@ -644,6 +645,7 @@ for argv in [
 """
 
 
+@needs_numpys_zgeru
 def test_commands_run_without_scipy():
     # scipy is a test-time reference only: with every scipy import made to
     # fail, each command exits 0 with the same stdout as with scipy importable
@@ -653,6 +655,7 @@ def test_commands_run_without_scipy():
     assert without == with_scipy
 
 
+@needs_numpys_zgeru
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux's /proc/self/maps")
 def test_searches_and_pulses_share_one_openblas():
     # the step's zgeru and the pulse's matmuls run on numpy's OpenBLAS, so a

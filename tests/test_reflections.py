@@ -1,5 +1,7 @@
 import re
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quditsearch import reflections
-from quditsearch.engine import diffusion_axis, superposition_register
+from quditsearch import engine, reflections
+from quditsearch.engine import (
+    diffusion_axis,
+    run_search,
+    run_searches,
+    superposition_register,
+)
 from quditsearch.fgates import householder_f
 from quditsearch.register import QuditShape, StateVector, basis_state
 from quditsearch.reflections import (
@@ -18,8 +25,9 @@ from quditsearch.reflections import (
     oracle,
     unitarity_defect,
 )
+from quditsearch.scheduler import deterministic_schedule
 
-from helpers import copy_state, diffusion_via_gates, hadamard, run_python
+from helpers import copy_state, diffusion_via_gates, hadamard, needs_numpys_zgeru, run_python
 
 
 def random_state(shape, seed):
@@ -457,7 +465,61 @@ def test_rank1_kernel_refuses_factors_of_the_wrong_size():
 
 
 def test_missing_zgeru_names_numpys_blas(monkeypatch):
+    # neither numpy's BLAS nor scipy has a zgeru for the step
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     monkeypatch.setattr(reflections, "_ZGERU", "no_such_zgeru_64_")
-    with pytest.raises(ImportError, match=f"BLAS \\({re.escape(blas['name'])} "):
+    monkeypatch.setitem(sys.modules, "scipy.linalg.blas", None)
+    with pytest.raises(ImportError, match=f"BLAS \\({re.escape(blas['name'])} .*scipy"):
         reflections._zgeru.__wrapped__()  # past the cache, which may hold the function
+
+
+@pytest.fixture
+def zgeru_cache():
+    """Empties the zgeru lookup's cache before and after the test."""
+    reflections._zgeru.cache_clear()
+    yield
+    reflections._zgeru.cache_clear()
+
+
+@needs_numpys_zgeru
+def test_missing_zgeru_falls_back_to_scipys_with_the_same_bits(monkeypatch, zgeru_cache):
+    # a numpy whose BLAS exports no zgeru (Accelerate, MKL, Windows) takes
+    # scipy's: every path through rank1_update keeps its bits
+    from scipy.linalg.blas import zgeru
+
+    from helpers import config
+
+    def runs():
+        stacked = run_searches([config(3, 8, deterministic_schedule(3**8), marked=m)
+                                for m in (5, 77, 6560)])
+        with monkeypatch.context() as tiles:
+            tiles.setattr(engine, "_BLOCK_BYTES", 16 * 27 * 4)
+            tiled = run_search(config(3, 6, deterministic_schedule(3**6), marked=5))
+        s, chi = random_state(QuditShape(3, 6), 84), random_state(QuditShape(3, 6), 85)
+        for step in range(10):
+            grover_step(s, step, 1.3, flat(chi))
+        return [t.populations for t in (*stacked, tiled)] + [s.amps]
+
+    numpys = runs()
+    monkeypatch.setattr(reflections, "_ZGERU", "no_such_zgeru_64_")
+    reflections._zgeru.cache_clear()
+    assert reflections._zgeru() is zgeru
+    for ours, theirs in zip(numpys, runs(), strict=True):
+        np.testing.assert_array_equal(ours, theirs)
+
+
+def test_diffusion_direct_rebinds_for_another_state_or_axis():
+    # diffusion_direct keeps the kernel of the state and tail it last
+    # updated: other states, other tails and a tail changed in place all
+    # take their own update, and the slot lets go of a state that dies
+    shape = QuditShape(3, 4)
+    a, b = random_state(shape, 81), random_state(shape, 82)
+    chi, other = random_state(shape, 83).amps, random_state(shape, 86).amps
+    for s, axis in [(a, chi), (a, chi), (b, chi), (a, other), (a, chi)]:
+        expected = dense_reflection(axis, 0.7) @ s.amps
+        diffusion_direct(s, (np.ones(1), axis), 0.7)
+        np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-14)
+        chi *= np.exp(0.4j)
+    amps = weakref.ref(a.amps)
+    del a, s
+    assert amps() is None
