@@ -26,10 +26,11 @@ The gauged Hamiltonian is f(t) C + (Delta T)|c><c| with C fixed, so each
 step's generator is a combination, with scalar coefficients of the step,
 of 11 commutators of the two fixed matrices built once per pulse; each
 grid's table of coefficients is memoised per (shape, steps).  Complex
-matrices are held in real arithmetic, and the exponentials and their
-product tree work in place in buffers of one block of steps.  The gauge
-only rephases basis states: it reduces neither the dimension nor the
-number of coupled levels.
+matrices are held in real arithmetic.  Chunks of _BLOCK steps, which fix
+the bits, are exponentiated and multiplied in place in sub-blocks whose
+generators fit _SUBBLOCK_BYTES, which bounds the memory.  The gauge only
+rephases basis states: it reduces neither the dimension nor the number of
+coupled levels.
 
 Hamiltonian convention (hbar = 1, rotating frame):
 
@@ -88,7 +89,8 @@ T_MAX = 20.0  # window half-width in pulse widths: sech tail below 5e-9 of peak
 MAGNUS_TOL = 2e-12
 # Grid cap: twice the 8192 steps the hardest pulse inside the input bounds needs.
 MAX_MAGNUS_STEPS = 2**14
-_BLOCK = 512  # steps exponentiated at once, which bounds the memory
+_BLOCK = 512  # steps sharing one Taylor degree and product tree: fixes the bits
+_SUBBLOCK_BYTES = 384 << 10  # generators exponentiated at once: bounds the memory
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 
 
@@ -254,8 +256,10 @@ def _commutator_basis(coupling: np.ndarray, detuning: np.ndarray) -> np.ndarray:
     return _real_form(stacked, np.empty((len(stacked), 2 * n, 2 * n)))
 
 
-def _magnus_generators(basis: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Real forms of the order-6 Magnus generators of a stack of steps, a fresh array.
+def _magnus_generators(
+    basis: np.ndarray, coefficients: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Real forms of the order-6 Magnus generators of a stack of steps, in out or fresh.
 
     basis is ``_commutator_basis`` of the pulse's C and D, coefficients
     rows of ``_grid_coefficients``.  With A = -iH the scheme is (Blanes,
@@ -274,23 +278,41 @@ def _magnus_generators(basis: np.ndarray, coefficients: np.ndarray) -> np.ndarra
     with 11 real coefficients per step, and the whole stack is one
     (steps, 11) @ (11, 4 n^2) matmul.
     """
-    return (coefficients @ basis.reshape(len(basis), -1)).reshape(
-        (len(coefficients),) + basis.shape[1:]
-    )
+    if out is None:
+        out = np.empty((len(coefficients),) + basis.shape[1:])
+    np.matmul(coefficients, basis.reshape(len(basis), -1), out=out.reshape(len(out), -1))
+    return out
 
 
-def _expm(real_form: np.ndarray) -> np.ndarray:
+def _one_norm(real_form: np.ndarray, scratch: np.ndarray) -> float:
+    """Largest 1-norm of a stack's complex matrices, from their real forms.
+
+    Sums row by row, so no cut of the stack moves the bits; scratch is a
+    C-ordered (>= count, 2n, n) buffer.
+    """
+    count, n = len(real_form), real_form.shape[-1] // 2
+    rows = scratch[:count].reshape(2 * n, count, n)
+    return float(np.abs(real_form[..., :n].swapaxes(0, 1), out=rows).sum(axis=0).max())
+
+
+def _expm(
+    real_form: np.ndarray, theta: float | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Stacked exponentials of a stack of real forms, by a Horner Taylor series.
 
     The degree is the lowest whose remainder bound theta^(m+1)/(m+1)! is
     below 2^-53 at the stack's largest 1-norm theta; above theta = 0.5 the
-    stack is scaled by 2^-s first and the result squared s times.  The
-    input is overwritten: scaled in place, then each squaring's real form.
-    The Horner terms alternate between the two halves of one buffer, and
-    the result is a view of it.
+    stack is scaled by 2^-s first and the result squared s times.  A given
+    theta, that of the _BLOCK chunk the stack is a sub-block of, fixes the
+    degree and s, and so the bits.  The input is overwritten: scaled in
+    place, then each squaring's real form.  The Horner terms alternate
+    between the halves of out, a (2, >= count, 2n, n) buffer that every
+    sub-block reuses (fresh if None), and the result is a view of it.
     """
     count, n = real_form.shape[0], real_form.shape[-1] // 2
-    theta = float(np.abs(real_form[..., :n]).sum(axis=-2).max())
+    result, scratch = np.empty((2, count, 2 * n, n)) if out is None else out[:, :count]
+    if theta is None:
+        theta = _one_norm(real_form, result)
     squarings = math.ceil(math.log2(theta / 0.5)) if theta > 0.5 else 0
     if squarings:
         real_form *= 0.5**squarings
@@ -301,7 +323,6 @@ def _expm(real_form: np.ndarray) -> np.ndarray:
         term *= theta / degree
     coeffs = [1.0 / math.factorial(j) for j in range(degree + 1)]
     diagonal = slice(0, n * n, n + 1)  # the diagonal of x in each flattened [x; y]
-    result, scratch = np.empty((2, count, 2 * n, n))
     np.multiply(real_form[..., :n], coeffs[degree], out=result)
     result.reshape(count, -1)[:, diagonal] += coeffs[degree - 1]
     for c in reversed(coeffs[: degree - 1]):
@@ -333,25 +354,53 @@ def _ordered_product(stacked: np.ndarray, real_forms: np.ndarray) -> np.ndarray:
 def _half_windows(basis: np.ndarray, shape: str, grids: tuple[int, ...]) -> np.ndarray:
     """V = U(T_MAX, 0) on each grid of ``grids`` steps, one Magnus step per interval.
 
-    The grids' steps are laid end to end and exponentiated in chunks of at
-    most _BLOCK.  A grid's share of a chunk is multiplied by one product
-    tree and folded into that grid's V; for the grids propagate passes,
-    one power of two or M/2 then M, every share is a power of two, as the
-    tree needs.  The chunk's generator buffer, free once exponentiated,
-    holds the trees' real forms.  Returns (len(grids), n, n).
+    The grids' steps are laid end to end in chunks of at most _BLOCK.  A
+    chunk shares one Taylor degree (its largest 1-norm's), and a grid's
+    share of it one product tree folded into that grid's V; for the grids
+    propagate passes, one power of two or M/2 then M, every share is a
+    power of two, as the tree needs.  So _BLOCK fixes the bits.  A chunk
+    whose generators fit _SUBBLOCK_BYTES is one sub-block; any other is cut
+    into sub-blocks of the largest power of two of steps that fits, whose
+    1-norms a first pass takes.  Each sub-block runs the tree's lower
+    levels on its pieces of the shares, and the upper levels run over the
+    pieces' products: equal aligned pieces, so the same association.  One
+    set of buffers serves every sub-block; the generator buffer, free once
+    exponentiated, holds the trees' real forms.  Returns (len(grids), n, n).
     """
     table = np.concatenate([_grid_coefficients(shape, steps) for steps in grids])
-    ends = list(itertools.accumulate(grids))
+    spans = list(itertools.pairwise([0, *itertools.accumulate(grids)]))
     n = basis.shape[-1] // 2
+    fit = _SUBBLOCK_BYTES // basis[0].nbytes  # steps whose generators fit the budget
+    # at least 2 steps: numpy takes a matrix-vector product for one row, with other bits
+    size = 1 << max(1, fit.bit_length() - 1)
+    chunks = [(lo, min(lo + _BLOCK, len(table))) for lo in range(0, len(table), _BLOCK)]
+    # each chunk's sub-block steps: a chunk that fits is one sub-block
+    widths = [hi - lo if hi - lo <= fit else size for lo, hi in chunks]
+    rows = max(widths)
+    # one allocation: two, freed together, get trimmed from glibc's heap and
+    # fault in again on every call.  The generator rows then hold real forms
+    # for the trees, up to a chunk's upper levels.
+    work = np.empty((max(rows, _BLOCK // size // 2) + rows, 2 * n, 2 * n))
+    generators, exps = work[:-rows], work[-rows:].reshape(2, rows, 2 * n, n)
     halves = np.zeros((len(grids), 2 * n, n))
     halves[:, :n] = np.eye(n)
-    for lo in range(0, len(table), _BLOCK):
-        generators = _magnus_generators(basis, table[lo : lo + _BLOCK])
-        exps = _expm(generators)
-        for v, steps, end in zip(halves, grids, ends):
-            first, last = max(end - steps, lo) - lo, min(end - lo, len(exps))
-            if first < last:
-                product = _ordered_product(exps[first:last], generators)
+    for (lo, hi), width in zip(chunks, widths):
+        subs = [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+        theta = None if len(subs) == 1 else max(
+            _one_norm(_magnus_generators(basis, table[a:b], generators[: b - a]), exps[0])
+            for a, b in subs
+        )
+        pieces = [[] for _ in grids]  # per grid: its share's sub-block products, in order
+        for a, b in subs:
+            gen = _magnus_generators(basis, table[a:b], generators[: b - a])
+            sub_exps = _expm(gen, theta, exps)
+            for share, (start, end) in zip(pieces, spans):
+                first, last = max(start, a), min(end, b)
+                if first < last:
+                    share.append(_ordered_product(sub_exps[first - a : last - a], gen).copy())
+        for v, share in zip(halves, pieces):
+            if share:  # the tree's upper levels, over equal aligned pieces
+                product = _ordered_product(np.stack(share), generators)
                 v[:] = _real_form(product, generators[0]) @ v
     return halves[:, :n] + 1j * halves[:, n:]
 
@@ -400,7 +449,8 @@ def propagate(job: PulseJob) -> Propagator:
     coefficients, memoised per (shape, steps) (``_grid_coefficients``);
     a stack of steps is one matmul (``_magnus_generators``).  The stack is
     exponentiated in place (``_expm``) and multiplied by a pairwise tree
-    (``_ordered_product``) in blocks of at most _BLOCK steps.  The grid has
+    (``_ordered_product``) in chunks of at most _BLOCK steps, which fix the
+    bits, each in sub-blocks that fit _SUBBLOCK_BYTES.  The grid has
     M steps, a power of two, first 2^floor(log2(128 + 32 sqrt|A Delta T|))
     steps: 128 for a resonant pulse, where H_r commutes with itself and
     only the quadrature of f is approximated.  The M/2 and M grids of this

@@ -443,6 +443,28 @@ def test_pulse_bits_do_not_depend_on_blas_threads():
     assert one.count("\n") == 2
 
 
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+@pytest.mark.parametrize("delta_t", [0.0, 2.0, 30.0])
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_subblock_budget_does_not_move_the_bits(monkeypatch, d, delta_t, shape):
+    # _BLOCK fixes the bits; the byte budget only cuts a chunk into
+    # sub-blocks.  The budgets: the shipped one (at d = 16 it cuts a first
+    # round's 64- and 128-step shares into 2 and 4 sub-blocks of 32 steps),
+    # 5 steps' worth (sub-blocks of 4) and one sub-block per chunk.  A sech
+    # pulse at Delta T = 30 ends on a 1024-step grid, two chunks.
+    job = PulseJob(complex_couplings(d, d), delta_t, TWO_PI, shape)
+    step_bytes = 32 * (d + 1) ** 2  # one step's generator in real form
+    runs = []
+    for budget in (multipod._SUBBLOCK_BYTES, 5 * step_bytes, multipod._BLOCK * step_bytes):
+        monkeypatch.setattr(multipod, "_SUBBLOCK_BYTES", budget)
+        prop = propagate(job)
+        runs.append((prop.steps, prop.matrix.tobytes(), prop.error_estimate.hex()))
+    assert runs[0] == runs[2]
+    assert runs[1] == runs[2]
+    if shape == "sech" and delta_t == 30.0:
+        assert runs[2][0] >= 2 * multipod._BLOCK
+
+
 def test_step_cap_raises(monkeypatch):
     # a Delta T = 10 pulse needs 512 steps; under a cap of 256 it must fail
     # loudly rather than return a propagator short of the tolerance
@@ -453,7 +475,8 @@ def test_step_cap_raises(monkeypatch):
 
 def test_box_corner_pulse_stays_bounded():
     # the hardest pulse the input bounds accept: the grid is processed in
-    # blocks, so the memory does not grow with the number of steps
+    # chunks, each in sub-blocks of at most _SUBBLOCK_BYTES of generators, so
+    # the memory grows neither with the number of steps nor with d^2 _BLOCK
     job = PulseJob(complex_couplings(MAX_PULSE_D, 11), MAX_DETUNING, MAX_RMS_AREA)
     tracemalloc.start()
     try:
@@ -462,7 +485,7 @@ def test_box_corner_pulse_stays_bounded():
     finally:
         tracemalloc.stop()
     assert prop.steps <= multipod.MAX_MAGNUS_STEPS
-    assert peak <= 32 * 2**20
+    assert peak <= 4 * 2**20
     assert unitarity_defect(prop.matrix) <= 1e-10
 
 
