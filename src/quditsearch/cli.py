@@ -9,8 +9,9 @@ the only file the CLI touches is the one ``--out`` names.  Angles are
 radians everywhere; floats are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 runtime failure (e.g. pulse left population on
-the ancilla, or an allocation failed), 2 usage, validation or file error
-(e.g. a gate dimension above fgates.MAX_GATE_D = 4096).
+the ancilla, an allocation failed, or no zgeru for the step), 2 usage,
+validation or file error (e.g. a gate dimension above
+fgates.MAX_GATE_D = 4096).
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError) as exc:
+    except (RuntimeError, MemoryError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

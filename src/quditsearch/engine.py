@@ -287,15 +287,15 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     width = max(1, _BLOCK_BYTES // (16 * tail.size * count))
     # first column of the block that holds the marked amplitudes (every run's)
     home = cfgs[0].marked.flat // tail.size // width * width
-    # step k's coefficients, one row per run, taken by rank1_update as a column
+    # step k's coefficients, one row per run, taken by the block's update as a column
     coefficients = np.empty((steps, count), dtype=np.complex128)
     alphas = coefficients[:, :, None]
     for start in [home, *(s for s in range(0, head.size, width) if s != home)]:
         # columns [start, start + width) of every run's S as one Fortran
-        # matrix, head's share of them as a row, and zgeru bound to them
+        # matrix, head's share of them as a row, and their rank-1 update
         columns = cube[:, start:start + width].reshape((tail.size, -1), order="F")
         part = head[None, start:start + width]
-        kernel = reflections.rank1_kernel(columns, tail, (count, part.size))
+        update = reflections.rank1_kernel(columns, tail, (count, part.size))
         for k in range(steps):
             if start == home:  # the first block records every step's coefficients
                 for r, (_, amps, m, axis_m, populations) in enumerate(runs):
@@ -307,7 +307,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
                     coefficients[k, r] = kick * overlap
                     # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
                     overlaps[r] = overlap * gain
-            reflections.rank1_update(kernel, alphas[k], part)
+            update(alphas[k], part)
     trajectories = []
     # Measured only here, over every block, never fed back into a step.
     for (state, _, m, _, populations), overlap in zip(runs, overlaps):

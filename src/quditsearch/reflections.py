@@ -14,11 +14,11 @@ a Fortran (tail.size x head.size) matrix S, the state takes the update as
 one in-place zgeru with the two small factors: 32 N bytes moved, and no
 N-sized axis.  Its one global number, the overlap <chi|s>, comes from a
 caller that knows it (the search loop carries it in O(1)) or is measured
-as tail^dagger S conj(head).  ``rank1_update`` is the one zgeru call,
-through a kernel ``rank1_kernel`` binds to the whole matrix, to a block
-of its columns or to several runs' matrices side by side; it folds the
-coefficient into the head factor and calls zgeru with alpha = 1, so every
-amplitude is tail_i (alpha head_j) on any number of BLAS threads.
+as tail^dagger S conj(head).  ``rank1_kernel`` binds the one zgeru call
+to the whole matrix, to a block of its columns or to several runs'
+matrices side by side, and returns the update: it folds the coefficient
+into the head factor and calls zgeru with alpha = 1, so every amplitude
+is tail_i (alpha head_j) on any number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import ctypes  # numpy imports it already, so this costs nothing
 import functools
 import weakref
 from collections.abc import Callable
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,17 +68,21 @@ def _zgeru() -> Callable[..., object]:
     return zgeru
 
 
-class _Rank1Kernel(NamedTuple):
-    """zgeru bound by ``rank1_kernel``: zgeru() adds outer(tail, scaled.ravel()) to matrix."""
+def rank1_kernel(matrix: np.ndarray, tail: np.ndarray,
+                 shape: tuple[int, ...]) -> Callable[[complex | np.ndarray, np.ndarray], None]:
+    """The in-place rank-1 update of ``matrix``: ``update(alpha, head)`` adds
+    outer(tail, alpha head) to it, through zgeru bound here once.
 
-    matrix: np.ndarray
-    scaled: np.ndarray
-    zgeru: functools.partial
-
-
-def rank1_kernel(matrix: np.ndarray, tail: np.ndarray, shape: tuple[int, ...]) -> _Rank1Kernel:
-    """zgeru bound to update ``matrix`` in place by tail and a new (C-contiguous
-    complex128) ``scaled`` buffer of ``shape``, which ``rank1_update`` fills.
+    ``alpha`` is a (K, 1) column of coefficients, one per group of head.size
+    columns (K runs side by side), and ``head`` a (1, w) row; their product
+    goes into a new (K, w) = ``shape`` C-contiguous complex128 buffer, which
+    zgeru takes, flattened, with alpha = 1.  A scalar alpha with a 1-D head
+    of ``shape`` is a run of its own (``diffusion_direct``).  The column
+    times the row forms every entry as the scalar alpha_r head_j does, at
+    any K and w (a (1, 1) column times a 1-D head would not at w = 1).
+    OpenBLAS's threaded zger forms alpha x y^T in another order than its
+    one-thread kernel, so a complex alpha would make the last bits depend on
+    the thread count; 1 y_j is exact.
 
     zgeru writes through a raw pointer, so ``matrix`` must be Fortran-
     contiguous, writeable complex128 (ValueError otherwise): a copy would
@@ -100,14 +103,19 @@ def rank1_kernel(matrix: np.ndarray, tail: np.ndarray, shape: tuple[int, ...]) -
     zgeru = _zgeru()
     if not isinstance(zgeru, ctypes._CFuncPtr):  # scipy's: (alpha, x, y, incx, incy,
         # a, overwrite_x, overwrite_y, overwrite_a), positional, a updated in place
-        return _Rank1Kernel(matrix, scaled, functools.partial(
-            zgeru, 1.0, tail, scaled.reshape(-1), 1, 1, matrix, 1, 1, 1))
-    ints = (ctypes.c_int64 * 4)(*matrix.shape, 1, max(1, matrix.shape[0]))
-    m, n, inc, lda = (ctypes.byref(ints, 8 * k) for k in range(4))
-    x, y, a = (v.ctypes.data_as(ctypes.c_void_p) for v in (tail, scaled, matrix))
-    one = ctypes.byref((ctypes.c_double * 2)(1.0, 0.0))
-    zgeru = functools.partial(zgeru, m, n, one, x, inc, y, inc, a, lda)
-    return _Rank1Kernel(matrix, scaled, zgeru)
+        zgeru = functools.partial(zgeru, 1.0, tail, scaled.reshape(-1), 1, 1, matrix, 1, 1, 1)
+    else:
+        ints = (ctypes.c_int64 * 4)(*matrix.shape, 1, max(1, matrix.shape[0]))
+        m, n, inc, lda = (ctypes.byref(ints, 8 * k) for k in range(4))
+        x, y, a = (v.ctypes.data_as(ctypes.c_void_p) for v in (tail, scaled, matrix))
+        one = ctypes.byref((ctypes.c_double * 2)(1.0, 0.0))
+        zgeru = functools.partial(zgeru, m, n, one, x, inc, y, inc, a, lda)
+
+    def update(alpha: complex | np.ndarray, head: np.ndarray) -> None:
+        np.multiply(head, alpha, scaled)  # out positional: the cheaper call
+        zgeru()
+
+    return update
 
 
 def axis_view(s: StateVector, axis: Axis) -> np.ndarray:
@@ -158,26 +166,9 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     return s
 
 
-def rank1_update(kernel: _Rank1Kernel, alpha: complex | np.ndarray, head: np.ndarray) -> None:
-    """In place: kernel.matrix += outer(tail, alpha head), tail the kernel's.
-
-    ``alpha`` is a (K, 1) column of coefficients, one per group of head.size
-    columns (K runs side by side), and ``head`` a (1, w) row; the kernel's
-    (K, w) ``scaled`` buffer receives their product, which zgeru takes,
-    flattened, with alpha = 1.  A scalar alpha with a 1-D head is a run of
-    its own (``diffusion_direct``).  The column times the row forms every
-    entry as the scalar alpha_r head_j does, at any K and w (a (1, 1) column
-    times a 1-D head would not at w = 1).  OpenBLAS's threaded zger forms
-    alpha x y^T in another order than its one-thread kernel, so a complex
-    alpha would make the last bits depend on the thread count; 1 y_j is exact.
-    """
-    np.multiply(head, alpha, kernel.scaled)  # out positional: the cheaper call
-    kernel.zgeru()
-
-
-# diffusion_direct's kernel for the (state, tail) it last updated, so stepping
-# one state about one axis binds zgeru once (a binding costs about 4 us, a
-# step at N = 3^5 about 3.5); the slot lets go when the state does.
+# diffusion_direct's update for the (state, tail, head shape) it last updated,
+# so stepping one state about one axis binds zgeru once (a binding costs about
+# 4 us, a step at N = 3^5 about 3.5); the slot lets go when the state does.
 _bound: dict[str, tuple] = {}
 
 
@@ -194,13 +185,12 @@ def diffusion_direct(s: StateVector, axis: Axis, phi: float,
     view = axis_view(s, axis)  # the StateVector's buffer is contiguous and writeable
     if overlap is None:
         overlap = axis_overlap(s, axis)
-    tail = np.ascontiguousarray(tail, dtype=np.complex128)  # as the kernel holds it
+    tail = np.ascontiguousarray(tail, dtype=np.complex128)  # as rank1_kernel holds it
     bound = _bound.get("last")
-    if not (bound and bound[0]() is s and bound[1] is tail
-            and bound[2].scaled.shape == head.shape):
+    if not (bound and bound[0]() is s and bound[1] is tail and bound[2] == head.shape):
         bound = _bound["last"] = (weakref.ref(s, lambda _: _bound.clear()), tail,
-                                  rank1_kernel(view, tail, head.shape))
-    rank1_update(bound[2], (np.exp(1j * phi) - 1.0) * overlap, head)
+                                  head.shape, rank1_kernel(view, tail, head.shape))
+    bound[3]((np.exp(1j * phi) - 1.0) * overlap, head)
     return s
 
 

@@ -4,13 +4,14 @@ import json
 import math
 import os
 import resource
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditsearch import engine
+from quditsearch import engine, reflections
 from quditsearch.cli import main
 from quditsearch.register import MAX_STATES
 
@@ -184,6 +185,20 @@ def test_search_missing_required(capsys):
     code, _, err = run_cli(capsys, "search")
     assert code == 2
     assert "--d" in err
+
+
+def test_search_without_a_zgeru_is_runtime_error(capsys, monkeypatch):
+    # neither numpy's BLAS nor scipy has a zgeru for the step: exit 1 with one
+    # line, not a traceback; the lookup's cache is emptied before and after
+    monkeypatch.setattr(reflections, "_ZGERU", "no_such_zgeru_64_")
+    monkeypatch.setitem(sys.modules, "scipy.linalg.blas", None)
+    reflections._zgeru.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "search", "--d", "2", "--n", "3")
+    finally:
+        reflections._zgeru.cache_clear()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: numpy ") and err.count("\n") == 1
 
 
 # ---- schedule ------------------------------------------------------------

@@ -414,19 +414,26 @@ def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
     np.testing.assert_allclose(traj.populations, reference, rtol=0, atol=1e-12)
 
 
-def plant_before_each_update(fault, monkeypatch):
-    """Wrap rank1_update so that fault(amps) runs on each block's amplitudes,
-    flat in the order of the stack, after the step's oracle kicks and before
-    its update."""
-    update = reflections.rank1_update
+def plant_in_each_update(fault, monkeypatch):
+    """Wrap rank1_kernel so that each update it returns first calls
+    fault(amps, alpha, head), amps the block's amplitudes flat in the order
+    of the stack, after the step's oracle kicks; the update then takes the
+    (alpha, head) that fault returns, or is skipped if it returns None."""
+    kernel = reflections.rank1_kernel
 
-    def faulty(kernel, alpha, head):
-        amps = kernel.matrix.reshape(-1, order="F")
-        assert np.shares_memory(amps, kernel.matrix)
-        fault(amps)
-        update(kernel, alpha, head)
+    def faulty_kernel(matrix, tail, shape):
+        update = kernel(matrix, tail, shape)
+        amps = matrix.reshape(-1, order="F")
+        assert np.shares_memory(amps, matrix)
 
-    monkeypatch.setattr(reflections, "rank1_update", faulty)
+        def faulty(alpha, head):
+            planted = fault(amps, alpha, head)
+            if planted is not None:
+                update(*planted)
+
+        return faulty
+
+    monkeypatch.setattr(reflections, "rank1_kernel", faulty_kernel)
 
 
 def test_wrong_carried_overlap_raises(monkeypatch):
@@ -434,19 +441,21 @@ def test_wrong_carried_overlap_raises(monkeypatch):
     cfg = config(3, 3, deterministic_schedule(27), marked=5)
     undo = np.exp(-1j * cfg.schedule.phi)
 
-    def skip_kick(amps):
+    def skip_kick(amps, alpha, head):
         amps[5] *= undo
+        return alpha, head
 
-    plant_before_each_update(skip_kick, monkeypatch)
+    plant_in_each_update(skip_kick, monkeypatch)
     with pytest.raises(RuntimeError, match="carried axis overlap"):
         run_search(cfg)
 
     # a NaN written at the mark leaves a NaN drift, which must fail the check too
-    def write_nan(amps):
+    def write_nan(amps, alpha, head):
         amps[5] = np.nan
+        return alpha, head
 
     monkeypatch.undo()
-    plant_before_each_update(write_nan, monkeypatch)
+    plant_in_each_update(write_nan, monkeypatch)
     with pytest.raises(RuntimeError, match="carried axis overlap"):
         run_search(cfg)
 
@@ -526,19 +535,18 @@ def test_fault_in_a_replayed_block_fails_the_overlap_check(fault, monkeypatch):
     cfg = config(3, 6, deterministic_schedule(3**6), marked=5, f_kind="random:3")
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 16 * 27 * 4)
     steps = cfg.schedule.steps
-    update = reflections.rank1_update
     calls = []
 
-    def faulty(kernel, alpha, head):
+    def after_the_marked_block(amps, alpha, head):
         calls.append(alpha)
         if len(calls) > steps:
             if fault == "skipped coefficient" and len(calls) == steps + 3:
-                return
+                return None
             if fault == "conjugated head":
                 head = head.conj()
-        update(kernel, alpha, head)
+        return alpha, head
 
-    monkeypatch.setattr(reflections, "rank1_update", faulty)
+    plant_in_each_update(after_the_marked_block, monkeypatch)
     if fault is None:
         assert run_search(cfg).peak_population >= 1 - 1e-9
     else:
@@ -619,10 +627,11 @@ def test_fault_in_one_stacked_run_fails_its_overlap_check(monkeypatch):
     cfgs = [config(3, 3, deterministic_schedule(27), marked=m) for m in marks]
     undo = np.exp(-1j * cfgs[0].schedule.phi)
 
-    def skip_run_3_kick(amps):
+    def skip_run_3_kick(amps, alpha, head):
         amps[3 * 27 + marks[3]] *= undo  # run 3's slab starts at 3 N
+        return alpha, head
 
-    plant_before_each_update(skip_run_3_kick, monkeypatch)
+    plant_in_each_update(skip_run_3_kick, monkeypatch)
     with pytest.raises(RuntimeError, match=r"carried axis overlap .* marked index 13 "):
         engine.run_searches(cfgs)
     # the same runs without run 3 pass

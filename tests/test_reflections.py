@@ -420,11 +420,11 @@ for m, w, k in [(729, 179, 1), (243, 81, 8), (3**9, 1, 1)]:
     ours = np.asfortranarray(cvec(m, k * w))
     theirs = ours.copy(order="F")
     tail, head = cvec(m), cvec(1, w)
-    kernel = reflections.rank1_kernel(ours, tail, (k, w))
+    update = reflections.rank1_kernel(ours, tail, (k, w))
     same = True
     for _ in range(50):
         alpha = cvec(k, 1)
-        reflections.rank1_update(kernel, alpha, head)
+        update(alpha, head)
         theirs = zgeru(1.0, tail, np.multiply(head, alpha).ravel(), 1, 1, theirs, 1, 1, 1)
         same = same and np.array_equal(ours, theirs)
     print(same)
@@ -484,7 +484,7 @@ def zgeru_cache():
 @needs_numpys_zgeru
 def test_missing_zgeru_falls_back_to_scipys_with_the_same_bits(monkeypatch, zgeru_cache):
     # a numpy whose BLAS exports no zgeru (Accelerate, MKL, Windows) takes
-    # scipy's: every path through rank1_update keeps its bits
+    # scipy's: every path through rank1_kernel's update keeps its bits
     from scipy.linalg.blas import zgeru
 
     from helpers import config
