@@ -27,7 +27,7 @@ overlap and oracle kick (one read and one write of its marked amplitude)
 give its coefficient, then the block takes its share of the update.
 Every other block then takes the recorded updates in order, in one visit
 while it sits in cache, instead of being streamed from L3 or memory once
-per step (see _BLOCK_BYTES for the rates).  Each amplitude gets the same
+per step (the README gives the rates).  Each amplitude gets the same
 updates, formed the same way and in the same order, as in a step-by-step
 loop of its run alone, so the trajectory and the final state are the
 same to the bit.  The shared rank-1 kernel forms each amplitude the same
@@ -57,11 +57,8 @@ OVERLAP_TOLERANCE = 1e-8
 # Largest block of the state, in bytes, that a run gives all its steps in
 # one visit (at least one column), and the largest stack of runs that
 # run_searches makes one state (at least one run).  It should sit in a
-# core's L2.  On a 2-core Xeon VM with 2 MiB of L2 per core, at N = 3^12,
-# 574 zgeru updates on 2 threads moved 80-97 GB/s on 2 MiB blocks (179
-# columns), 74-86 GB/s on 1 MiB and 64-75 GB/s on 0.5 MiB blocks, against
-# 56-59 GB/s on the whole 8 MiB state.  There, 8 searches at N = 3^9 took
-# 22 ms in stacks of 6 and 2 against 29 ms one after another.
+# core's L2; the README's introduction gives the update rates and run times
+# it buys, against the whole state and against runs one after another.
 _BLOCK_BYTES = 2 << 20
 
 # Largest prefix of a Kronecker power, in entries, that _kron_power copies
@@ -292,10 +289,9 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     alphas = coefficients[:, :, None]
     for start in [home, *(s for s in range(0, head.size, width) if s != home)]:
         # columns [start, start + width) of every run's S as one Fortran
-        # matrix, head's share of them as a row, and their rank-1 update
+        # matrix, and its rank-1 update by tail and head's share of them
         columns = cube[:, start:start + width].reshape((tail.size, -1), order="F")
-        part = head[None, start:start + width]
-        update = reflections.rank1_kernel(columns, tail, (count, part.size))
+        update = reflections.rank1_kernel(columns, tail, head[start:start + width])
         for k in range(steps):
             if start == home:  # the first block records every step's coefficients
                 for r, (_, amps, m, axis_m, populations) in enumerate(runs):
@@ -307,7 +303,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
                     coefficients[k, r] = kick * overlap
                     # the diffusion: <a|M(a) Os> = (1 + kick ||a||^2) <a|Os>
                     overlaps[r] = overlap * gain
-            update(alphas[k], part)
+            update(alphas[k])
     trajectories = []
     # Measured only here, over every block, never fed back into a step.
     for (state, _, m, _, populations), overlap in zip(runs, overlaps):

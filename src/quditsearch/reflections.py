@@ -14,18 +14,18 @@ a Fortran (tail.size x head.size) matrix S, the state takes the update as
 one in-place zgeru with the two small factors: 32 N bytes moved, and no
 N-sized axis.  Its one global number, the overlap <chi|s>, comes from a
 caller that knows it (the search loop carries it in O(1)) or is measured
-as tail^dagger S conj(head).  ``rank1_kernel`` binds the one zgeru call
-to the whole matrix, to a block of its columns or to several runs'
-matrices side by side, and returns the update: it folds the coefficient
-into the head factor and calls zgeru with alpha = 1, so every amplitude
-is tail_i (alpha head_j) on any number of BLAS threads.
+as tail^dagger S conj(head).  ``rank1_kernel`` binds one zgeru call to
+its three factors, a matrix (the whole S, a block of its columns, or
+several runs' matrices side by side), the tail and the head, and returns
+the update ``update(alpha)``: it folds the coefficients into the head
+and calls zgeru with alpha = 1, so every amplitude is tail_i (alpha
+head_j) on any number of BLAS threads.
 """
 
 from __future__ import annotations
 
 import ctypes  # numpy imports it already, so this costs nothing
 import functools
-import weakref
 from collections.abc import Callable
 
 import numpy as np
@@ -69,37 +69,38 @@ def _zgeru() -> Callable[..., object]:
 
 
 def rank1_kernel(matrix: np.ndarray, tail: np.ndarray,
-                 shape: tuple[int, ...]) -> Callable[[complex | np.ndarray, np.ndarray], None]:
-    """The in-place rank-1 update of ``matrix``: ``update(alpha, head)`` adds
-    outer(tail, alpha head) to it, through zgeru bound here once.
+                 head: np.ndarray) -> Callable[[complex | np.ndarray], None]:
+    """The in-place rank-1 update of ``matrix`` by ``tail`` and ``head``, through
+    zgeru bound here once: ``update(alpha)`` adds outer(tail, alpha head).
 
-    ``alpha`` is a (K, 1) column of coefficients, one per group of head.size
-    columns (K runs side by side), and ``head`` a (1, w) row; their product
-    goes into a new (K, w) = ``shape`` C-contiguous complex128 buffer, which
-    zgeru takes, flattened, with alpha = 1.  A scalar alpha with a 1-D head
-    of ``shape`` is a run of its own (``diffusion_direct``).  The column
-    times the row forms every entry as the scalar alpha_r head_j does, at
-    any K and w (a (1, 1) column times a 1-D head would not at w = 1).
-    OpenBLAS's threaded zger forms alpha x y^T in another order than its
-    one-thread kernel, so a complex alpha would make the last bits depend on
-    the thread count; 1 y_j is exact.
+    ``head`` is held as a (1, w) row, and the matrix's columns are K runs of
+    w side by side; ``alpha`` is a (K, 1) column of coefficients, one per
+    run, or a scalar when K = 1.  Their product goes into a (K, w)
+    C-contiguous complex128 buffer, which zgeru takes, flattened, with
+    alpha = 1, so every entry is formed as the scalar alpha_r head_j, at any
+    K and w.  OpenBLAS's threaded zger forms alpha x y^T in another order
+    than its one-thread kernel, so a complex alpha would make the last bits
+    depend on the thread count; 1 y_j is exact.
 
     zgeru writes through a raw pointer, so ``matrix`` must be Fortran-
-    contiguous, writeable complex128 (ValueError otherwise): a copy would
-    take the update silently.  ``tail`` is made contiguous complex128.  The
-    nine by-reference arguments are built here, with no argtypes, so a call
-    converts nothing (argtypes cost about 1 us a call, a tenth of a step at
-    N=3^9); ``data_as`` pointers keep their arrays alive.
+    contiguous, writeable complex128 and exactly tail.size x K w, with w > 0
+    (ValueError otherwise): a copy would take the update silently.  ``tail``
+    is made contiguous complex128.  The nine by-reference arguments are
+    built here, with no argtypes, so a call converts nothing (argtypes cost
+    about 1 us a call, a tenth of a step at N=3^9); ``data_as`` pointers
+    keep their arrays alive.
     """
     if not (matrix.dtype == np.complex128 and matrix.ndim == 2
             and matrix.flags.f_contiguous and matrix.flags.writeable):
         raise ValueError("the rank-1 update needs a Fortran-contiguous, "
                          "writeable complex128 matrix")
     tail = np.ascontiguousarray(tail, dtype=np.complex128)
-    scaled = np.empty(shape, dtype=np.complex128)
-    if (tail.size, scaled.size) != matrix.shape:
-        raise ValueError(f"shape mismatch: factors {tail.size} x {scaled.size} "
+    head = np.asarray(head).reshape(1, -1)
+    runs = matrix.shape[1] // max(1, head.size)
+    if not head.size or (tail.size, runs * head.size) != matrix.shape:
+        raise ValueError(f"shape mismatch: factors {tail.size} x {head.size} "
                          f"vs matrix {matrix.shape}")
+    scaled = np.empty((runs, head.size), dtype=np.complex128)
     zgeru = _zgeru()
     if not isinstance(zgeru, ctypes._CFuncPtr):  # scipy's: (alpha, x, y, incx, incy,
         # a, overwrite_x, overwrite_y, overwrite_a), positional, a updated in place
@@ -111,7 +112,7 @@ def rank1_kernel(matrix: np.ndarray, tail: np.ndarray,
         one = ctypes.byref((ctypes.c_double * 2)(1.0, 0.0))
         zgeru = functools.partial(zgeru, m, n, one, x, inc, y, inc, a, lda)
 
-    def update(alpha: complex | np.ndarray, head: np.ndarray) -> None:
+    def update(alpha: complex | np.ndarray) -> None:
         np.multiply(head, alpha, scaled)  # out positional: the cheaper call
         zgeru()
 
@@ -166,12 +167,6 @@ def apply_local_gate(s: StateVector, g: np.ndarray, k: int) -> StateVector:
     return s
 
 
-# diffusion_direct's update for the (state, tail, head shape) it last updated,
-# so stepping one state about one axis binds zgeru once (a binding costs about
-# 4 us, a step at N = 3^5 about 3.5); the slot lets go when the state does.
-_bound: dict[str, tuple] = {}
-
-
 def diffusion_direct(s: StateVector, axis: Axis, phi: float,
                      overlap: complex | None = None) -> StateVector:
     """In-place rank-1 update s += (e^{i phi} - 1) <chi|s> |chi>, chi = kron(head, tail).
@@ -179,18 +174,14 @@ def diffusion_direct(s: StateVector, axis: Axis, phi: float,
     ``axis`` is the pair (head, tail); a general axis chi is (ones(1), chi).
     ``overlap`` is <chi|s> if the caller knows it, else ``axis_overlap``
     measures it first.  The axis is assumed unit-norm up to rounding (it is
-    F^(x)n |0> in the search loop); no per-call normalization check.
+    F^(x)n |0> in the search loop); no per-call normalization check.  It
+    binds ``rank1_kernel`` on every call; ``run_searches`` binds once a block.
     """
     head, tail = axis
     view = axis_view(s, axis)  # the StateVector's buffer is contiguous and writeable
     if overlap is None:
         overlap = axis_overlap(s, axis)
-    tail = np.ascontiguousarray(tail, dtype=np.complex128)  # as rank1_kernel holds it
-    bound = _bound.get("last")
-    if not (bound and bound[0]() is s and bound[1] is tail and bound[2] == head.shape):
-        bound = _bound["last"] = (weakref.ref(s, lambda _: _bound.clear()), tail,
-                                  head.shape, rank1_kernel(view, tail, head.shape))
-    bound[3]((np.exp(1j * phi) - 1.0) * overlap, head)
+    rank1_kernel(view, tail, head)((np.exp(1j * phi) - 1.0) * overlap)
     return s
 
 

@@ -112,13 +112,14 @@ def run_python(code, **env):
 
 
 def numpy_exports_zgeru() -> bool:
-    """Whether numpy's own BLAS exports the zgeru the step binds, as numpy's
-    Linux wheels do; elsewhere the step runs on scipy's."""
-    from numpy._core import _multiarray_umath
-
+    """Whether the step binds numpy's own BLAS's zgeru, as on numpy's Linux
+    wheels; elsewhere it runs on scipy's.  This asks reflections._zgeru, so
+    it fills that lookup's cache at collection; every test that patches
+    reflections._ZGERU empties the cache before and after (the zgeru_cache
+    fixture, test_search_without_a_zgeru_is_runtime_error)."""
     try:
-        return hasattr(ctypes.CDLL(_multiarray_umath.__file__), reflections._ZGERU)
-    except OSError:
+        return isinstance(reflections._zgeru(), ctypes._CFuncPtr)
+    except ImportError:
         return False
 
 

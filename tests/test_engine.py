@@ -417,19 +417,21 @@ def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
 def plant_in_each_update(fault, monkeypatch):
     """Wrap rank1_kernel so that each update it returns first calls
     fault(amps, alpha, head), amps the block's amplitudes flat in the order
-    of the stack, after the step's oracle kicks; the update then takes the
-    (alpha, head) that fault returns, or is skipped if it returns None."""
+    of the stack, after the step's oracle kicks, and head the bound one; the
+    update then takes the (alpha, head) that fault returns, another head
+    through a binding of its own, or is skipped if fault returns None."""
     kernel = reflections.rank1_kernel
 
-    def faulty_kernel(matrix, tail, shape):
-        update = kernel(matrix, tail, shape)
+    def faulty_kernel(matrix, tail, head):
+        update = kernel(matrix, tail, head)
         amps = matrix.reshape(-1, order="F")
         assert np.shares_memory(amps, matrix)
 
-        def faulty(alpha, head):
+        def faulty(alpha):
             planted = fault(amps, alpha, head)
             if planted is not None:
-                update(*planted)
+                alpha, other = planted
+                (update if other is head else kernel(matrix, tail, other))(alpha)
 
         return faulty
 

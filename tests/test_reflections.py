@@ -420,11 +420,11 @@ for m, w, k in [(729, 179, 1), (243, 81, 8), (3**9, 1, 1)]:
     ours = np.asfortranarray(cvec(m, k * w))
     theirs = ours.copy(order="F")
     tail, head = cvec(m), cvec(1, w)
-    update = reflections.rank1_kernel(ours, tail, (k, w))
+    update = reflections.rank1_kernel(ours, tail, head)
     same = True
     for _ in range(50):
         alpha = cvec(k, 1)
-        update(alpha, head)
+        update(alpha)
         theirs = zgeru(1.0, tail, np.multiply(head, alpha).ravel(), 1, 1, theirs, 1, 1, 1)
         same = same and np.array_equal(ours, theirs)
     print(same)
@@ -454,14 +454,18 @@ def test_rank1_kernel_refuses_a_matrix_it_cannot_write_in_place(matrix):
     }[matrix]
     rows = view.shape[0]
     with pytest.raises(ValueError, match="Fortran-contiguous, writeable complex128"):
-        reflections.rank1_kernel(view, np.ones(rows), (9,))
+        reflections.rank1_kernel(view, np.ones(rows), np.ones(9))
     np.testing.assert_array_equal(s.amps, before)
 
 
 def test_rank1_kernel_refuses_factors_of_the_wrong_size():
     matrix = np.zeros((9, 9), dtype=complex, order="F")
-    with pytest.raises(ValueError, match="shape mismatch"):
-        reflections.rank1_kernel(matrix, np.ones(9), (2, 9))
+    # (tail, head) sizes: more head entries than columns, a head whose size
+    # does not divide the columns, a tail shorter than a column, and an
+    # empty head (a ValueError, not a ZeroDivisionError)
+    for tail, head in [(9, 18), (9, 4), (8, 9), (9, 0)]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            reflections.rank1_kernel(matrix, np.ones(tail), np.ones(head))
 
 
 def test_missing_zgeru_names_numpys_blas(monkeypatch):
@@ -508,10 +512,10 @@ def test_missing_zgeru_falls_back_to_scipys_with_the_same_bits(monkeypatch, zger
         np.testing.assert_array_equal(ours, theirs)
 
 
-def test_diffusion_direct_rebinds_for_another_state_or_axis():
-    # diffusion_direct keeps the kernel of the state and tail it last
-    # updated: other states, other tails and a tail changed in place all
-    # take their own update, and the slot lets go of a state that dies
+def test_diffusion_direct_binds_each_call_to_its_state_and_axis():
+    # diffusion_direct binds the kernel on every call: interleaved states,
+    # other tails and a tail changed in place each get their own reflection,
+    # and no binding outlives the call to keep a state alive
     shape = QuditShape(3, 4)
     a, b = random_state(shape, 81), random_state(shape, 82)
     chi, other = random_state(shape, 83).amps, random_state(shape, 86).amps
