@@ -33,7 +33,8 @@ loop of its run alone, so the trajectory and the final state are the
 same to the bit.  The shared rank-1 kernel forms each amplitude the same
 way on any number of BLAS threads, so they do not depend on that count
 either.  One contraction of each run's state with the two factors after
-the last step checks its carried overlap.
+the last step checks its carried overlap; it runs no BLAS, so every
+number a run computes is the same on any number of BLAS threads.
 """
 
 from __future__ import annotations

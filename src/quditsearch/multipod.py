@@ -367,13 +367,19 @@ def _half_windows(basis: np.ndarray, shape: str, grids: tuple[int, ...]) -> np.n
     set of buffers serves every sub-block; the generator buffer, free once
     exponentiated, holds the trees' real forms.  Returns (len(grids), n, n).
     """
-    table = np.concatenate([_grid_coefficients(shape, steps) for steps in grids])
+    tables = [_grid_coefficients(shape, steps) for steps in grids]
     spans = list(itertools.pairwise([0, *itertools.accumulate(grids)]))
+
+    def table(a: int, b: int) -> np.ndarray:  # rows [a, b) of the tables end to end:
+        # the cached rows, copied only across two grids (the first under _BLOCK steps)
+        rows = [t[max(a, lo) - lo : min(b, hi) - lo]
+                for t, (lo, hi) in zip(tables, spans) if max(a, lo) < min(b, hi)]
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
     n = basis.shape[-1] // 2
     fit = _SUBBLOCK_BYTES // basis[0].nbytes  # steps whose generators fit the budget
     # at least 2 steps: numpy takes a matrix-vector product for one row, with other bits
     size = 1 << max(1, fit.bit_length() - 1)
-    chunks = [(lo, min(lo + _BLOCK, len(table))) for lo in range(0, len(table), _BLOCK)]
+    chunks = [(lo, min(lo + _BLOCK, sum(grids))) for lo in range(0, sum(grids), _BLOCK)]
     # each chunk's sub-block steps: a chunk that fits is one sub-block
     widths = [hi - lo if hi - lo <= fit else size for lo, hi in chunks]
     rows = max(widths)
@@ -387,12 +393,12 @@ def _half_windows(basis: np.ndarray, shape: str, grids: tuple[int, ...]) -> np.n
     for (lo, hi), width in zip(chunks, widths):
         subs = [(a, min(a + width, hi)) for a in range(lo, hi, width)]
         theta = None if len(subs) == 1 else max(
-            _one_norm(_magnus_generators(basis, table[a:b], generators[: b - a]), exps[0])
+            _one_norm(_magnus_generators(basis, table(a, b), generators[: b - a]), exps[0])
             for a, b in subs
         )
         pieces = [[] for _ in grids]  # per grid: its share's sub-block products, in order
         for a, b in subs:
-            gen = _magnus_generators(basis, table[a:b], generators[: b - a])
+            gen = _magnus_generators(basis, table(a, b), generators[: b - a])
             sub_exps = _expm(gen, theta, exps)
             for share, (start, end) in zip(pieces, spans):
                 first, last = max(start, a), min(end, b)

@@ -14,12 +14,12 @@ a Fortran (tail.size x head.size) matrix S, the state takes the update as
 one in-place zgeru with the two small factors: 32 N bytes moved, and no
 N-sized axis.  Its one global number, the overlap <chi|s>, comes from a
 caller that knows it (the search loop carries it in O(1)) or is measured
-as tail^dagger S conj(head).  ``rank1_kernel`` binds one zgeru call to
-its three factors, a matrix (the whole S, a block of its columns, or
-several runs' matrices side by side), the tail and the head, and returns
-the update ``update(alpha)``: it folds the coefficients into the head
-and calls zgeru with alpha = 1, so every amplitude is tail_i (alpha
-head_j) on any number of BLAS threads.
+by ``axis_overlap``, in a fixed order and with no BLAS.  ``rank1_kernel``
+binds one zgeru call to its three factors, a matrix (the whole S, a block
+of its columns, or several runs' matrices side by side), the tail and the
+head, and returns the update ``update(alpha)``: it folds the coefficients
+into the head and calls zgeru with alpha = 1, so every amplitude is
+tail_i (alpha head_j) on any number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -131,9 +131,12 @@ def axis_view(s: StateVector, axis: Axis) -> np.ndarray:
 
 
 def axis_overlap(s: StateVector, axis: Axis) -> complex:
-    """<kron(head, tail)|s> = tail^dagger S conj(head), S the state as a matrix."""
+    """<kron(head, tail)|s> = sum_j conj(head_j) sum_i conj(tail_i) S[i, j], S the
+    state as a matrix: each column's sum over i, then the sum over j, in numpy's
+    own einsum loops.  No BLAS runs, so no BLAS thread count moves its bits."""
     head, tail = axis
-    return complex(np.vdot(tail, axis_view(s, axis) @ head.conj()))
+    columns = np.einsum("i,ij->j", tail.conj(), axis_view(s, axis), optimize=False)
+    return complex(np.einsum("j,j->", head.conj(), columns, optimize=False))
 
 
 def unitarity_defect(g: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditsearch.engine import run_search, run_searches, superposition_register
+from quditsearch.engine import diffusion_axis, run_search, run_searches, superposition_register
 from quditsearch.fgates import householder_f, make_f
 from quditsearch.register import (
     BasisIndex,
@@ -15,7 +15,7 @@ from quditsearch.register import (
     population,
     _squared_norm,
 )
-from quditsearch.reflections import diffusion_direct
+from quditsearch.reflections import axis_overlap, diffusion_direct
 from quditsearch.scheduler import deterministic_schedule
 
 from helpers import config, inner_product, run_python
@@ -233,6 +233,69 @@ def test_norm_allocates_no_state_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---- the axis overlap -----------------------------------------------------------
+
+
+OVERLAP_BITS = """
+import hashlib
+import numpy as np
+from quditsearch.engine import diffusion_axis, superposition_register
+from quditsearch.fgates import make_f
+from quditsearch.reflections import axis_overlap, grover_step
+from quditsearch.register import QuditShape, StateVector
+def show(overlap):
+    print(overlap.real.hex(), overlap.imag.hex())
+for d, n in ((3, 8), (3, 12), (2, 16)):
+    shape, f = QuditShape(d, n), make_f(d, "random:5")
+    noise = np.random.default_rng(n).standard_normal(2 * shape.N).view(np.complex128)
+    show(axis_overlap(StateVector(shape, noise), diffusion_axis(shape, f)))
+    show(axis_overlap(superposition_register(shape, f), diffusion_axis(shape, f)))
+small, f = QuditShape(3, 9), make_f(3, "random:5")
+stack = np.random.default_rng(3).standard_normal(6 * small.N).view(np.complex128)
+show(axis_overlap(StateVector(small, stack[small.N:2 * small.N]), diffusion_axis(small, f)))
+shape, f = QuditShape(3, 8), make_f(3, "random:5")
+state, axis = superposition_register(shape, f), diffusion_axis(shape, f)
+for _ in range(12):
+    grover_step(state, 1000, 2.0, axis)  # the overlap measured by axis_overlap each step
+print(hashlib.sha256(state.amps.tobytes()).hexdigest())
+"""
+
+
+def test_overlap_bits_do_not_depend_on_blas_threads():
+    # numpy's threaded zgemv and zdotc (S @ conj(head), then np.vdot) moved
+    # the last bits of these overlaps, and so of the measured-overlap steps
+    one = run_python(OVERLAP_BITS, OPENBLAS_NUM_THREADS="1")
+    assert run_python(OVERLAP_BITS, OPENBLAS_NUM_THREADS="2") == one
+    assert one.count("\n") == 8
+
+
+@pytest.mark.parametrize("n", [1, 5, 9, 12])
+def test_overlap_is_within_its_error_bound_of_the_exact_sum(n):
+    shape = QuditShape(3, n)
+    s = _random_state(shape, n)
+    head, tail = axis = diffusion_axis(shape, make_f(3, "random:5"))
+    chi = np.kron(head, tail)
+    terms = chi.conj() * s.amps  # each within a few ulp of the exact product
+    exact = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    bound = 4 * (tail.size + head.size) * np.finfo(float).eps * np.sum(np.abs(chi * s.amps))
+    assert abs(axis_overlap(s, axis) - exact) <= bound
+
+
+def test_overlap_allocates_no_state_sized_temporary():
+    shape = QuditShape(3, 12)
+    s = _random_state(shape, 4)  # 8.1 MiB
+    head, tail = axis = diffusion_axis(shape, make_f(3, "random:5"))
+    tracemalloc.start()
+    try:
+        axis_overlap(s, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the conjugated tail and the column sums (11.4 KiB each) live together,
+    # beside the einsum iterator's and the arrays' headers (about 1.5 KiB)
+    assert peak < head.nbytes + tail.nbytes + (4 << 10)
 
 
 def test_norm_and_searches_run_without_numpy_linalg_norm(monkeypatch):
