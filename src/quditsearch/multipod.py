@@ -45,7 +45,6 @@ The +Delta sign on the ancilla makes the sech phase decrease with Delta T.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -351,64 +350,46 @@ def _ordered_product(stacked: np.ndarray, real_forms: np.ndarray) -> np.ndarray:
     return stacked[-1]
 
 
-def _half_windows(basis: np.ndarray, shape: str, grids: tuple[int, ...]) -> np.ndarray:
-    """V = U(T_MAX, 0) on each grid of ``grids`` steps, one Magnus step per interval.
+def _half_window(basis: np.ndarray, shape: str, steps: int) -> np.ndarray:
+    """V = U(T_MAX, 0) on the grid of ``steps`` steps, a power of two, one Magnus step each.
 
-    The grids' steps are laid end to end in chunks of at most _BLOCK.  A
-    chunk shares one Taylor degree (its largest 1-norm's), and a grid's
-    share of it one product tree folded into that grid's V; for the grids
-    propagate passes, one power of two or M/2 then M, every share is a
-    power of two, as the tree needs.  So _BLOCK fixes the bits.  A chunk
-    whose generators fit _SUBBLOCK_BYTES is one sub-block; any other is cut
-    into sub-blocks of the largest power of two of steps that fits, whose
-    1-norms a first pass takes.  Each sub-block runs the tree's lower
-    levels on its pieces of the shares, and the upper levels run over the
-    pieces' products: equal aligned pieces, so the same association.  One
-    set of buffers serves every sub-block; the generator buffer, free once
-    exponentiated, holds the trees' real forms.  Returns (len(grids), n, n).
+    The grid runs in chunks of min(steps, _BLOCK) steps.  A chunk shares one
+    Taylor degree (its largest 1-norm's) and one product tree folded into V,
+    so _BLOCK fixes the bits, and V depends only on the pulse and steps.  A
+    chunk whose generators fit _SUBBLOCK_BYTES is one sub-block; any other
+    is cut into sub-blocks of the largest power of two of steps that fits,
+    whose 1-norms a first pass takes.  Each sub-block runs the tree's lower
+    levels, and the upper levels run over the sub-blocks' products: equal
+    aligned pieces, so the same association.  One set of buffers serves
+    every sub-block; the generator buffer, free once exponentiated, holds
+    the trees' real forms.  Returns the (n, n) complex V.
     """
-    tables = [_grid_coefficients(shape, steps) for steps in grids]
-    spans = list(itertools.pairwise([0, *itertools.accumulate(grids)]))
-
-    def table(a: int, b: int) -> np.ndarray:  # rows [a, b) of the tables end to end:
-        # the cached rows, copied only across two grids (the first under _BLOCK steps)
-        rows = [t[max(a, lo) - lo : min(b, hi) - lo]
-                for t, (lo, hi) in zip(tables, spans) if max(a, lo) < min(b, hi)]
-        return rows[0] if len(rows) == 1 else np.concatenate(rows)
+    table = _grid_coefficients(shape, steps)
     n = basis.shape[-1] // 2
     fit = _SUBBLOCK_BYTES // basis[0].nbytes  # steps whose generators fit the budget
+    chunk = min(steps, _BLOCK)
     # at least 2 steps: numpy takes a matrix-vector product for one row, with other bits
-    size = 1 << max(1, fit.bit_length() - 1)
-    chunks = [(lo, min(lo + _BLOCK, sum(grids))) for lo in range(0, sum(grids), _BLOCK)]
-    # each chunk's sub-block steps: a chunk that fits is one sub-block
-    widths = [hi - lo if hi - lo <= fit else size for lo, hi in chunks]
-    rows = max(widths)
+    width = chunk if chunk <= fit else 1 << max(1, fit.bit_length() - 1)
     # one allocation: two, freed together, get trimmed from glibc's heap and
     # fault in again on every call.  The generator rows then hold real forms
     # for the trees, up to a chunk's upper levels.
-    work = np.empty((max(rows, _BLOCK // size // 2) + rows, 2 * n, 2 * n))
-    generators, exps = work[:-rows], work[-rows:].reshape(2, rows, 2 * n, n)
-    halves = np.zeros((len(grids), 2 * n, n))
-    halves[:, :n] = np.eye(n)
-    for (lo, hi), width in zip(chunks, widths):
-        subs = [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+    work = np.empty((max(width, chunk // width // 2) + width, 2 * n, 2 * n))
+    generators, exps = work[:-width], work[-width:].reshape(2, width, 2 * n, n)
+    pieces = np.empty((chunk // width, 2 * n, n))  # a chunk's sub-block products
+    v = np.zeros((2 * n, n))
+    v[:n] = np.eye(n)
+    for lo in range(0, steps, chunk):
+        subs = range(lo, lo + chunk, width)
         theta = None if len(subs) == 1 else max(
-            _one_norm(_magnus_generators(basis, table(a, b), generators[: b - a]), exps[0])
-            for a, b in subs
+            _one_norm(_magnus_generators(basis, table[a : a + width], generators[:width]),
+                      exps[0])
+            for a in subs
         )
-        pieces = [[] for _ in grids]  # per grid: its share's sub-block products, in order
-        for a, b in subs:
-            gen = _magnus_generators(basis, table(a, b), generators[: b - a])
-            sub_exps = _expm(gen, theta, exps)
-            for share, (start, end) in zip(pieces, spans):
-                first, last = max(start, a), min(end, b)
-                if first < last:
-                    share.append(_ordered_product(sub_exps[first - a : last - a], gen).copy())
-        for v, share in zip(halves, pieces):
-            if share:  # the tree's upper levels, over equal aligned pieces
-                product = _ordered_product(np.stack(share), generators)
-                v[:] = _real_form(product, generators[0]) @ v
-    return halves[:, :n] + 1j * halves[:, n:]
+        for piece, a in zip(pieces, subs):
+            gen = _magnus_generators(basis, table[a : a + width], generators[:width])
+            piece[:] = _ordered_product(_expm(gen, theta, exps), gen)
+        v = _real_form(_ordered_product(pieces, generators), generators[0]) @ v
+    return v[:n] + 1j * v[n:]
 
 
 def _gauged_terms(job: PulseJob) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -459,12 +440,12 @@ def propagate(job: PulseJob) -> Propagator:
     bits, each in sub-blocks that fit _SUBBLOCK_BYTES.  The grid has
     M steps, a power of two, first 2^floor(log2(128 + 32 sqrt|A Delta T|))
     steps: 128 for a resonant pulse, where H_r commutes with itself and
-    only the quadrature of f is approximated.  The M/2 and M grids of this
-    first round go through one stack (``_half_windows``).  V_M is accepted
-    when |V_M - V_{M/2}| / 63, an estimate of its largest entry error since
-    the scheme's error falls as M^-6, is at most MAGNUS_TOL = 2e-12;
-    otherwise M doubles.  A 2 pi sech pulse at d = 3 takes 128 steps at
-    Delta T = 0, 256 at Delta T = 2, 512 at 10 and 4096 at 100.  Past
+    only the quadrature of f is approximated.  Each grid is its own stack
+    (``_half_window``), so V_M depends only on the job and M.  V_M is
+    accepted when |V_M - V_{M/2}| / 63, an estimate of its largest entry
+    error since the scheme's error falls as M^-6, is at most MAGNUS_TOL =
+    2e-12; otherwise M doubles.  A 2 pi sech pulse at d = 3 takes 128
+    steps at Delta T = 0, 256 at Delta T = 2, 512 at 10 and 4096 at 100.  Past
     MAX_MAGNUS_STEPS it raises RuntimeError.  All d+1 levels are integrated: the gauge
     rephases basis states by constants, so this is not a Morris-Shore
     reduction and the reflection fit still checks it.
@@ -472,8 +453,9 @@ def propagate(job: PulseJob) -> Propagator:
     gauge, coupling, detuning = _gauged_terms(job)
     basis = _commutator_basis(coupling, detuning)
     steps = 2 ** int(math.log2(128.0 + 32.0 * math.sqrt(abs(job.rms_area * job.detuning))))
-    coarse, half = _half_windows(basis, job.shape, (steps // 2, steps))
+    coarse = _half_window(basis, job.shape, steps // 2)
     while True:
+        half = _half_window(basis, job.shape, steps)
         estimate = float(np.max(np.abs(half - coarse))) / 63.0
         if estimate <= MAGNUS_TOL:
             break
@@ -483,8 +465,7 @@ def propagate(job: PulseJob) -> Propagator:
                 f"estimate {estimate:.1e} at {steps} Magnus steps, the limit is "
                 f"{MAX_MAGNUS_STEPS}"
             )
-        steps *= 2
-        coarse, (half,) = half, _half_windows(basis, job.shape, (steps,))
+        coarse, steps = half, 2 * steps
     matrix = gauge[:, None] * (half @ half.T) * gauge.conj()
     return Propagator(matrix, steps, estimate)
 

@@ -446,6 +446,32 @@ GOLDEN_STDOUT = {
   "peak_population": 0.9999999999999845
 }
 """,
+    # the README's pulse example and the input box's hardest pulse (8192 steps)
+    ("pulse-check", "--d", "3", "--deltaT", "0.5", "--format", "json"): """\
+{
+  "d": 3,
+  "shape": "sech",
+  "deltaT": 0.5,
+  "area": 6.283185307179586,
+  "extracted_phi": 2.214297435588125,
+  "analytic_phi": 2.214297435588181,
+  "residual": 1.2063302474774457e-15,
+  "leakage": 7.3284156728403035e-09
+}
+""",
+    ("pulse-check", "--d", "16", "--deltaT", "100", "--area", "999.0264638415542",
+     "--format", "json"): """\
+{
+  "d": 16,
+  "shape": "sech",
+  "deltaT": 100.0,
+  "area": 999.0264638415542,
+  "extracted_phi": -0.5181344031860264,
+  "analytic_phi": -0.5181344031881778,
+  "residual": 2.9529363395528e-13,
+  "leakage": 1.2957431165593853e-08
+}
+""",
 }
 
 

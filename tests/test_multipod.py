@@ -17,6 +17,7 @@ from quditsearch.multipod import (
     _expm,
     _gauged_terms,
     _grid_coefficients,
+    _half_window,
     _magnus_generators,
     _ordered_product,
     LeakageError,
@@ -424,6 +425,28 @@ def test_propagate_twice_gives_the_same_matrix():
     assert first.steps == second.steps
 
 
+@pytest.mark.parametrize(
+    "job, steps",
+    [
+        # accepted at its first grid, whose round also integrates 128 steps
+        pytest.param(PulseJob(coupling_design(5), 10.0, TWO_PI, shape="gaussian"), 256,
+                     id="gaussian-first-grid"),
+        # accepted after one doubling
+        pytest.param(sech_job(3, 0.5), 256, id="sech-doubled"),
+    ],
+)
+def test_propagator_depends_only_on_the_job_and_its_step_count(job, steps):
+    # V_M is its own grid's product, whichever round of propagate computes it
+    prop = propagate(job)
+    gauge, coupling, detuning = _gauged_terms(job)
+    basis = _commutator_basis(coupling, detuning)
+    fine, coarse = (_half_window(basis, job.shape, m) for m in (steps, steps // 2))
+    matrix = gauge[:, None] * (fine @ fine.T) * gauge.conj()
+    assert prop.steps == steps
+    assert prop.matrix.tobytes() == matrix.tobytes()
+    assert prop.error_estimate.hex() == (float(np.max(np.abs(fine - coarse))) / 63.0).hex()
+
+
 PULSE_BITS = """
 import hashlib
 import math
@@ -449,7 +472,7 @@ def test_pulse_bits_do_not_depend_on_blas_threads():
 def test_subblock_budget_does_not_move_the_bits(monkeypatch, d, delta_t, shape):
     # _BLOCK fixes the bits; the byte budget only cuts a chunk into
     # sub-blocks.  The budgets: the shipped one (at d = 16 it cuts a first
-    # round's 64- and 128-step shares into 2 and 4 sub-blocks of 32 steps),
+    # round's 64- and 128-step grids into 2 and 4 sub-blocks of 32 steps),
     # 5 steps' worth (sub-blocks of 4) and one sub-block per chunk.  A sech
     # pulse at Delta T = 30 ends on a 1024-step grid, two chunks.
     job = PulseJob(complex_couplings(d, d), delta_t, TWO_PI, shape)
