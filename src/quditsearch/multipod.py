@@ -26,11 +26,11 @@ The gauged Hamiltonian is f(t) C + (Delta T)|c><c| with C fixed, so each
 step's generator is a combination, with scalar coefficients of the step,
 of 11 commutators of the two fixed matrices built once per pulse; each
 grid's table of coefficients is memoised per (shape, steps).  Complex
-matrices are held in real arithmetic.  Chunks of _BLOCK steps, which fix
-the bits, are exponentiated and multiplied in place in sub-blocks whose
-generators fit _SUBBLOCK_BYTES, which bounds the memory.  The gauge only
-rephases basis states: it reduces neither the dimension nor the number of
-coupled levels.
+matrices are held in real arithmetic.  The grid is exponentiated and
+multiplied in place in blocks of the largest power of two of steps whose
+generators fit _BLOCK_BYTES, which bounds the memory; each block takes
+its own Taylor degree.  The gauge only rephases basis states: it reduces
+neither the dimension nor the number of coupled levels.
 
 Hamiltonian convention (hbar = 1, rotating frame):
 
@@ -68,11 +68,15 @@ def solve_ivp(*args, **kwargs):
 
 
 # shape -> (unit-peak envelope of dimensionless time, elementwise on arrays,
-# and its integral); every envelope is even in t, which propagate's
-# half-window product relies on
+# its integral, and the base of propagate's first-grid guess); every
+# envelope is even in t, which propagate's half-window product relies on.
+# A detuned 2 pi sech pulse is accepted at 256 steps where a Gaussian of the
+# same A Delta T is accepted at 128, hence the larger sech base; at 200 a
+# weak sech pulse of A Delta T = 3.2 and area 3.5, accepted at 128, would
+# start at 256.
 _ENVELOPES = {
-    "sech": (lambda t: 1.0 / np.cosh(t), math.pi),
-    "gaussian": (lambda t: np.exp(-t * t), math.sqrt(math.pi)),
+    "sech": (lambda t: 1.0 / np.cosh(t), math.pi, 192.0),
+    "gaussian": (lambda t: np.exp(-t * t), math.sqrt(math.pi), 128.0),
 }
 PULSE_SHAPES = tuple(_ENVELOPES)
 
@@ -88,8 +92,7 @@ T_MAX = 20.0  # window half-width in pulse widths: sech tail below 5e-9 of peak
 MAGNUS_TOL = 2e-12
 # Grid cap: twice the 8192 steps the hardest pulse inside the input bounds needs.
 MAX_MAGNUS_STEPS = 2**14
-_BLOCK = 512  # steps sharing one Taylor degree and product tree: fixes the bits
-_SUBBLOCK_BYTES = 384 << 10  # generators exponentiated at once: bounds the memory
+_BLOCK_BYTES = 384 << 10  # generators exponentiated at once: sets the block, bounds the memory
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 
 
@@ -284,34 +287,30 @@ def _magnus_generators(
 
 
 def _one_norm(real_form: np.ndarray, scratch: np.ndarray) -> float:
-    """Largest 1-norm of a stack's complex matrices, from their real forms.
+    """Bound on the largest 1-norm of a stack's complex matrices, from their real forms.
 
-    Sums row by row, so no cut of the stack moves the bits; scratch is a
-    C-ordered (>= count, 2n, n) buffer.
+    The largest column sum of |x| + |y| over the stacked [x; y], the real
+    forms' first n columns; scratch, a (>= count, 2n, n) buffer, takes
+    the absolute values.
     """
-    count, n = len(real_form), real_form.shape[-1] // 2
-    rows = scratch[:count].reshape(2 * n, count, n)
-    return float(np.abs(real_form[..., :n].swapaxes(0, 1), out=rows).sum(axis=0).max())
+    n = real_form.shape[-1] // 2
+    return float(np.abs(real_form[..., :n], out=scratch[: len(real_form)]).sum(axis=-2).max())
 
 
-def _expm(
-    real_form: np.ndarray, theta: float | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def _expm(real_form: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked exponentials of a stack of real forms, by a Horner Taylor series.
 
     The degree is the lowest whose remainder bound theta^(m+1)/(m+1)! is
     below 2^-53 at the stack's largest 1-norm theta; above theta = 0.5 the
-    stack is scaled by 2^-s first and the result squared s times.  A given
-    theta, that of the _BLOCK chunk the stack is a sub-block of, fixes the
-    degree and s, and so the bits.  The input is overwritten: scaled in
-    place, then each squaring's real form.  The Horner terms alternate
-    between the halves of out, a (2, >= count, 2n, n) buffer that every
-    sub-block reuses (fresh if None), and the result is a view of it.
+    stack is scaled by 2^-s first and the result squared s times.  The
+    input is overwritten: scaled in place, then each squaring's real form.
+    The Horner terms alternate between the halves of out, a (2, >= count,
+    2n, n) buffer that every block reuses (fresh if None), and the result
+    is a view of it.
     """
     count, n = real_form.shape[0], real_form.shape[-1] // 2
     result, scratch = np.empty((2, count, 2 * n, n)) if out is None else out[:, :count]
-    if theta is None:
-        theta = _one_norm(real_form, result)
+    theta = _one_norm(real_form, result)
     squarings = math.ceil(math.log2(theta / 0.5)) if theta > 0.5 else 0
     if squarings:
         real_form *= 0.5**squarings
@@ -353,42 +352,29 @@ def _ordered_product(stacked: np.ndarray, real_forms: np.ndarray) -> np.ndarray:
 def _half_window(basis: np.ndarray, shape: str, steps: int) -> np.ndarray:
     """V = U(T_MAX, 0) on the grid of ``steps`` steps, a power of two, one Magnus step each.
 
-    The grid runs in chunks of min(steps, _BLOCK) steps.  A chunk shares one
-    Taylor degree (its largest 1-norm's) and one product tree folded into V,
-    so _BLOCK fixes the bits, and V depends only on the pulse and steps.  A
-    chunk whose generators fit _SUBBLOCK_BYTES is one sub-block; any other
-    is cut into sub-blocks of the largest power of two of steps that fits,
-    whose 1-norms a first pass takes.  Each sub-block runs the tree's lower
-    levels, and the upper levels run over the sub-blocks' products: equal
-    aligned pieces, so the same association.  One set of buffers serves
-    every sub-block; the generator buffer, free once exponentiated, holds
-    the trees' real forms.  Returns the (n, n) complex V.
+    The grid runs in blocks of the largest power of two of steps whose
+    generators fit _BLOCK_BYTES, at least 2 and at most ``steps``, so the
+    block depends only on d and steps, and V only on the pulse and steps.
+    Each block is exponentiated at its own largest 1-norm, multiplied by a
+    pairwise tree and folded into V in grid order.  One set of buffers
+    serves every block; the generator buffer, free once exponentiated,
+    holds the tree's real forms.  Returns the (n, n) complex V.
     """
     table = _grid_coefficients(shape, steps)
     n = basis.shape[-1] // 2
-    fit = _SUBBLOCK_BYTES // basis[0].nbytes  # steps whose generators fit the budget
-    chunk = min(steps, _BLOCK)
+    fit = _BLOCK_BYTES // basis[0].nbytes  # steps whose generators fit the budget
     # at least 2 steps: numpy takes a matrix-vector product for one row, with other bits
-    width = chunk if chunk <= fit else 1 << max(1, fit.bit_length() - 1)
+    width = min(steps, 1 << max(1, fit.bit_length() - 1))
     # one allocation: two, freed together, get trimmed from glibc's heap and
-    # fault in again on every call.  The generator rows then hold real forms
-    # for the trees, up to a chunk's upper levels.
-    work = np.empty((max(width, chunk // width // 2) + width, 2 * n, 2 * n))
-    generators, exps = work[:-width], work[-width:].reshape(2, width, 2 * n, n)
-    pieces = np.empty((chunk // width, 2 * n, n))  # a chunk's sub-block products
+    # fault in again on every call
+    work = np.empty((2 * width, 2 * n, 2 * n))
+    generators, exps = work[:width], work[width:].reshape(2, width, 2 * n, n)
     v = np.zeros((2 * n, n))
     v[:n] = np.eye(n)
-    for lo in range(0, steps, chunk):
-        subs = range(lo, lo + chunk, width)
-        theta = None if len(subs) == 1 else max(
-            _one_norm(_magnus_generators(basis, table[a : a + width], generators[:width]),
-                      exps[0])
-            for a in subs
-        )
-        for piece, a in zip(pieces, subs):
-            gen = _magnus_generators(basis, table[a : a + width], generators[:width])
-            piece[:] = _ordered_product(_expm(gen, theta, exps), gen)
-        v = _real_form(_ordered_product(pieces, generators), generators[0]) @ v
+    for lo in range(0, steps, width):
+        gen = _magnus_generators(basis, table[lo : lo + width], generators)
+        block = _ordered_product(_expm(gen, exps), gen)
+        v = _real_form(block, generators[0]) @ v
     return v[:n] + 1j * v[n:]
 
 
@@ -434,25 +420,27 @@ def propagate(job: PulseJob) -> Propagator:
     fixed commutators of the coupling and detuning terms, built once per
     pulse in real form (``_commutator_basis``), with the step's 11 scalar
     coefficients, memoised per (shape, steps) (``_grid_coefficients``);
-    a stack of steps is one matmul (``_magnus_generators``).  The stack is
-    exponentiated in place (``_expm``) and multiplied by a pairwise tree
-    (``_ordered_product``) in chunks of at most _BLOCK steps, which fix the
-    bits, each in sub-blocks that fit _SUBBLOCK_BYTES.  The grid has
-    M steps, a power of two, first 2^floor(log2(128 + 32 sqrt|A Delta T|))
-    steps: 128 for a resonant pulse, where H_r commutes with itself and
-    only the quadrature of f is approximated.  Each grid is its own stack
-    (``_half_window``), so V_M depends only on the job and M.  V_M is
-    accepted when |V_M - V_{M/2}| / 63, an estimate of its largest entry
-    error since the scheme's error falls as M^-6, is at most MAGNUS_TOL =
-    2e-12; otherwise M doubles.  A 2 pi sech pulse at d = 3 takes 128
-    steps at Delta T = 0, 256 at Delta T = 2, 512 at 10 and 4096 at 100.  Past
-    MAX_MAGNUS_STEPS it raises RuntimeError.  All d+1 levels are integrated: the gauge
-    rephases basis states by constants, so this is not a Morris-Shore
-    reduction and the reflection fit still checks it.
+    a stack of steps is one matmul (``_magnus_generators``).  Each block
+    of steps whose generators fit _BLOCK_BYTES is exponentiated in place
+    (``_expm``), multiplied by a pairwise tree (``_ordered_product``) and
+    folded into V (``_half_window``), so V_M depends only on the job and M.
+    The grid has M steps, a power of two, first
+    2^floor(log2(b + 32 sqrt|A Delta T|)) steps, with b = 192 for a sech
+    pulse and 128 for a Gaussian (``_ENVELOPES``): 128 for a resonant
+    pulse, where H_r commutes with itself and only the quadrature of f is
+    approximated.  V_M is accepted when |V_M - V_{M/2}| / 63, an estimate
+    of its largest entry error since the scheme's error falls as M^-6, is
+    at most MAGNUS_TOL = 2e-12; otherwise M doubles.  A 2 pi sech pulse at
+    d = 3 takes 128 steps at Delta T = 0, 256 at Delta T = 2, 512 at 10
+    and 4096 at 100.  Past MAX_MAGNUS_STEPS it raises RuntimeError.  All
+    d+1 levels are integrated: the gauge rephases basis states by
+    constants, so this is not a Morris-Shore reduction and the reflection
+    fit still checks it.
     """
     gauge, coupling, detuning = _gauged_terms(job)
     basis = _commutator_basis(coupling, detuning)
-    steps = 2 ** int(math.log2(128.0 + 32.0 * math.sqrt(abs(job.rms_area * job.detuning))))
+    base = _ENVELOPES[job.shape][2]
+    steps = 2 ** int(math.log2(base + 32.0 * math.sqrt(abs(job.rms_area * job.detuning))))
     coarse = _half_window(basis, job.shape, steps // 2)
     while True:
         half = _half_window(basis, job.shape, steps)

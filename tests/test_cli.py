@@ -466,10 +466,10 @@ GOLDEN_STDOUT = {
   "shape": "sech",
   "deltaT": 100.0,
   "area": 999.0264638415542,
-  "extracted_phi": -0.5181344031860264,
+  "extracted_phi": -0.5181344031860385,
   "analytic_phi": -0.5181344031881778,
-  "residual": 2.9529363395528e-13,
-  "leakage": 1.2957431165593853e-08
+  "residual": 3.132584743311996e-13,
+  "leakage": 1.2957435021134911e-08
 }
 """,
 }

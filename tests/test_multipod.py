@@ -146,7 +146,7 @@ def column_reference(job, decay=0.0):
     decay is the ancilla's loss rate Gamma T, entered as the complex
     detuning Delta T - i Gamma T / 2."""
     d = job.d
-    f, integral = _ENVELOPES[job.shape]
+    f, integral, _ = _ENVELOPES[job.shape]
     unit = job.couplings / np.linalg.norm(job.couplings)
     h_couple = np.zeros((d + 1, d + 1), dtype=np.complex128)
     h_couple[:d, d] = unit
@@ -238,7 +238,7 @@ def test_propagator_with_ancilla_decay_matches_column_reference(
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
 def test_envelopes_are_even(shape):
-    f, _ = _ENVELOPES[shape]
+    f = _ENVELOPES[shape][0]
     for t in np.linspace(0.0, T_MAX, 401):
         t = float(t)
         assert f(-t) == f(t), (
@@ -470,22 +470,40 @@ def test_pulse_bits_do_not_depend_on_blas_threads():
 @pytest.mark.parametrize("delta_t", [0.0, 2.0, 30.0])
 @pytest.mark.parametrize("d", [2, 8, 16])
 def test_subblock_budget_does_not_move_the_bits(monkeypatch, d, delta_t, shape):
-    # _BLOCK fixes the bits; the byte budget only cuts a chunk into
-    # sub-blocks.  The budgets: the shipped one (at d = 16 it cuts a first
-    # round's 64- and 128-step grids into 2 and 4 sub-blocks of 32 steps),
-    # 5 steps' worth (sub-blocks of 4) and one sub-block per chunk.  A sech
-    # pulse at Delta T = 30 ends on a 1024-step grid, two chunks.
+    # The byte budget sets the block, and each block takes its own Taylor
+    # degree, so the budget moves the matrix by rounding, within the
+    # tolerance, but never the step count.  The budgets: the shipped one
+    # (blocks of 32 steps at d = 16), 5 steps' worth (blocks of 4) and 512
+    # steps' worth.  A sech pulse at Delta T = 30 ends on a 1024-step grid,
+    # two blocks of 512.
     job = PulseJob(complex_couplings(d, d), delta_t, TWO_PI, shape)
     step_bytes = 32 * (d + 1) ** 2  # one step's generator in real form
     runs = []
-    for budget in (multipod._SUBBLOCK_BYTES, 5 * step_bytes, multipod._BLOCK * step_bytes):
-        monkeypatch.setattr(multipod, "_SUBBLOCK_BYTES", budget)
-        prop = propagate(job)
-        runs.append((prop.steps, prop.matrix.tobytes(), prop.error_estimate.hex()))
-    assert runs[0] == runs[2]
-    assert runs[1] == runs[2]
+    for budget in (multipod._BLOCK_BYTES, 5 * step_bytes, 512 * step_bytes):
+        monkeypatch.setattr(multipod, "_BLOCK_BYTES", budget)
+        runs.append(propagate(job))
+    assert runs[0].steps == runs[1].steps == runs[2].steps
+    for prop in runs[:2]:
+        assert np.max(np.abs(prop.matrix - runs[2].matrix)) <= 2 * multipod.MAGNUS_TOL
     if shape == "sech" and delta_t == 30.0:
-        assert runs[2][0] >= 2 * multipod._BLOCK
+        assert runs[2].steps >= 1024
+
+
+def test_half_window_folds_its_blocks_in_grid_order():
+    # at d = 16 the shipped budget fits 32 steps, so the 256-step grid is
+    # eight blocks, each exponentiated at its own 1-norm and multiplied by
+    # its own tree, then folded into V block by block
+    job = sech_job(16, 2.0)
+    _, coupling, detuning = _gauged_terms(job)
+    basis = _commutator_basis(coupling, detuning)
+    table = _grid_coefficients(job.shape, 256)
+    n = job.d + 1
+    v = np.concatenate([np.eye(n), np.zeros((n, n))])
+    for lo in range(0, 256, 32):
+        generators = _magnus_generators(basis, table[lo : lo + 32])
+        block = _ordered_product(_expm(generators), np.empty((16, 2 * n, 2 * n)))
+        v = real_form(block) @ v
+    assert _half_window(basis, job.shape, 256).tobytes() == (v[:n] + 1j * v[n:]).tobytes()
 
 
 def test_step_cap_raises(monkeypatch):
@@ -498,8 +516,8 @@ def test_step_cap_raises(monkeypatch):
 
 def test_box_corner_pulse_stays_bounded():
     # the hardest pulse the input bounds accept: the grid is processed in
-    # chunks, each in sub-blocks of at most _SUBBLOCK_BYTES of generators, so
-    # the memory grows neither with the number of steps nor with d^2 _BLOCK
+    # blocks of at most _BLOCK_BYTES of generators, so the memory grows
+    # neither with the number of steps nor with d
     job = PulseJob(complex_couplings(MAX_PULSE_D, 11), MAX_DETUNING, MAX_RMS_AREA)
     tracemalloc.start()
     try:
