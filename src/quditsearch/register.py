@@ -12,6 +12,7 @@ numpy's own pairwise sums and an exact fsum, never a BLAS dot product.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ import numpy as np
 MAX_STATES = 2**31 - 1
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int: a numpy integer passes, 2.5 or 2.0 fails."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QuditShape:
     """Register geometry: ``d`` levels per qudit, ``n`` qudits."""
@@ -31,6 +40,8 @@ class QuditShape:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _integer(self.d, "level count d"))
+        object.__setattr__(self, "n", _integer(self.n, "qudit count n"))
         if self.d < 2:
             raise ValueError(f"qudits need d >= 2 levels, got d={self.d}")
         if self.n < 1:
@@ -55,12 +66,15 @@ class BasisIndex:
 
     flat: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flat", _integer(self.flat, "flat index"))
+
     @classmethod
     def from_flat(cls, shape: QuditShape, flat: int) -> "BasisIndex":
-        flat = int(flat)
-        if not 0 <= flat < shape.N:
-            raise ValueError(f"flat index {flat} outside [0, {shape.N})")
-        return cls(flat)
+        index = cls(flat)
+        if not 0 <= index.flat < shape.N:
+            raise ValueError(f"flat index {index.flat} outside [0, {shape.N})")
+        return index
 
 
 @dataclass(frozen=True)
@@ -100,15 +114,6 @@ def _squared_norm(amps: np.ndarray) -> float:
     x = amps.view(np.float64)
     block = 1 << 13  # 64 KiB of squares at a time
     return math.fsum(float(np.sum(np.square(x[i:i + block]))) for i in range(0, x.size, block))
-
-
-def basis_state(shape: QuditShape, flat: int) -> StateVector:
-    """Computational basis state |flat> (unit amplitude at one index)."""
-    if not 0 <= flat < shape.N:
-        raise ValueError(f"basis index {flat} outside [0, {shape.N})")
-    amps = np.zeros(shape.N, dtype=np.complex128)
-    amps[flat] = 1.0
-    return StateVector(shape, amps)
 
 
 def population(s: StateVector, flat: int) -> float:

@@ -14,8 +14,7 @@ j = floor(pi/(4 beta) + 1/2), according to whether (2j+1) beta or
 (2j-1) beta is closer to pi/2.  The canonical schedule is the familiar
 phi = pi with round((pi/4) sqrt(N)) steps, which peaks near but not at
 unit population.
-A SearchSchedule derives beta and j from its N; predicted_population is
-the k-th power of the 2x2 Grover operator on the plane, for any phi.
+A SearchSchedule derives beta and j from its N.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 # Longest run custom_schedule accepts.  run_search keeps one Python float per
 # step, about 32 MB at this cap, and writes nothing until the last step.  It
@@ -138,21 +135,3 @@ def custom_schedule(N: int, phi: float, steps: int) -> SearchSchedule:
         raise ValueError(f"step count must be <= {MAX_STEPS}, got {schedule.steps}")
     return schedule
 
-
-def predicted_population(N: int, k: int, phi: float) -> float:
-    """Marked-state population after k phase-matched steps, from the 2D model.
-
-    The Grover operator restricted to span{|marked>, |superposition>}
-    (overlap 1/sqrt(N)) is a 2x2 complex matrix G; the population is
-    |(G^k s)_0|^2 with s the starting superposition, and G^k is formed by
-    repeated squaring, O(log k) 2x2 products for any phi.
-    """
-    beta = _beta(N)
-    if k < 0:
-        raise ValueError(f"step count must be >= 0, got {k}")
-    s = np.array([math.sin(beta), math.cos(beta)], dtype=np.complex128)
-    phase = np.exp(1j * phi)
-    m_marked = np.diag([phase, 1.0])
-    m_super = np.eye(2) + (phase - 1.0) * np.outer(s, s.conj())
-    g = m_super @ m_marked
-    return float(abs((np.linalg.matrix_power(g, k) @ s)[0]) ** 2)

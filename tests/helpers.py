@@ -1,6 +1,7 @@
 """Reference helpers the tests share; the package itself does not need them."""
 
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from quditsearch.fgates import make_f
 from quditsearch import reflections
 from quditsearch.multipod import _ENVELOPES, _GAUSS_NODES, _magnus_grid
 from quditsearch.reflections import apply_local_gate, grover_step, oracle, unitarity_defect
-from quditsearch.register import BasisIndex, QuditShape, StateVector, basis_state
+from quditsearch.register import BasisIndex, QuditShape, StateVector
+from quditsearch.scheduler import _beta
 
 
 def config(d, n, schedule, marked=0, **kw) -> ExperimentConfig:
@@ -26,6 +28,36 @@ def config(d, n, schedule, marked=0, **kw) -> ExperimentConfig:
         schedule=schedule,
         **kw,
     )
+
+
+def basis_state(shape: QuditShape, flat: int) -> StateVector:
+    """Computational basis state |flat> (unit amplitude at one index)."""
+    if not 0 <= flat < shape.N:
+        raise ValueError(f"basis index {flat} outside [0, {shape.N})")
+    amps = np.zeros(shape.N, dtype=np.complex128)
+    amps[flat] = 1.0
+    return StateVector(shape, amps)
+
+
+def two_state_populations(N: int, phi: float, steps: int) -> np.ndarray:
+    """Marked-state population after each of 0..steps phase-matched steps.
+
+    The two-state model every run is checked against: the Grover operator
+    restricted to span{|marked>, |superposition>} (overlap 1/sqrt(N)) is a
+    2x2 complex matrix G, built once; entry k is |(G^k s)_0|^2 with s the
+    starting superposition, for any phi.
+    """
+    beta = _beta(N)
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
+    s = np.array([math.sin(beta), math.cos(beta)], dtype=np.complex128)
+    phase = np.exp(1j * phi)
+    g = (np.eye(2) + (phase - 1.0) * np.outer(s, s.conj())) @ np.diag([phase, 1.0])
+    amps = np.empty((steps + 1, 2), dtype=np.complex128)
+    amps[0] = s
+    for k in range(steps):
+        amps[k + 1] = g @ amps[k]
+    return np.abs(amps[:, 0]) ** 2
 
 
 def hadamard() -> np.ndarray:

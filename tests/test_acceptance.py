@@ -24,10 +24,9 @@ from quditsearch.scheduler import (
     canonical_schedule,
     custom_schedule,
     deterministic_schedule,
-    predicted_population,
 )
 
-from helpers import config, dense_grover_matrix, hadamard, phase_distance
+from helpers import config, dense_grover_matrix, hadamard, phase_distance, two_state_populations
 
 
 def report(criterion: int, message: str) -> None:
@@ -73,10 +72,10 @@ def test_criterion_3_two_state_model_equivalence():
         N = shape.N
         for sched in (canonical_schedule(N), deterministic_schedule(N)):
             traj = run_search(config(3, n, sched, marked=N // 3))
-            for k, pop in enumerate(traj.populations):
-                diff = abs(pop - predicted_population(N, k, sched.phi))
-                worst = max(worst, diff)
-                assert diff < 1e-9, f"N={N} phi={sched.phi} step {k}: {diff}"
+            model = two_state_populations(N, sched.phi, sched.steps)
+            np.testing.assert_allclose(traj.populations, model, rtol=0, atol=1e-9,
+                                       err_msg=f"N={N} phi={sched.phi}")
+            worst = max(worst, float(np.max(np.abs(traj.populations - model))))
     report(3, f"N in {{9,27,81,243}}, both phases, max deviation {worst:.2e}")
 
 

@@ -16,16 +16,22 @@ from quditsearch.engine import (
     superposition_register,
 )
 from quditsearch.fgates import FGate, dft, householder_f, make_f, validate_f
-from quditsearch.register import BasisIndex, QuditShape, basis_state, population, _squared_norm
+from quditsearch.register import BasisIndex, QuditShape, population, _squared_norm
 from quditsearch.reflections import apply_local_gate, grover_step, oracle
 from quditsearch.scheduler import (
     canonical_schedule,
     custom_schedule,
     deterministic_schedule,
-    predicted_population,
 )
 
-from helpers import config, dense_grover_matrix, diffusion_via_gates, kron_power_outer
+from helpers import (
+    basis_state,
+    config,
+    dense_grover_matrix,
+    diffusion_via_gates,
+    kron_power_outer,
+    two_state_populations,
+)
 
 
 def extended(cfg, steps):
@@ -104,8 +110,9 @@ def test_single_qubit_pi_populations_repeat_with_period_three():
     pops = traj.populations
     for k in range(len(pops) - 3):
         assert pops[k] == pytest.approx(pops[k + 3], abs=1e-9)
-    for k, pop in enumerate(pops):
-        assert pop == pytest.approx(predicted_population(2, k, math.pi), abs=1e-12)
+    np.testing.assert_allclose(
+        pops, two_state_populations(2, math.pi, len(pops) - 1), rtol=0, atol=1e-12
+    )
 
 
 # ---- dense_grover_matrix ------------------------------------------------------
@@ -378,8 +385,9 @@ def test_run_search_matches_two_state_model(dn, data, phi):
     steps = data.draw(st.integers(0, 30), label="steps")
     cfg = config(d, n, custom_schedule(shape.N, phi, steps), marked=marked)
     traj = run_search(cfg)
-    for k, pop in enumerate(traj.populations):
-        assert pop == pytest.approx(predicted_population(shape.N, k, phi), abs=1e-9)
+    np.testing.assert_allclose(
+        traj.populations, two_state_populations(shape.N, phi, steps), rtol=0, atol=1e-9
+    )
 
 
 # ---- carried overlap ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The README's examples run as written; the names the README, the
-benchmark and the console script look up exist."""
+benchmark and the console script look up exist; every public name in
+src/ has a reader outside the tests."""
 
 import ast
 import importlib
@@ -109,6 +110,41 @@ def test_benchmark_lookups_exist():
     missing += [f"{module}.{attr}" for module, attr in points
                 if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def public_definitions(package):
+    """(module, name) of each public top-level function and class in ``package``."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield path.stem, node.name
+
+
+def referenced_names(paths):
+    """Each name the files read: a Name, an Attribute, an import alias, or a
+    string constant (as TRACE_POINTS names what it wraps)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_src_defines_no_test_only_names():
+    # a public function or class that only the tests read belongs in tests/helpers.py
+    package = ROOT / "src" / "quditsearch"
+    readers = referenced_names([*package.glob("*.py"), *(ROOT / "benchmark").glob("*.py")])
+    defined = list(public_definitions(package))
+    assert len(defined) > 40
+    assert [f"{module}.{name}" for module, name in defined if name not in readers] == []
 
 
 def test_console_script_is_cli_main():

@@ -17,7 +17,7 @@ from quditsearch.engine import (
     superposition_register,
 )
 from quditsearch.fgates import householder_f
-from quditsearch.register import QuditShape, StateVector, basis_state
+from quditsearch.register import QuditShape, StateVector
 from quditsearch.reflections import (
     apply_local_gate,
     diffusion_direct,
@@ -27,7 +27,14 @@ from quditsearch.reflections import (
 )
 from quditsearch.scheduler import deterministic_schedule
 
-from helpers import copy_state, diffusion_via_gates, hadamard, needs_numpys_zgeru, run_python
+from helpers import (
+    basis_state,
+    copy_state,
+    diffusion_via_gates,
+    hadamard,
+    needs_numpys_zgeru,
+    run_python,
+)
 
 
 def random_state(shape, seed):

@@ -5,20 +5,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditsearch.engine import diffusion_axis, run_search, run_searches, superposition_register
+from quditsearch.engine import (
+    ExperimentConfig,
+    diffusion_axis,
+    run_search,
+    run_searches,
+    superposition_register,
+)
 from quditsearch.fgates import householder_f, make_f
 from quditsearch.register import (
     BasisIndex,
     QuditShape,
     StateVector,
-    basis_state,
     population,
     _squared_norm,
 )
 from quditsearch.reflections import axis_overlap, diffusion_direct
 from quditsearch.scheduler import deterministic_schedule
 
-from helpers import config, inner_product, run_python
+from helpers import basis_state, config, inner_product, run_python
 
 
 def test_shape_validation():
@@ -52,6 +57,32 @@ def test_basis_state_flat_index():
     s = basis_state(shape, x.flat)
     assert s.amps[3] == 1.0
     assert np.count_nonzero(s.amps) == 1
+
+
+NOT_AN_INTEGER = [
+    pytest.param(lambda: QuditShape(2.5, 3), "level count d must be", id="d=2.5"),
+    pytest.param(lambda: QuditShape(3, 2.0), "qudit count n must be", id="n=2.0"),
+    pytest.param(lambda: QuditShape(np.float64(3), 2), "level count d must be", id="d=float64"),
+    pytest.param(lambda: BasisIndex(2.5), "flat index must be", id="flat=2.5"),
+    pytest.param(lambda: BasisIndex.from_flat(QuditShape(3, 2), 2.7), "flat index must be",
+                 id="from_flat=2.7"),
+    pytest.param(lambda: BasisIndex.from_flat(QuditShape(3, 2), "4"), "flat index must be",
+                 id="from_flat='4'"),
+    pytest.param(lambda: ExperimentConfig(QuditShape(3, 2), BasisIndex(2.5),
+                                          deterministic_schedule(9)),
+                 "flat index must be", id="config"),
+    # numpy integers are read as Python ints, so d**n cannot wrap to 0 or below
+    pytest.param(lambda: QuditShape(np.int64(2**40), np.int64(2)), "dense-storage limit",
+                 id="int64-wraps-to-0"),
+    pytest.param(lambda: QuditShape(np.int32(50000), 2), "dense-storage limit",
+                 id="int32-wraps-negative"),
+]
+
+
+@pytest.mark.parametrize("build, message", NOT_AN_INTEGER)
+def test_register_integers_are_integral(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_basis_index_out_of_range():

@@ -13,8 +13,9 @@ from quditsearch.scheduler import (
     custom_schedule,
     deterministic_schedule,
     matched_phase,
-    predicted_population,
 )
+
+from helpers import two_state_populations
 
 
 # ---- deterministic_schedule -------------------------------------------------
@@ -174,44 +175,44 @@ def test_hand_built_schedule_carries_the_rotation_its_n_fixes(N, j):
         SearchSchedule(N, 0.19, 0.19, 2, 4, "x")
 
 
-# ---- predicted_population ------------------------------------------------------
+# ---- two-state model (helpers.two_state_populations) ---------------------------
 
 
 def test_predicted_exact_hit_n4():
-    assert predicted_population(4, 1, math.pi) == pytest.approx(1.0, abs=1e-15)
+    assert two_state_populations(4, math.pi, 1)[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_predicted_canonical_n243():
-    assert predicted_population(243, 12, math.pi) == pytest.approx(
+    assert two_state_populations(243, math.pi, 12)[12] == pytest.approx(
         0.998840607974001, abs=1e-12
     )
 
 
 def test_predicted_initial_population():
     for N in (4, 81, 243):
-        assert predicted_population(N, 0, 2.0) == pytest.approx(1 / N, abs=1e-15)
-        assert predicted_population(N, 0, math.pi) == pytest.approx(1 / N, abs=1e-15)
+        assert two_state_populations(N, 2.0, 0)[0] == pytest.approx(1 / N, abs=1e-15)
+        assert two_state_populations(N, math.pi, 0)[0] == pytest.approx(1 / N, abs=1e-15)
 
 
 @pytest.mark.parametrize("N", [2, 4, 243, 3**12])
 def test_predicted_population_at_pi_is_the_closed_form(N):
     # at phi = pi the two-state model is a rotation by 2 beta per step
     beta = math.asin(N**-0.5)
-    for k in range(601):
-        assert predicted_population(N, k, math.pi) == pytest.approx(
-            math.sin((2 * k + 1) * beta) ** 2, abs=1e-12
-        ), k
+    closed_form = np.sin((2 * np.arange(601) + 1) * beta) ** 2
+    np.testing.assert_allclose(
+        two_state_populations(N, math.pi, 600), closed_form, rtol=0, atol=1e-12
+    )
 
 
 def test_predicted_rejects_negative_steps():
     with pytest.raises(ValueError, match=">= 0"):
-        predicted_population(9, -1, math.pi)
+        two_state_populations(9, math.pi, -1)
 
 
 def test_predicted_rejects_small_databases():
-    for k in (3, -1):  # N is checked first
+    for steps in (3, -1):  # N is checked first
         with pytest.raises(ValueError, match="N=1"):
-            predicted_population(1, k, math.pi)
+            two_state_populations(1, math.pi, steps)
 
 
 # ---- consistency with the full simulator ----------------------------------------
@@ -228,10 +229,10 @@ def test_two_state_model_matches_simulation(n):
             schedule=sched,
         )
         traj = run_search(cfg)
-        for k, pop in enumerate(traj.populations):
-            assert pop == pytest.approx(
-                predicted_population(N, k, sched.phi), abs=1e-9
-            )
+        np.testing.assert_allclose(
+            traj.populations, two_state_populations(N, sched.phi, sched.steps),
+            rtol=0, atol=1e-9,
+        )
 
 
 def test_determinism_guarantee_full_simulation():
