@@ -1,17 +1,15 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
-A run prepares a = F^(x)n |0...0> as the Kronecker power of F's first
-column (each level d strided passes, one per entry of the column),
-built inside the state's own buffer with at most two levels of 64 KiB
-or less beside it, then iterates the Grover step.  That state is also
-the diffusion axis, kept as its two Kronecker halves a = kron(head,
-tail) (F's first column to the floor(n/2)-th and ceil(n/2)-th power, at
-most d^ceil(n/2) entries each) and applied as a rank-1 update of the
-state viewed as the Fortran (tail.size x head.size) matrix S.  The
-update's only global quantity, the overlap <a|s>, is carried from step
-to step by its exact O(1) recurrence, so step k's update is
-S += c_k tail head^T with a coefficient c_k known without touching the
-state.
+A run starts on the diffusion axis a = F^(x)n |0...0>, kept as its two
+Kronecker halves a = kron(head, tail) (F's first column to the
+floor(n/2)-th and ceil(n/2)-th power, at most d^ceil(n/2) entries each).
+The start state is their outer product, written into the state's own
+buffer with nothing N-sized beside it, so each run starts exactly on
+its axis.  The diffusion is a rank-1 update of the state viewed as the
+Fortran (tail.size x head.size) matrix S.  The update's only global
+quantity, the overlap <a|s>, is carried from step to step by its exact
+O(1) recurrence, so step k's update is S += c_k tail head^T with a
+coefficient c_k known without touching the state.
 
 Searches that share a register, a schedule and F differ in their marked
 index only, so they share the axis too, and every search runs in a
@@ -62,14 +60,6 @@ OVERLAP_TOLERANCE = 1e-8
 # it buys, against the whole state and against runs one after another.
 _BLOCK_BYTES = 2 << 20
 
-# Largest prefix of a Kronecker power, in entries, that _kron_power copies
-# aside (64 KiB) to expand it in one chunk.  A level up to that size takes
-# d passes, as a build into a fresh array would, so small builds (a
-# sweep's 3^9 states) keep their call count; each chunk above it costs d
-# more numpy calls.
-_SCRATCH = 1 << 12
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One search experiment: geometry, target, schedule, and gate choices."""
@@ -114,50 +104,21 @@ def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
     return np.array(f.matrix[:, 0], dtype=np.complex128)
 
 
-def _kron_power(column: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """column^(x)k, multiplied left to right (ones(1) at k = 0), into ``out`` if given.
+def _kron_power(column: np.ndarray, k: int) -> np.ndarray:
+    """column^(x)k, multiplied left to right (ones(1) at k = 0).
 
-    If level k - 1 has more than _SCRATCH entries, it is built inside
-    ``out``, in its first d^(k-1) entries (by the same method), and then
-    expanded from the top down.  Each chunk expands the sources [hi/d, hi)
-    into the targets [hi, hi d), which lie past them, so no chunk writes an
-    entry that it or a later chunk reads, and numpy never buffers an
-    overlapping ``out``.  Once the remaining prefix has at most _SCRATCH
-    entries (64 KiB), it is copied once and expanded from the copy.  A
-    smaller level k - 1 is built in a fresh array, as that copy would be.
-    So the arrays beside ``out`` are levels of at most 64 KiB, two at a
-    time.  Each expansion forms the products np.multiply.outer(power,
-    column) would, power first, as d strided passes, one per entry b of
-    column: pass b writes power column[b] into every d-th target, from
-    offset b.  So numpy's inner loop runs as long as the chunk, not d
-    entries long.
+    Each level forms the products np.multiply.outer(power, column) would,
+    power first, as d strided passes, one per entry b of column: pass b
+    writes power column[b] into every d-th entry, from offset b.  So
+    numpy's inner loop runs as long as the power, not d entries long.
     """
-    if k < 2:
-        power = column if k else np.ones(1, dtype=np.complex128)
-        if out is None:
-            return power
-        np.copyto(out, power)
-        return out
-    d, hi = column.size, column.size ** (k - 1)
-    if out is None:
-        out = np.empty(hi * d, dtype=np.complex128)
-    if hi <= _SCRATCH:
-        power = _kron_power(column, k - 1)
-    else:
-        _kron_power(column, k - 1, out[:hi])
-        while hi > _SCRATCH:
-            _expand(out[hi // d:hi], column, out[hi:hi * d])
-            hi //= d
-        power = out[:hi].copy()
-    _expand(power, column, out[:hi * d])
-    return out
-
-
-def _expand(power: np.ndarray, column: np.ndarray, out: np.ndarray) -> None:
-    """out = np.multiply.outer(power, column).ravel(), as d strided passes."""
-    grid = out.reshape(power.size, column.size)
-    for b, entry in enumerate(column):
-        np.multiply(power, entry, out=grid[:, b])
+    power = column if k else np.ones(1, dtype=np.complex128)
+    for _ in range(k - 1):
+        grid = np.empty((power.size, column.size), dtype=np.complex128)
+        for b, entry in enumerate(column):
+            np.multiply(power, entry, out=grid[:, b])
+        power = grid.ravel()
+    return power
 
 
 def superposition_register(
@@ -165,20 +126,15 @@ def superposition_register(
 ) -> StateVector:
     """F^(x)n |0>: the equal-weight starting superposition.
 
-    Built as the Kronecker power of F's first column: each amplitude is the
-    same chain of complex products that n ``apply_local_gate`` passes on
-    |0...0> would form, in one O(N) pass instead of n.  For a real first
-    column (Householder, DFT) the two agree to the bit; for a complex one
-    they can differ in the last bits, because numpy's vectorized complex
-    multiply may fuse a multiply-add that the einsum loop rounds twice.
-    Each level of the power takes d strided passes, one per entry of the
-    column, and gives the same bits as a left-to-right chain of
-    np.multiply.outer.  The build runs inside the state's buffer, with at
-    most two levels of 64 KiB or less beside it (see _kron_power).
-    ``out``, if given, is a C-contiguous, writeable complex128 array of
-    shape (N,) (a run's slab of a stacked state): the power is built in
-    it, and it becomes the state's buffer.  Any other ``out`` raises
-    ValueError, since it could not be that buffer.
+    Built as np.multiply.outer(head, tail) of ``diffusion_axis``'s two
+    factors, one product per amplitude in one numpy call, so the state is
+    its axis to the bit.  Against n ``apply_local_gate`` passes on
+    |0...0> each amplitude can differ in the last bits, since the two
+    group the same n factors differently.  ``out``, if given, is a
+    C-contiguous, writeable complex128 array of shape (N,) (a run's slab
+    of a stacked state): the product is written into it, and it becomes
+    the state's buffer.  Any other ``out`` raises ValueError, since it
+    could not be that buffer.
     """
     if out is not None and not (
         out.dtype == np.complex128 and out.shape == (shape.N,)
@@ -187,7 +143,11 @@ def superposition_register(
         raise ValueError(
             f"out must be a C-contiguous, writeable complex128 array of shape ({shape.N},)"
         )
-    return StateVector(shape, _kron_power(_first_column(shape, f), shape.n, out))
+    head, tail = diffusion_axis(shape, f)
+    if out is None:
+        out = np.empty(shape.N, dtype=np.complex128)
+    np.multiply.outer(head, tail, out=out.reshape(head.size, tail.size))
+    return StateVector(shape, out)
 
 
 def diffusion_axis(shape: QuditShape, f: FGate) -> Axis:
@@ -260,8 +220,8 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     steps, phi = cfgs[0].schedule.steps, cfgs[0].schedule.phi
     axis = head, tail = diffusion_axis(shape, f)
     stack = np.empty(count * shape.N, dtype=np.complex128)
-    # per run: its state, built in place as the slab [r N, (r + 1) N) of the
-    # stack, and that state's amplitudes; its marked index m; conj(a_m),
+    # per run: its state, built as the slab [r N, (r + 1) N) of the stack,
+    # and that state's amplitudes; its marked index m; conj(a_m),
     # a_m = head_j tail_i with m = j * tail.size + i; and the populations
     # recorded so far
     runs = []

@@ -139,14 +139,23 @@ class PulseJob:
 
 
 def _checked_couplings(couplings) -> np.ndarray:
-    """couplings as a complex array; ValueError unless 1-D, finite and not all zero."""
+    """couplings as a complex array; ValueError unless 1-D, finite, not all
+    zero, and of a 2-norm that is a positive finite double, since the pulse
+    couples along couplings / norm."""
     couplings = np.asarray(couplings, dtype=np.complex128)
     if couplings.ndim != 1:
         raise ValueError(f"couplings must be 1-D, got shape {couplings.shape}")
     if not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite")
-    if np.linalg.norm(couplings) == 0.0:
-        raise ValueError("all couplings are zero")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(couplings)
+    if not 0.0 < norm < math.inf:
+        if not couplings.any():
+            raise ValueError("all couplings are zero")
+        raise ValueError(
+            "the couplings' 2-norm is not a positive finite double (it "
+            f"{'overflows to inf' if norm else 'underflows to 0'}); rescale them"
+        )
     return couplings
 
 
@@ -482,8 +491,8 @@ def extract_reflection(u: Propagator, couplings: np.ndarray) -> ReflectionFit:
     (2-norm of the ancilla row, which bounds every per-column |<c|U|k>|)
     is at or above 1e-4: the pulse did not return the population, e.g.
     the area is not a multiple of 2 pi or the window is too short.
-    Couplings that are not 1-D, not finite or all zero raise ValueError,
-    as in ``PulseJob``.
+    Couplings that are not 1-D, not finite, all zero or of a 2-norm that
+    overflows or underflows a double raise ValueError, as in ``PulseJob``.
     """
     couplings = _checked_couplings(couplings)
     d = couplings.size

@@ -20,8 +20,9 @@ A SearchSchedule derives beta and j from its N.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
+
+from .register import _integer
 
 # Longest run custom_schedule accepts.  run_search keeps one Python float per
 # step, about 32 MB at this cap, and writes nothing until the last step.  It
@@ -38,8 +39,9 @@ _MAX_RESOLVABLE_N = (2**53 / math.pi) ** 2
 
 @dataclass(frozen=True)
 class SearchSchedule:
-    """Iteration plan for N: a finite phase phi, an integral step count >= 0,
-    and beta = arcsin(1/sqrt(N)), j = floor(pi/(4 beta) + 1/2) derived from N."""
+    """Iteration plan for an integral N: a finite phase phi, an integral step
+    count >= 0, and beta = arcsin(1/sqrt(N)), j = floor(pi/(4 beta) + 1/2)
+    derived from N."""
 
     N: int
     beta: float = field(init=False)
@@ -49,10 +51,8 @@ class SearchSchedule:
     mode: str
 
     def __post_init__(self):
-        try:  # a numpy integer passes as an int, 2.5 steps fails
-            object.__setattr__(self, "steps", operator.index(self.steps))
-        except TypeError:
-            raise ValueError(f"step count must be an integer, got {self.steps!r}") from None
+        object.__setattr__(self, "N", _integer(self.N, "database size"))
+        object.__setattr__(self, "steps", _integer(self.steps, "step count"))
         if self.steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.steps}")
         if not math.isfinite(self.phi):
@@ -62,6 +62,7 @@ class SearchSchedule:
 
 
 def _beta(N: int) -> float:
+    N = _integer(N, "database size")
     if N < 2:
         raise ValueError(f"database size must be >= 2, got N={N}")
     try:

@@ -104,8 +104,9 @@ def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVecto
 def kron_power_outer(column: np.ndarray, k: int) -> np.ndarray:
     """column^(x)k as a left-to-right chain of np.multiply.outer (ones(1) at k = 0).
 
-    The reference the strided Kronecker build of ``superposition_register``
-    and ``diffusion_axis`` is checked against to the bit.
+    The reference the strided Kronecker build of ``diffusion_axis``'s
+    factors is checked against to the bit; ``superposition_register`` is
+    the outer product of those factors, so it needs no power of its own.
     """
     power = column if k else np.ones(1, dtype=np.complex128)
     for _ in range(k - 1):

@@ -428,10 +428,10 @@ GOLDEN_STDOUT = {
     "mode": "deterministic"
   },
   "trajectory": [
-    0.004115226337448573,
-    0.03527893368788929,
-    0.09564821804384405,
-    0.1814298552465309,
+    0.004115226337448571,
+    0.035278933687889286,
+    0.09564821804384402,
+    0.18142985524653088,
     0.2872338695477118,
     0.40641220560889807,
     0.5314764502681052,
@@ -510,13 +510,13 @@ marked,step,population
       "mode": "deterministic"
     },
     "trajectory": [
-      0.06249999999999996,
-      0.39708987614894653,
-      0.8143166273170375,
-      1.000000000000004
+      0.062499999999999944,
+      0.39708987614894664,
+      0.8143166273170379,
+      1.0000000000000044
     ],
     "peak_step": 3,
-    "peak_population": 1.000000000000004
+    "peak_population": 1.0000000000000044
   },
   {
     "marked": 7,

@@ -205,8 +205,8 @@ def test_norm_preserved_over_long_run():
 
 def test_run_search_holds_one_state_sized_array():
     # the axis is two factors of 729 entries, not a second N-sized vector;
-    # the state's Kronecker build runs inside its own buffer, with levels
-    # of at most 64 KiB beside it
+    # the start state is their outer product, written into its own buffer
+    # with nothing N-sized beside it
     cfg = config(3, 12, deterministic_schedule(3**12), marked=12345)
     run_search(cfg)  # zgeru is looked up on the first step, not in the trace
     tracemalloc.start()
@@ -222,8 +222,9 @@ def test_run_search_holds_one_state_sized_array():
 
 
 def test_superposition_register_builds_inside_its_buffer():
-    # every level above 64 KiB is built in the caller's buffer, so a 3^12
-    # build allocates a few small levels only, not the N/3-entry level below
+    # the outer product of the axis factors is written into the caller's
+    # buffer, so a 3^12 build allocates the two 729-entry factors and
+    # numpy's fixed ufunc buffer, nothing N-sized
     shape, f = QuditShape(3, 12), householder_f(3)
     buffer = np.empty(shape.N, dtype=np.complex128)
     tracemalloc.start()
@@ -308,13 +309,11 @@ def test_superposition_register_matches_local_gates(kind, d, n):
     for k in range(n):
         apply_local_gate(reference, f.matrix, k)
     kron = superposition_register(shape, f).amps
-    if np.all(f.matrix[:, 0].imag == 0):
-        # real first column: every product is exact to the bit
-        np.testing.assert_array_equal(kron, reference.amps)
-    else:
-        # numpy's vectorized complex multiply may fuse a multiply-add that
-        # einsum's scalar loop rounds twice, so the last bits can differ
-        np.testing.assert_allclose(kron, reference.amps, rtol=4 * np.finfo(float).eps, atol=0)
+    # the state is head times tail, the gates multiply factor by factor
+    # left to right: the same n factors grouped differently, and for a
+    # complex column numpy's vectorized multiply may fuse a multiply-add
+    # that einsum's scalar loop rounds twice, so the last bits can differ
+    np.testing.assert_allclose(kron, reference.amps, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_superposition_register_owns_its_amplitudes():
@@ -329,27 +328,27 @@ def test_superposition_register_owns_its_amplitudes():
 @pytest.mark.parametrize("kind", ["householder", "dft", "random:5"])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_kronecker_builds_match_outer_product_chain_to_the_bit(d, kind):
-    # the strided passes form every product np.multiply.outer forms, with the
-    # same operands in the same order, for every n with N <= 2^18: levels
-    # that expand a fresh power and levels built in chunks inside their own
-    # buffer, there a slab in the middle of a stack, as _run_stack passes it
+    # the axis factors' strided passes form every product np.multiply.outer
+    # forms, with the same operands in the same order, and the start state
+    # is the outer product of those factors, so every run starts exactly on
+    # its axis; for every n with N <= 2^18, fresh and in a slab in the
+    # middle of a stack, as _run_stack passes it
     f = make_f(d, kind)
     column = np.array(f.matrix[:, 0], dtype=np.complex128)
     n = 1
     while d**n <= 2**18:
         shape = QuditShape(d, n)
-        reference = kron_power_outer(column, n).tobytes()
+        head, tail = diffusion_axis(shape, f)
+        assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
+        assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
+        reference = np.multiply.outer(head, tail).ravel().tobytes()
         assert superposition_register(shape, f).amps.tobytes() == reference
         stack = np.full(3 * shape.N, np.nan, dtype=np.complex128)
         slab = stack[shape.N:2 * shape.N]
         state = superposition_register(shape, f, out=slab)
         assert state.amps is slab and slab.tobytes() == reference
         assert np.isnan(stack[:shape.N]).all() and np.isnan(stack[2 * shape.N:]).all()
-        head, tail = diffusion_axis(shape, f)
-        assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
-        assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
         n += 1
-    assert d ** (n - 2) > engine._SCRATCH  # the top level was built in chunks
 
 
 @pytest.mark.parametrize("out", ["strided", "complex64", "read-only", "too short", "2-D"])

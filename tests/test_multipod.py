@@ -469,7 +469,7 @@ def test_pulse_bits_do_not_depend_on_blas_threads():
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
 @pytest.mark.parametrize("delta_t", [0.0, 2.0, 30.0])
 @pytest.mark.parametrize("d", [2, 8, 16])
-def test_subblock_budget_does_not_move_the_bits(monkeypatch, d, delta_t, shape):
+def test_block_budget_keeps_the_step_count_and_the_tolerance(monkeypatch, d, delta_t, shape):
     # The byte budget sets the block, and each block takes its own Taylor
     # degree, so the budget moves the matrix by rounding, within the
     # tolerance, but never the step count.  The budgets: the shipped one
@@ -595,6 +595,25 @@ def test_extract_shape_check():
 def test_extract_refuses_couplings_a_pulse_job_refuses(couplings, message):
     # these used to give phase = residual = nan (with a RuntimeWarning) or
     # numpy's gufunc error, instead of PulseJob's ValueError
+    with pytest.raises(ValueError, match=message):
+        extract_reflection(propagate(sech_job(3, 0.0)), couplings)
+    with pytest.raises(ValueError, match=message):
+        PulseJob(couplings, 0.0, TWO_PI)
+
+
+@pytest.mark.parametrize(
+    "couplings, message",
+    [
+        (np.full(3, 1e200), "overflows to inf"),
+        (np.array([1e-170, 1e-170, 2e-170]), "underflows to 0"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_couplings_whose_norm_is_not_a_positive_finite_double_are_refused(couplings, message):
+    # an overflowing norm used to be accepted: the pulse then coupled along
+    # couplings / inf = 0, and extract_reflection fit a perfect reflection
+    # behind numpy's overflow warning; an underflowing one was called all zero
+    message = "2-norm is not a positive finite double .*" + message
     with pytest.raises(ValueError, match=message):
         extract_reflection(propagate(sech_job(3, 0.0)), couplings)
     with pytest.raises(ValueError, match=message):

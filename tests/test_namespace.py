@@ -21,7 +21,7 @@ def test_readme_api_example_runs_in_a_fresh_namespace(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["0.9999999999999849", "12"]
+    assert lines[:2] == ["0.9999999999999845", "12"]
 
 
 def readme_cli_commands():

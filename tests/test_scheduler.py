@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -124,6 +125,30 @@ def test_custom_schedule_refuses_non_integral_steps():
         sched = custom_schedule(27, 1.0, steps)
         assert sched.steps == 3 and type(sched.steps) is int
         assert SearchSchedule(27, 1.0, steps, "x").steps == 3
+
+
+SCHEDULE_BUILDS = {
+    "deterministic": deterministic_schedule,
+    "canonical": canonical_schedule,
+    "custom": lambda N: custom_schedule(N, 1.0, 12),
+    "SearchSchedule": lambda N: SearchSchedule(N, 1.0, 12, "x"),
+}
+
+
+@pytest.mark.parametrize("N", [2.5, 243.0, math.inf, np.int64(243), np.uint16(243)],
+                         ids=["2.5", "243.0", "inf", "int64", "uint16"])
+@pytest.mark.parametrize("build", list(SCHEDULE_BUILDS))
+def test_schedule_reads_the_database_size_as_an_integer(build, N):
+    # a float N is no database size (2.5 got a schedule, inf a
+    # ZeroDivisionError or OverflowError); a numpy integer becomes an int,
+    # so the schedule serializes as JSON
+    if isinstance(N, float):
+        with pytest.raises(ValueError, match="database size must be an integer"):
+            SCHEDULE_BUILDS[build](N)
+    else:
+        sched = SCHEDULE_BUILDS[build](N)
+        assert sched.N == 243 and type(sched.N) is int
+        assert json.loads(json.dumps(dataclasses.asdict(sched)))["N"] == 243
 
 
 def test_step_index_past_double_precision_is_value_error():
