@@ -1,8 +1,8 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
 A run starts on the diffusion axis a = F^(x)n |0...0>, kept as its two
-Kronecker halves a = kron(head, tail) (F's first column to the
-floor(n/2)-th and ceil(n/2)-th power, at most d^ceil(n/2) entries each).
+Kronecker halves a = kron(head, tail), chains of np.multiply.outer over
+F's first column to the floor(n/2)-th and ceil(n/2)-th power.
 The start state is their outer product, written into the state's own
 buffer with nothing N-sized beside it, so each run starts exactly on
 its axis.  The diffusion is a rank-1 update of the state viewed as the
@@ -37,6 +37,7 @@ number a run computes is the same on any number of BLAS threads.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -97,30 +98,6 @@ class Trajectory:
         return float(self.populations[self.peak_step])
 
 
-def _first_column(shape: QuditShape, f: FGate) -> np.ndarray:
-    """F's first column as a fresh complex128 array (one a state may own)."""
-    if f.matrix.shape != (shape.d, shape.d):
-        raise ValueError(f"gate has shape {f.matrix.shape}, expected ({shape.d}, {shape.d})")
-    return np.array(f.matrix[:, 0], dtype=np.complex128)
-
-
-def _kron_power(column: np.ndarray, k: int) -> np.ndarray:
-    """column^(x)k, multiplied left to right (ones(1) at k = 0).
-
-    Each level forms the products np.multiply.outer(power, column) would,
-    power first, as d strided passes, one per entry b of column: pass b
-    writes power column[b] into every d-th entry, from offset b.  So
-    numpy's inner loop runs as long as the power, not d entries long.
-    """
-    power = column if k else np.ones(1, dtype=np.complex128)
-    for _ in range(k - 1):
-        grid = np.empty((power.size, column.size), dtype=np.complex128)
-        for b, entry in enumerate(column):
-            np.multiply(power, entry, out=grid[:, b])
-        power = grid.ravel()
-    return power
-
-
 def superposition_register(
     shape: QuditShape, f: FGate, out: np.ndarray | None = None
 ) -> StateVector:
@@ -155,10 +132,16 @@ def diffusion_axis(shape: QuditShape, f: FGate) -> Axis:
 
     tail is F's first column to the ceil(n/2)-th Kronecker power and head to
     the floor(n/2)-th (ones(1) at n = 1), so neither has more than
-    d^ceil(n/2) entries.
+    d^ceil(n/2) entries; each is np.multiply.outer chained left to right
+    from ones(1) over the column.  A gate that is not d x d raises ValueError.
     """
-    column = _first_column(shape, f)
-    return _kron_power(column, shape.n // 2), _kron_power(column, shape.n - shape.n // 2)
+    if f.matrix.shape != (shape.d, shape.d):
+        raise ValueError(f"gate has shape {f.matrix.shape}, expected ({shape.d}, {shape.d})")
+    column = f.matrix[:, 0]
+    return tuple(
+        functools.reduce(np.multiply.outer, [column] * k, np.ones(1, np.complex128)).ravel()
+        for k in (shape.n // 2, shape.n - shape.n // 2)
+    )
 
 
 def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:

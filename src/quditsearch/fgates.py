@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .reflections import unitarity_defect
+from .register import _integer
 
 # Largest d that make_f builds.  F is a dense d x d complex matrix and its
 # check costs O(d^3): on a 2-core Xeon VM, validate-f --f dft took 1.3 s
@@ -61,6 +62,7 @@ def coupling_design(d: int) -> np.ndarray:
 
     Omega_0 = sqrt((1 - 1/sqrt(d))/2), Omega_{k!=0} = sqrt(1/(2(d - sqrt(d)))).
     """
+    d = _integer(d, "level count d")
     if d < 2:
         raise ValueError(f"coupling design needs d >= 2, got d={d}")
     sd = np.sqrt(d)
@@ -83,6 +85,7 @@ def householder_f(d: int) -> FGate:
 
 def dft(d: int) -> FGate:
     """Unitary discrete Fourier transform, entries exp(2i pi jk/d)/sqrt(d)."""
+    d = _integer(d, "level count d")
     if d < 2:
         raise ValueError(f"dft needs d >= 2, got d={d}")
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
@@ -98,10 +101,10 @@ def random_phase_f(d: int, seed: int) -> FGate:
     the remaining columns vary.  The generator is numpy's PCG64, so a
     given 64-bit seed reproduces the same matrix on any platform.
     """
+    householder = householder_f(d).matrix  # refuses a d that is not an integer first
     rng = np.random.default_rng(int(seed))
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=d)
-    matrix = householder_f(d).matrix * np.exp(1j * thetas)[np.newaxis, :]
-    return FGate(matrix)
+    return FGate(householder * np.exp(1j * thetas)[np.newaxis, :])
 
 
 def validate_f(f: FGate) -> FValidation:

@@ -68,15 +68,15 @@ def solve_ivp(*args, **kwargs):
 
 
 # shape -> (unit-peak envelope of dimensionless time, elementwise on arrays,
-# its integral, and the base of propagate's first-grid guess); every
-# envelope is even in t, which propagate's half-window product relies on.
-# A detuned 2 pi sech pulse is accepted at 256 steps where a Gaussian of the
-# same A Delta T is accepted at 128, hence the larger sech base; at 200 a
-# weak sech pulse of A Delta T = 3.2 and area 3.5, accepted at 128, would
-# start at 256.
+# its integral, and the base and area coefficient of propagate's first-grid
+# guess); every envelope is even in t, which propagate's half-window product
+# relies on.  A 2 pi sech pulse at Delta T = 0.5 is accepted at 256 steps
+# and a weak one at Delta T = -0.92, area 3.65 at 128, at a larger A Delta T;
+# the area tells them apart.  For a Gaussian an area term would start pulses
+# of Delta T 1.8, area 7.9 above the 128 steps they are accepted at.
 _ENVELOPES = {
-    "sech": (lambda t: 1.0 / np.cosh(t), math.pi, 192.0),
-    "gaussian": (lambda t: np.exp(-t * t), math.sqrt(math.pi), 128.0),
+    "sech": (lambda t: 1.0 / np.cosh(t), math.pi, (192.0, 1.25)),
+    "gaussian": (lambda t: np.exp(-t * t), math.sqrt(math.pi), (128.0, 0.0)),
 }
 PULSE_SHAPES = tuple(_ENVELOPES)
 
@@ -434,12 +434,14 @@ def propagate(job: PulseJob) -> Propagator:
     (``_expm``), multiplied by a pairwise tree (``_ordered_product``) and
     folded into V (``_half_window``), so V_M depends only on the job and M.
     The grid has M steps, a power of two, first
-    2^floor(log2(b + 32 sqrt|A Delta T|)) steps, with b = 192 for a sech
-    pulse and 128 for a Gaussian (``_ENVELOPES``): 128 for a resonant
-    pulse, where H_r commutes with itself and only the quadrature of f is
-    approximated.  V_M is accepted when |V_M - V_{M/2}| / 63, an estimate
-    of its largest entry error since the scheme's error falls as M^-6, is
-    at most MAGNUS_TOL = 2e-12; otherwise M doubles.  A 2 pi sech pulse at
+    2^floor(log2(b + 32 sqrt|A Delta T| + c min(|A|, 4 |A Delta T|))) steps,
+    with b = 192 and c = 1.25 for a sech pulse and b = 128 and c = 0 for a
+    Gaussian (``_ENVELOPES``): 128 for a resonant pulse, where H_r commutes
+    with itself and only the quadrature of f is approximated, and 256 for
+    a 2 pi sech pulse at Delta T = 0.5.  V_M is accepted when
+    |V_M - V_{M/2}| / 63, an estimate of its largest entry error since the
+    scheme's error falls as M^-6, is at most MAGNUS_TOL = 2e-12; otherwise
+    M doubles.  A 2 pi sech pulse at
     d = 3 takes 128 steps at Delta T = 0, 256 at Delta T = 2, 512 at 10
     and 4096 at 100.  Past MAX_MAGNUS_STEPS it raises RuntimeError.  All
     d+1 levels are integrated: the gauge rephases basis states by
@@ -448,8 +450,10 @@ def propagate(job: PulseJob) -> Propagator:
     """
     gauge, coupling, detuning = _gauged_terms(job)
     basis = _commutator_basis(coupling, detuning)
-    base = _ENVELOPES[job.shape][2]
-    steps = 2 ** int(math.log2(base + 32.0 * math.sqrt(abs(job.rms_area * job.detuning))))
+    base, per_area = _ENVELOPES[job.shape][2]
+    product = abs(job.rms_area * job.detuning)
+    guess = base + 32.0 * math.sqrt(product) + per_area * min(abs(job.rms_area), 4.0 * product)
+    steps = 2 ** int(math.log2(guess))
     coarse = _half_window(basis, job.shape, steps // 2)
     while True:
         half = _half_window(basis, job.shape, steps)

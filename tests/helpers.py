@@ -1,6 +1,7 @@
 """Reference helpers the tests share; the package itself does not need them."""
 
 import ctypes
+import functools
 import math
 import os
 import subprocess
@@ -102,16 +103,14 @@ def diffusion_via_gates(s: StateVector, f: np.ndarray, phi: float) -> StateVecto
 
 
 def kron_power_outer(column: np.ndarray, k: int) -> np.ndarray:
-    """column^(x)k as a left-to-right chain of np.multiply.outer (ones(1) at k = 0).
+    """column^(x)k as a left-to-right chain of np.kron from ones(1) (ones(1) at k = 0).
 
-    The reference the strided Kronecker build of ``diffusion_axis``'s
-    factors is checked against to the bit; ``superposition_register`` is
-    the outer product of those factors, so it needs no power of its own.
+    The reference ``diffusion_axis``'s outer-product chains are checked
+    against to the bit: np.kron forms each product a_i b_j the same way,
+    by its own code; ``superposition_register`` is the outer product of
+    those factors, so it needs no power of its own.
     """
-    power = column if k else np.ones(1, dtype=np.complex128)
-    for _ in range(k - 1):
-        power = np.multiply.outer(power, column).ravel()
-    return power
+    return functools.reduce(np.kron, [column] * k, np.ones(1, dtype=np.complex128))
 
 
 def dense_grover_matrix(cfg: ExperimentConfig) -> np.ndarray:

@@ -446,7 +446,7 @@ GOLDEN_STDOUT = {
   "peak_population": 0.9999999999999845
 }
 """,
-    # the README's pulse example and the input box's hardest pulse (8192 steps)
+    # the README's pulse example
     ("pulse-check", "--d", "3", "--deltaT", "0.5", "--format", "json"): """\
 {
   "d": 3,
@@ -459,6 +459,20 @@ GOLDEN_STDOUT = {
   "leakage": 7.3284156728403035e-09
 }
 """,
+    # a 2 pi sech pulse that propagate starts at the 256 steps it is accepted at
+    ("pulse-check", "--d", "8", "--deltaT", "0.5", "--format", "json"): """\
+{
+  "d": 8,
+  "shape": "sech",
+  "deltaT": 0.5,
+  "area": 6.283185307179586,
+  "extracted_phi": 2.2142974355881253,
+  "analytic_phi": 2.214297435588181,
+  "residual": 1.570389276233363e-14,
+  "leakage": 7.328416106913231e-09
+}
+""",
+    # the input box's hardest pulse (8192 steps)
     ("pulse-check", "--d", "16", "--deltaT", "100", "--area", "999.0264638415542",
      "--format", "json"): """\
 {

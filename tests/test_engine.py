@@ -16,7 +16,7 @@ from quditsearch.engine import (
     superposition_register,
 )
 from quditsearch.fgates import FGate, dft, householder_f, make_f, validate_f
-from quditsearch.register import BasisIndex, QuditShape, population, _squared_norm
+from quditsearch.register import MAX_STATES, BasisIndex, QuditShape, population, _squared_norm
 from quditsearch.reflections import apply_local_gate, grover_step, oracle
 from quditsearch.scheduler import (
     canonical_schedule,
@@ -326,15 +326,22 @@ def test_superposition_register_owns_its_amplitudes():
 
 
 @pytest.mark.parametrize("kind", ["householder", "dft", "random:5"])
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", [*range(2, 9), 16])
 def test_kronecker_builds_match_outer_product_chain_to_the_bit(d, kind):
-    # the axis factors' strided passes form every product np.multiply.outer
+    # the axis factors' outer-product chains form every product np.kron
     # forms, with the same operands in the same order, and the start state
     # is the outer product of those factors, so every run starts exactly on
     # its axis; for every n with N <= 2^18, fresh and in a slab in the
-    # middle of a stack, as _run_stack passes it
+    # middle of a stack, as _run_stack passes it, and the factors alone at
+    # the largest n QuditShape allows (d = 2: n = 30, d = 16: n = 7)
     f = make_f(d, kind)
     column = np.array(f.matrix[:, 0], dtype=np.complex128)
+    n = 1
+    while d ** (n + 1) <= MAX_STATES:
+        n += 1
+    head, tail = diffusion_axis(QuditShape(d, n), f)
+    assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
+    assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
     n = 1
     while d**n <= 2**18:
         shape = QuditShape(d, n)

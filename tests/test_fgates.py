@@ -171,6 +171,24 @@ def test_make_f_refuses_a_gate_above_the_limit(kind):
         make_f(MAX_GATE_D + 1, kind)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("d", [2.5, 3.0])
+def test_make_f_reads_d_as_an_integer(d, kind):
+    # np.arange(2.5) made a 3 x 3 dft of column moduli 1/sqrt(2.5), and 3.0
+    # failed in numpy with a TypeError that did not name d
+    with pytest.raises(ValueError, match=f"level count d must be an integer, got {d}"):
+        make_f(d, kind)
+
+
+@pytest.mark.parametrize("build", [coupling_design, dft, householder_f])
+def test_f_constructors_read_d_as_an_integer(build):
+    with pytest.raises(ValueError, match="level count d must be an integer, got 3.0"):
+        build(3.0)
+    # a numpy integer is an integer: the same gate, bit for bit
+    built, reference = build(np.int64(3)), build(3)
+    assert getattr(built, "matrix", built).tobytes() == getattr(reference, "matrix", reference).tobytes()
+
+
 def test_fgate_matrix_is_immutable():
     f = householder_f(3)
     with pytest.raises(ValueError):

@@ -447,6 +447,39 @@ def test_propagator_depends_only_on_the_job_and_its_step_count(job, steps):
     assert prop.error_estimate.hex() == (float(np.max(np.abs(fine - coarse))) / 63.0).hex()
 
 
+# the pulse workload's propagated jobs, and two weak sech pulses that do not
+# return their population, accepted at 128 steps at an |A Delta T| above
+# that of the 2 pi sech pulse at Delta T = 0.5, which is accepted at 256
+FIRST_GRID_JOBS = [
+    *(pytest.param(sech_job(d, delta_t), id=f"sech-{d}-{delta_t}")
+      for d in (2, 3, 5, 8) for delta_t in (0.0, 0.5, 1.0, 2.0)),
+    *(pytest.param(PulseJob(coupling_design(d), 0.0, TWO_PI, shape="gaussian"), id=f"gaussian-{d}")
+      for d in (2, 3, 5, 8)),
+    pytest.param(sech_job(10, -0.917, 3.48), id="weak-sech-10"),
+    pytest.param(sech_job(9, -0.920, 3.65), id="weak-sech-9"),
+]
+
+
+@pytest.mark.parametrize("job", FIRST_GRID_JOBS)
+def test_first_grid_guess_starts_no_higher_than_the_grid_doubling_accepts(job):
+    # propagate's round from 128 steps (coarse grid 64), doubled until
+    # accepted; a first guess above the accepted grid skips it and returns
+    # a finer V and another estimate
+    gauge, coupling, detuning = _gauged_terms(job)
+    basis = _commutator_basis(coupling, detuning)
+    steps, coarse = 128, _half_window(basis, job.shape, 64)
+    while True:
+        half = _half_window(basis, job.shape, steps)
+        estimate = float(np.max(np.abs(half - coarse))) / 63.0
+        if estimate <= multipod.MAGNUS_TOL:
+            break
+        coarse, steps = half, 2 * steps
+    prop = propagate(job)
+    assert prop.steps == steps
+    assert prop.matrix.tobytes() == (gauge[:, None] * (half @ half.T) * gauge.conj()).tobytes()
+    assert prop.error_estimate.hex() == estimate.hex()
+
+
 PULSE_BITS = """
 import hashlib
 import math
@@ -677,6 +710,11 @@ def test_pulse_synthesized_gate_matches_closed_form(d):
     assert report.passed
     assert report.deviation < 1e-5
     assert report.fit.leakage < 1e-6
+
+
+def test_verify_f_pulse_reads_d_as_an_integer():
+    with pytest.raises(ValueError, match="level count d must be an integer, got 3.0"):
+        verify_f_pulse(3.0)
 
 
 def test_pulse_gate_report_passes_iff_deviation_is_below_1e_5():
