@@ -1,8 +1,10 @@
 """Full search runs: initialization, iteration, trajectory recording.
 
-A run starts on the diffusion axis a = F^(x)n |0...0>, kept as its two
-Kronecker halves a = kron(head, tail), chains of np.multiply.outer over
-F's first column to the floor(n/2)-th and ceil(n/2)-th power.
+A run reads F only through its first column (``fgates.f_column`` for a
+tag; no d x d gate is built).  It starts on the diffusion axis a =
+F^(x)n |0...0>, kept as its two Kronecker halves a = kron(head, tail),
+chains of np.multiply.outer over that column to the floor(n/2)-th and
+ceil(n/2)-th power.
 The start state is their outer product, written into the state's own
 buffer with nothing N-sized beside it, so each run starts exactly on
 its axis.  The diffusion is a rank-1 update of the state viewed as the
@@ -44,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reflections
-from .fgates import FGate, f_constructor, make_f, validate_f
-# apply_local_gate and grover_step are unused here but kept importable under
-# these names: the benchmark tracer (benchmark/run.py) wraps both in this module.
+from .fgates import FGate, f_column, f_constructor, validate_f
+# make_f, apply_local_gate and grover_step are unused here but kept importable
+# under these names: the benchmark tracer (benchmark/run.py) wraps them in this module.
+from .fgates import make_f  # noqa: F401
 from .reflections import Axis, apply_local_gate, axis_overlap, grover_step  # noqa: F401
 from .register import BasisIndex, QuditShape, StateVector, population, _squared_norm
 from .scheduler import SearchSchedule
@@ -98,56 +101,48 @@ class Trajectory:
         return float(self.populations[self.peak_step])
 
 
-def superposition_register(
-    shape: QuditShape, f: FGate, out: np.ndarray | None = None
-) -> StateVector:
-    """F^(x)n |0>: the equal-weight starting superposition.
+def superposition_register(shape: QuditShape, axis: Axis, out: np.ndarray) -> StateVector:
+    """F^(x)n |0>, the equal-weight starting superposition, built in ``out``.
 
-    Built as np.multiply.outer(head, tail) of ``diffusion_axis``'s two
-    factors, one product per amplitude in one numpy call, so the state is
-    its axis to the bit.  Against n ``apply_local_gate`` passes on
-    |0...0> each amplitude can differ in the last bits, since the two
-    group the same n factors differently.  ``out``, if given, is a
-    C-contiguous, writeable complex128 array of shape (N,) (a run's slab
-    of a stacked state): the product is written into it, and it becomes
-    the state's buffer.  Any other ``out`` raises ValueError, since it
-    could not be that buffer.
+    The state is np.multiply.outer(head, tail) of ``diffusion_axis``'s
+    pair ``axis``, one product per amplitude in one numpy call, so it is
+    its axis to the bit.  Against n ``apply_local_gate`` passes on |0...0>
+    each amplitude can differ in the last bits, since the two group the
+    same n factors differently.  ``out`` is a C-contiguous, writeable
+    complex128 array of shape (N,) (a run's slab of a stacked state): the
+    product is written into it, and it becomes the state's buffer.  Any
+    other ``out`` raises ValueError, since it could not be that buffer.
     """
-    if out is not None and not (
+    if not (
         out.dtype == np.complex128 and out.shape == (shape.N,)
         and out.flags.c_contiguous and out.flags.writeable
     ):
         raise ValueError(
             f"out must be a C-contiguous, writeable complex128 array of shape ({shape.N},)"
         )
-    head, tail = diffusion_axis(shape, f)
-    if out is None:
-        out = np.empty(shape.N, dtype=np.complex128)
+    head, tail = axis
     np.multiply.outer(head, tail, out=out.reshape(head.size, tail.size))
     return StateVector(shape, out)
 
 
-def diffusion_axis(shape: QuditShape, f: FGate) -> Axis:
+def diffusion_axis(shape: QuditShape, column: np.ndarray) -> Axis:
     """F^(x)n |0> as the pair (head, tail) with F^(x)n |0> = kron(head, tail).
 
-    tail is F's first column to the ceil(n/2)-th Kronecker power and head to
-    the floor(n/2)-th (ones(1) at n = 1), so neither has more than
-    d^ceil(n/2) entries; each is np.multiply.outer chained left to right
-    from ones(1) over the column.  A gate that is not d x d raises ValueError.
+    ``column`` is F's first column (d entries).  tail is its ceil(n/2)-th
+    Kronecker power and head its floor(n/2)-th (ones(1) at n = 1), so
+    neither has more than d^ceil(n/2) entries; each is np.multiply.outer
+    chained left to right from ones(1) over the column.
     """
-    if f.matrix.shape != (shape.d, shape.d):
-        raise ValueError(f"gate has shape {f.matrix.shape}, expected ({shape.d}, {shape.d})")
-    column = f.matrix[:, 0]
     return tuple(
         functools.reduce(np.multiply.outer, [column] * k, np.ones(1, np.complex128)).ravel()
         for k in (shape.n // 2, shape.n - shape.n // 2)
     )
 
 
-def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:
-    """The explicit gate if given (it must meet the F contract), else cfg.f_kind."""
+def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> np.ndarray:
+    """F's first column: the explicit gate's (d x d, meeting the F contract), else cfg.f_kind's."""
     if f_gate is None:
-        return make_f(cfg.shape.d, cfg.f_kind)
+        return f_column(cfg.shape.d, cfg.f_kind)
     report = validate_f(f_gate)
     if not report.passed:
         raise ValueError(
@@ -155,7 +150,10 @@ def _resolve_f(cfg: ExperimentConfig, f_gate: FGate | None) -> FGate:
             f"{report.unitarity_defect:.3e}, first-column deviation "
             f"{report.column_deviation:.3e}"
         )
-    return f_gate
+    d = cfg.shape.d
+    if f_gate.matrix.shape != (d, d):
+        raise ValueError(f"gate has shape {f_gate.matrix.shape}, expected ({d}, {d})")
+    return f_gate.matrix[:, 0]
 
 
 def run_search(cfg: ExperimentConfig, f_gate: FGate | None = None) -> Trajectory:
@@ -191,17 +189,17 @@ def run_searches(
                 "run_searches needs one shape, schedule and f_kind for every "
                 "config; they may differ in the marked index only"
             )
-    f = _resolve_f(first, f_gate)
+    column = _resolve_f(first, f_gate)
     size = max(1, _BLOCK_BYTES // (16 * first.shape.N))
     return [traj for start in range(0, len(cfgs), size)
-            for traj in _run_stack(cfgs[start:start + size], f)]
+            for traj in _run_stack(cfgs[start:start + size], column)]
 
 
-def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
+def _run_stack(cfgs: list[ExperimentConfig], column: np.ndarray) -> list[Trajectory]:
     """The searches of ``cfgs`` as one stacked state (see the module docstring)."""
     shape, count = cfgs[0].shape, len(cfgs)
     steps, phi = cfgs[0].schedule.steps, cfgs[0].schedule.phi
-    axis = head, tail = diffusion_axis(shape, f)
+    axis = head, tail = diffusion_axis(shape, column)
     stack = np.empty(count * shape.N, dtype=np.complex128)
     # per run: its state, built as the slab [r N, (r + 1) N) of the stack,
     # and that state's amplitudes; its marked index m; conj(a_m),
@@ -209,7 +207,7 @@ def _run_stack(cfgs: list[ExperimentConfig], f: FGate) -> list[Trajectory]:
     # recorded so far
     runs = []
     for r, cfg in enumerate(cfgs):
-        state = superposition_register(shape, f, stack[r * shape.N:(r + 1) * shape.N])
+        state = superposition_register(shape, axis, stack[r * shape.N:(r + 1) * shape.N])
         m = cfg.marked.flat
         runs.append((state, state.amps, m,
                      (head.item(m // tail.size) * tail.item(m % tail.size)).conjugate(), []))

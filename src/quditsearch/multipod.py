@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ class PulseJob:
     detuning and the pulse width T.  Every pulse spans the fixed window
     [-T_MAX, T_MAX] = [-20, 20] in units of T.  |detuning| is at most
     MAX_DETUNING = 100, |rms_area| at most MAX_RMS_AREA = 1000, and the
-    number of qudit levels d at most MAX_PULSE_D = 16.
+    number of qudit levels d at most MAX_PULSE_D = 16; both numbers are real floats.
     """
 
     couplings: np.ndarray
@@ -120,22 +121,23 @@ class PulseJob:
         object.__setattr__(self, "couplings", _checked_couplings(self.couplings))
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"pulse shape {self.shape!r} not in {PULSE_SHAPES}")
-        if not np.all(np.isfinite((self.detuning, self.rms_area))):
-            raise ValueError("pulse detuning and area must be finite")
-        if abs(self.detuning) > MAX_DETUNING:
-            raise ValueError(
-                f"|detuning| {abs(self.detuning):g} exceeds the limit {MAX_DETUNING:g}"
-            )
-        if abs(self.rms_area) > MAX_RMS_AREA:
-            raise ValueError(
-                f"|rms_area| {abs(self.rms_area):g} exceeds the limit {MAX_RMS_AREA:g}"
-            )
+        object.__setattr__(self, "detuning", _bounded(self.detuning, "detuning", MAX_DETUNING))
+        object.__setattr__(self, "rms_area", _bounded(self.rms_area, "rms_area", MAX_RMS_AREA))
         if self.d > MAX_PULSE_D:
             raise ValueError(f"d {self.d} exceeds the limit {MAX_PULSE_D}")
 
     @property
     def d(self) -> int:
         return self.couplings.size
+
+
+def _bounded(value, name: str, limit: float) -> float:
+    """value as a float; ValueError naming ``name`` unless a finite real within limit."""
+    if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf):
+        raise ValueError(f"pulse {name} must be a finite real number, got {value!r}")
+    if abs(value) > limit:
+        raise ValueError(f"|{name}| {abs(value):g} exceeds the limit {limit:g}")
+    return float(value)
 
 
 def _checked_couplings(couplings) -> np.ndarray:
@@ -267,10 +269,8 @@ def _commutator_basis(coupling: np.ndarray, detuning: np.ndarray) -> np.ndarray:
     return _real_form(stacked, np.empty((len(stacked), 2 * n, 2 * n)))
 
 
-def _magnus_generators(
-    basis: np.ndarray, coefficients: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Real forms of the order-6 Magnus generators of a stack of steps, in out or fresh.
+def _magnus_generators(basis: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Real forms of the order-6 Magnus generators of a stack of steps, in out.
 
     basis is ``_commutator_basis`` of the pulse's C and D, coefficients
     rows of ``_grid_coefficients``.  With A = -iH the scheme is (Blanes,
@@ -289,8 +289,6 @@ def _magnus_generators(
     with 11 real coefficients per step, and the whole stack is one
     (steps, 11) @ (11, 4 n^2) matmul.
     """
-    if out is None:
-        out = np.empty((len(coefficients),) + basis.shape[1:])
     np.matmul(coefficients, basis.reshape(len(basis), -1), out=out.reshape(len(out), -1))
     return out
 
@@ -306,7 +304,7 @@ def _one_norm(real_form: np.ndarray, scratch: np.ndarray) -> float:
     return float(np.abs(real_form[..., :n], out=scratch[: len(real_form)]).sum(axis=-2).max())
 
 
-def _expm(real_form: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _expm(real_form: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Stacked exponentials of a stack of real forms, by a Horner Taylor series.
 
     The degree is the lowest whose remainder bound theta^(m+1)/(m+1)! is
@@ -314,11 +312,10 @@ def _expm(real_form: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     stack is scaled by 2^-s first and the result squared s times.  The
     input is overwritten: scaled in place, then each squaring's real form.
     The Horner terms alternate between the halves of out, a (2, >= count,
-    2n, n) buffer that every block reuses (fresh if None), and the result
-    is a view of it.
+    2n, n) buffer that every block reuses, and the result is a view of it.
     """
     count, n = real_form.shape[0], real_form.shape[-1] // 2
-    result, scratch = np.empty((2, count, 2 * n, n)) if out is None else out[:, :count]
+    result, scratch = out[:, :count]
     theta = _one_norm(real_form, result)
     squarings = math.ceil(math.log2(theta / 0.5)) if theta > 0.5 else 0
     if squarings:
@@ -527,9 +524,9 @@ def analytic_sech_phase(delta_t: float, rms_area: float = 2.0 * math.pi) -> floa
     phi_k = k pi - 2 sum_{j=1..k} arctan(Delta T / (2j - 1)) with
     k = round(|rms_area| / 2 pi), reduced to (-pi, pi]: the Rosen-Zener
     sech model (Phys. Rev. 40, 502 (1932)).  At area 2 pi this is
-    pi - 2 arctan(Delta T).
+    pi - 2 arctan(Delta T).  An area that ``PulseJob`` refuses raises its ValueError.
     """
-    k = round(abs(rms_area) / (2.0 * math.pi))
+    k = round(abs(_bounded(rms_area, "rms_area", MAX_RMS_AREA)) / (2.0 * math.pi))
     phase = k * math.pi - 2.0 * sum(math.atan(delta_t / (2 * j - 1)) for j in range(1, k + 1))
     return wrap_phase(phase)
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import quditsearch
-from quditsearch.engine import ExperimentConfig, diffusion_axis
-from quditsearch.fgates import make_f
+from quditsearch.engine import ExperimentConfig, diffusion_axis, superposition_register
+from quditsearch.fgates import FGate, f_column
 from quditsearch import reflections
 from quditsearch.multipod import _ENVELOPES, _GAUSS_NODES, _magnus_grid
 from quditsearch.reflections import apply_local_gate, grover_step, oracle, unitarity_defect
@@ -29,6 +29,16 @@ def config(d, n, schedule, marked=0, **kw) -> ExperimentConfig:
         schedule=schedule,
         **kw,
     )
+
+
+def axis_of(shape: QuditShape, f: FGate) -> reflections.Axis:
+    """``diffusion_axis`` of the gate's first column, as a run with this gate builds it."""
+    return diffusion_axis(shape, f.matrix[:, 0])
+
+
+def start_state(shape: QuditShape, f: FGate) -> StateVector:
+    """F^(x)n |0> in a buffer of its own, as a run's ``superposition_register`` builds it."""
+    return superposition_register(shape, axis_of(shape, f), np.empty(shape.N, np.complex128))
 
 
 def basis_state(shape: QuditShape, flat: int) -> StateVector:
@@ -118,7 +128,7 @@ def dense_grover_matrix(cfg: ExperimentConfig) -> np.ndarray:
     N = cfg.shape.N
     if N > 1024:
         raise ValueError(f"dense matrix limited to N <= 1024, got N={N}")
-    axis = diffusion_axis(cfg.shape, make_f(cfg.shape.d, cfg.f_kind))
+    axis = diffusion_axis(cfg.shape, f_column(cfg.shape.d, cfg.f_kind))
     matrix = np.zeros((N, N), dtype=np.complex128)
     for col in range(N):
         state = basis_state(cfg.shape, col)
@@ -136,9 +146,9 @@ def run_fresh(*args, timeout=60, env=None, **kw):
     )
 
 
-def run_python(code, **env):
+def run_python(code, timeout=60, **env):
     """Run code in a fresh interpreter on this package; its stdout."""
-    proc = run_fresh("-c", code, env=env)
+    proc = run_fresh("-c", code, timeout=timeout, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

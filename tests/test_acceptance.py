@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditsearch.engine import run_search, superposition_register
+from quditsearch.engine import run_search
 from quditsearch.fgates import coupling_design, make_f, validate_f
 from quditsearch.multipod import (
     PulseJob,
@@ -26,7 +26,14 @@ from quditsearch.scheduler import (
     deterministic_schedule,
 )
 
-from helpers import config, dense_grover_matrix, hadamard, phase_distance, two_state_populations
+from helpers import (
+    config,
+    dense_grover_matrix,
+    hadamard,
+    phase_distance,
+    start_state,
+    two_state_populations,
+)
 
 
 def report(criterion: int, message: str) -> None:
@@ -88,7 +95,7 @@ def test_criterion_4_dense_oracle_equivalence():
         g = dense_grover_matrix(cfg)
         assert np.max(np.abs(g.conj().T @ g - np.eye(N))) < 1e-10
         traj = run_search(cfg)
-        v = superposition_register(cfg.shape, make_f(d, "householder")).amps
+        v = start_state(cfg.shape, make_f(d, "householder")).amps
         for k in range(1, 13):
             v = g @ v
             diff = abs(abs(v[N // 2]) ** 2 - traj.populations[k])
@@ -131,7 +138,7 @@ def test_criterion_6_f_contract():
     worst_reg = 0.0
     for n in range(1, 6):
         shape = QuditShape(3, n)
-        s = superposition_register(shape, make_f(3, "householder"))
+        s = start_state(shape, make_f(3, "householder"))
         dev = float(np.max(np.abs(np.abs(s.amps) - shape.N**-0.5)))
         worst_reg = max(worst_reg, dev)
         assert dev < 1e-12

@@ -338,6 +338,23 @@ def test_search_refuses_too_many_custom_steps_fast():
     assert proc.stderr.startswith("error:") and "<= 1000000" in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_search_at_the_largest_d_builds_no_gate():
+    # a tag resolves to F's first column, so a search never builds the dense
+    # d x d gate: 256 MiB at d = 4096, where the run peaked at 414 MiB RSS
+    # for a 64 KiB state.  The peak is VmHWM, the process's own high-water
+    # mark: ru_maxrss keeps the parent's across fork and exec
+    probe = ("import sys; from quditsearch.cli import main; "
+             "code = main(['search', '--d', '4096', '--n', '1']); "
+             "peak = [line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('VmHWM:')]; "
+             "print(code, *peak, file=sys.stderr)")
+    proc = run_fresh("-c", probe)
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0 and proc.stdout.startswith("step,population\n0,0.000244140625\n")
+    assert peak_kib < 64 << 10, f"search peaked at {peak_kib / 1024:.1f} MiB RSS"
+
+
 def cap_address_space():
     limit = 4 << 30  # 4 GiB: a failed allocation, never a host out of memory
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

@@ -15,7 +15,7 @@ from quditsearch.engine import (
     run_search,
     superposition_register,
 )
-from quditsearch.fgates import FGate, dft, householder_f, make_f, validate_f
+from quditsearch.fgates import FGate, dft, f_column, householder_f, make_f, validate_f
 from quditsearch.register import MAX_STATES, BasisIndex, QuditShape, population, _squared_norm
 from quditsearch.reflections import apply_local_gate, grover_step, oracle
 from quditsearch.scheduler import (
@@ -25,11 +25,13 @@ from quditsearch.scheduler import (
 )
 
 from helpers import (
+    axis_of,
     basis_state,
     config,
     dense_grover_matrix,
     diffusion_via_gates,
     kron_power_outer,
+    start_state,
     two_state_populations,
 )
 
@@ -144,7 +146,7 @@ def test_matrix_power_trajectory_matches_kernel(phi_mode):
         sched = custom_schedule(81, deterministic_schedule(81).phi, 12)
     cfg = config(3, 4, sched, marked=17)
     g = dense_grover_matrix(cfg)
-    v = superposition_register(shape, householder_f(3)).amps
+    v = start_state(shape, householder_f(3)).amps
     traj = run_search(cfg)
     for k in range(1, 13):
         v = g @ v
@@ -174,7 +176,7 @@ def test_diffusion_path_equivalence():
     sched = deterministic_schedule(27)
     direct = run_search(config(3, 3, sched, marked=11))
     f = householder_f(3)
-    state = superposition_register(QuditShape(3, 3), f)
+    state = start_state(QuditShape(3, 3), f)
     gates = [population(state, 11)]
     for _ in range(sched.steps):
         oracle(state, 11, sched.phi)
@@ -196,8 +198,8 @@ def test_trajectory_invariant_across_f_kinds():
 def test_norm_preserved_over_long_run():
     shape = QuditShape(3, 5)
     sched = deterministic_schedule(243)
-    state = superposition_register(shape, householder_f(3))
-    axis = diffusion_axis(shape, householder_f(3))
+    state = start_state(shape, householder_f(3))
+    axis = axis_of(shape, householder_f(3))
     for _ in range(100):
         grover_step(state, 100, sched.phi, axis)
     assert abs(state.norm() - 1.0) < 1e-9
@@ -221,15 +223,30 @@ def test_run_search_holds_one_state_sized_array():
     )
 
 
-def test_superposition_register_builds_inside_its_buffer():
-    # the outer product of the axis factors is written into the caller's
-    # buffer, so a 3^12 build allocates the two 729-entry factors and
-    # numpy's fixed ufunc buffer, nothing N-sized
-    shape, f = QuditShape(3, 12), householder_f(3)
-    buffer = np.empty(shape.N, dtype=np.complex128)
+def test_tagged_search_builds_no_gate_sized_array():
+    # a tag resolves to F's first column: at d = 4096 the dense gate alone
+    # would be 256 MiB, the column and the state are 64 KiB each
+    cfg = config(4096, 1, deterministic_schedule(4096), marked=4000)
+    run_search(cfg)  # zgeru is looked up on the first step, not in the trace
     tracemalloc.start()
     try:
-        superposition_register(shape, f, buffer)
+        traj = run_search(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.peak_population >= 1 - 1e-9
+    assert peak < 1 << 20, f"run_search peaked at {peak / 1024:.0f} KiB"
+
+
+def test_superposition_register_builds_inside_its_buffer():
+    # the outer product of the axis factors is written into the caller's
+    # buffer, so a 3^12 build allocates numpy's fixed ufunc buffer at most,
+    # nothing N-sized
+    shape = QuditShape(3, 12)
+    axis, buffer = axis_of(shape, householder_f(3)), np.empty(shape.N, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        superposition_register(shape, axis, buffer)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -240,7 +257,8 @@ def test_pulse_style_custom_gate_override():
     # run_search accepts an explicit gate in place of the f_kind tag
     cfg = config(3, 3, deterministic_schedule(27), marked=2)
     base = run_search(cfg, f_gate=householder_f(3))
-    np.testing.assert_allclose(base.populations, run_search(cfg).populations, atol=1e-12)
+    # the tag's column is the gate's to the bit, so the run is too
+    np.testing.assert_array_equal(base.populations, run_search(cfg).populations)
     alt = run_search(cfg, f_gate=dft(3))
     np.testing.assert_allclose(base.populations, alt.populations, atol=1e-9)
 
@@ -296,7 +314,7 @@ def test_unknown_f_kind_rejected_at_construction():
 def test_superposition_register_equal_moduli():
     for n in range(1, 6):
         shape = QuditShape(3, n)
-        s = superposition_register(shape, householder_f(3))
+        s = start_state(shape, householder_f(3))
         np.testing.assert_allclose(np.abs(s.amps), shape.N**-0.5, atol=1e-12)
 
 
@@ -308,7 +326,7 @@ def test_superposition_register_matches_local_gates(kind, d, n):
     reference = basis_state(shape, 0)
     for k in range(n):
         apply_local_gate(reference, f.matrix, k)
-    kron = superposition_register(shape, f).amps
+    kron = start_state(shape, f).amps
     # the state is head times tail, the gates multiply factor by factor
     # left to right: the same n factors grouped differently, and for a
     # complex column numpy's vectorized multiply may fuse a multiply-add
@@ -317,10 +335,12 @@ def test_superposition_register_matches_local_gates(kind, d, n):
 
 
 def test_superposition_register_owns_its_amplitudes():
-    # n = 1 is F's first column itself; the state must not alias the gate
-    f = householder_f(3)
-    before = f.matrix.copy()
-    s = superposition_register(QuditShape(3, 1), f)
+    # n = 1 is F's first column itself; the state is its out buffer, not
+    # the gate's column
+    f, shape = householder_f(3), QuditShape(3, 1)
+    before, out = f.matrix.copy(), np.empty(3, dtype=np.complex128)
+    s = superposition_register(shape, axis_of(shape, f), out)
+    assert s.amps is out and s.amps.tobytes() == before[:, 0].tobytes()
     s.amps[:] = 0
     np.testing.assert_array_equal(f.matrix, before)
 
@@ -331,28 +351,28 @@ def test_kronecker_builds_match_outer_product_chain_to_the_bit(d, kind):
     # the axis factors' outer-product chains form every product np.kron
     # forms, with the same operands in the same order, and the start state
     # is the outer product of those factors, so every run starts exactly on
-    # its axis; for every n with N <= 2^18, fresh and in a slab in the
-    # middle of a stack, as _run_stack passes it, and the factors alone at
-    # the largest n QuditShape allows (d = 2: n = 30, d = 16: n = 7)
-    f = make_f(d, kind)
-    column = np.array(f.matrix[:, 0], dtype=np.complex128)
+    # its axis; for every n with N <= 2^18, in a slab in the middle of a
+    # stack, as _run_stack passes it, and the factors alone at the largest
+    # n QuditShape allows (d = 2: n = 30, d = 16: n = 7); the reference
+    # reads the gate's column, the axis the tag's
+    column = np.array(make_f(d, kind).matrix[:, 0], dtype=np.complex128)
+    tagged = f_column(d, kind)
     n = 1
     while d ** (n + 1) <= MAX_STATES:
         n += 1
-    head, tail = diffusion_axis(QuditShape(d, n), f)
+    head, tail = diffusion_axis(QuditShape(d, n), tagged)
     assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
     assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
     n = 1
     while d**n <= 2**18:
         shape = QuditShape(d, n)
-        head, tail = diffusion_axis(shape, f)
+        axis = head, tail = diffusion_axis(shape, tagged)
         assert head.tobytes() == kron_power_outer(column, n // 2).tobytes()
         assert tail.tobytes() == kron_power_outer(column, n - n // 2).tobytes()
         reference = np.multiply.outer(head, tail).ravel().tobytes()
-        assert superposition_register(shape, f).amps.tobytes() == reference
         stack = np.full(3 * shape.N, np.nan, dtype=np.complex128)
         slab = stack[shape.N:2 * shape.N]
-        state = superposition_register(shape, f, out=slab)
+        state = superposition_register(shape, axis, slab)
         assert state.amps is slab and slab.tobytes() == reference
         assert np.isnan(stack[:shape.N]).all() and np.isnan(stack[2 * shape.N:]).all()
         n += 1
@@ -371,7 +391,7 @@ def test_superposition_register_refuses_an_out_it_cannot_own(out):
     }[out]
     buffer.flags.writeable = out != "read-only"
     with pytest.raises(ValueError, match="C-contiguous, writeable complex128 array of shape"):
-        superposition_register(shape, householder_f(3), out=buffer)
+        superposition_register(shape, axis_of(shape, householder_f(3)), buffer)
     assert not buffer.any()
 
 
@@ -419,8 +439,7 @@ def test_carried_overlap_tracks_measured_over_long_run(gate, monkeypatch):
     monkeypatch.setattr(engine, "OVERLAP_TOLERANCE", 1e-11)
     traj = run_search(cfg, f_gate=f)
     # reference: the overlap measured with zgemv and zdotc in every step
-    state = superposition_register(cfg.shape, f)
-    axis = diffusion_axis(cfg.shape, f)
+    state, axis = start_state(cfg.shape, f), axis_of(cfg.shape, f)
     reference = [population(state, marked)]
     for _ in range(steps):
         grover_step(state, marked, phi, axis)
@@ -483,8 +502,8 @@ def stepwise_search(cfg, f):
     """The untiled loop: every step a grover_step over the whole state, with
     the overlap carried as run_search carries it; (populations, final amplitudes)."""
     marked, phi = cfg.marked.flat, cfg.schedule.phi
-    state = superposition_register(cfg.shape, f)
-    axis = head, tail = diffusion_axis(cfg.shape, f)
+    state = start_state(cfg.shape, f)
+    axis = head, tail = axis_of(cfg.shape, f)
     kick = complex(np.exp(1j * phi)) - 1.0
     norm2 = _squared_norm(head) * _squared_norm(tail)
     axis_m = (head[marked // tail.size] * tail[marked % tail.size]).conjugate()
@@ -601,6 +620,31 @@ def test_stacked_runs_match_one_run_at_a_time_to_the_bit(d, n, kind, stack, monk
         assert len(traj.populations) == steps + 1
         np.testing.assert_array_equal(traj.populations, reference.populations)
         np.testing.assert_array_equal(final, reference_amps)
+
+
+def test_each_stack_builds_its_axis_once(monkeypatch):
+    # 8 runs at 3^9 are stacks of 6 and 2: two axes, one per stack, and one
+    # register per run, built from its stack's axis
+    shape = QuditShape(3, 9)
+    cfgs = [config(3, 9, deterministic_schedule(shape.N), marked=m, f_kind="random:5")
+            for m in (17, 1000, 2500, 7777, 9999, 12345, 15000, 19682)]
+    axes, registers = [], []
+    build_axis, build_register = engine.diffusion_axis, engine.superposition_register
+
+    def counted_axis(*args):
+        axes.append(build_axis(*args))
+        return axes[-1]
+
+    def counted_register(shape, axis, out):
+        registers.append(axis)
+        return build_register(shape, axis, out)
+
+    monkeypatch.setattr(engine, "diffusion_axis", counted_axis)
+    monkeypatch.setattr(engine, "superposition_register", counted_register)
+    assert all(t.peak_population >= 1 - 1e-9 for t in engine.run_searches(cfgs))
+    assert len(axes) == 2 and len(registers) == 8
+    assert all(axis is axes[0] for axis in registers[:6])
+    assert all(axis is axes[1] for axis in registers[6:])
 
 
 def test_stacked_runs_share_one_buffer_per_stack(monkeypatch):

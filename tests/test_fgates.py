@@ -9,13 +9,16 @@ from quditsearch.fgates import (
     FValidation,
     coupling_design,
     dft,
+    f_column,
     householder_f,
     make_f,
     random_phase_f,
     validate_f,
 )
 
-from helpers import hadamard
+from quditsearch.scheduler import deterministic_schedule
+
+from helpers import config, hadamard
 
 ALL_KINDS = ["householder", "dft", "random:7"]
 
@@ -161,23 +164,51 @@ def test_make_f_parses_random_seed():
 
 
 def test_make_f_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown F kind"):
-        make_f(3, "haar")
+    for build in (make_f, f_column):
+        with pytest.raises(ValueError, match="unknown F kind"):
+            build(3, "haar")
+        # None raised an AttributeError from its missing startswith
+        with pytest.raises(ValueError, match="unknown F kind None"):
+            build(3, None)
+    with pytest.raises(ValueError, match="unknown F kind None"):
+        config(3, 2, deterministic_schedule(9), f_kind=None)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_make_f_refuses_a_gate_above_the_limit(kind):
-    with pytest.raises(ValueError, match=f"d {MAX_GATE_D + 1} exceeds the limit {MAX_GATE_D}"):
-        make_f(MAX_GATE_D + 1, kind)
+    for build in (make_f, f_column):
+        with pytest.raises(ValueError, match=f"d {MAX_GATE_D + 1} exceeds the limit {MAX_GATE_D}"):
+            build(MAX_GATE_D + 1, kind)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("d", [2.5, 3.0])
+@pytest.mark.parametrize("d", [2.5, 3.0, "3", None])
 def test_make_f_reads_d_as_an_integer(d, kind):
-    # np.arange(2.5) made a 3 x 3 dft of column moduli 1/sqrt(2.5), and 3.0
-    # failed in numpy with a TypeError that did not name d
-    with pytest.raises(ValueError, match=f"level count d must be an integer, got {d}"):
-        make_f(d, kind)
+    # np.arange(2.5) made a 3 x 3 dft of column moduli 1/sqrt(2.5), 3.0
+    # failed in numpy with a TypeError that did not name d, and "3" and
+    # None failed with a TypeError from the comparison with MAX_GATE_D
+    for build in (make_f, f_column):
+        with pytest.raises(ValueError, match=f"level count d must be an integer, got {d!r}"):
+            build(d, kind)
+
+
+@pytest.mark.parametrize("kind", ["householder", "dft", "random:3", "random:5", "random:11",
+                                  "random:2147483647"])
+def test_f_column_is_the_gates_first_column_to_the_bit(kind):
+    # the same floating-point operations on the first column's d entries:
+    # every golden search output rests on this equality
+    for d in [*range(2, 65), 1000, MAX_GATE_D]:
+        column, matrix = f_column(d, kind), make_f(d, kind).matrix
+        assert column.dtype == np.complex128 and column.shape == (d,)
+        assert column.tobytes() == matrix[:, 0].tobytes(), d
+
+
+def test_f_column_refuses_what_make_f_refuses():
+    for d, kind in [(1, "dft"), (1, "householder"), (0, "random:3")]:
+        with pytest.raises(ValueError, match="needs d >= 2"):
+            f_column(d, kind)
+    with pytest.raises(ValueError, match="random:SEED needs an integer seed"):
+        f_column(3, "random:-1")
 
 
 @pytest.mark.parametrize("build", [coupling_design, dft, householder_f])

@@ -58,6 +58,11 @@ def complex_couplings(d, seed):
     return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
+def generators_of(basis, coefficients):
+    """_magnus_generators of the coefficient rows, in a buffer of their own."""
+    return _magnus_generators(basis, coefficients, np.empty((len(coefficients),) + basis.shape[1:]))
+
+
 def dark_space(couplings):
     """Orthonormal columns D with <c|H|D> ~ conj(u) . D = 0: the dark states."""
     return null_space(couplings.conj()[np.newaxis])
@@ -89,6 +94,20 @@ def test_pulse_job_validation():
         with pytest.raises(ValueError, match=limit):
             PulseJob(**kw)
     PulseJob(couplings=np.ones(MAX_PULSE_D), detuning=-MAX_DETUNING, rms_area=MAX_RMS_AREA)
+    # a complex area was integrated by its real part, and a complex detuning
+    # failed inside propagate with a TypeError; both are refused by name
+    for name, value in (
+        ("rms_area", TWO_PI + 3j),
+        ("rms_area", np.complex128(TWO_PI)),
+        ("detuning", 0.5 + 0j),
+        ("detuning", "0.5"),
+    ):
+        kw = {"couplings": np.ones(3), "detuning": 0.0, "rms_area": TWO_PI, name: value}
+        with pytest.raises(ValueError, match=f"pulse {name} must be a finite real number"):
+            PulseJob(**kw)
+    job = PulseJob(couplings=np.ones(3), detuning=np.float32(0.5), rms_area=np.int64(7))
+    assert (job.detuning, job.rms_area) == (0.5, 7.0)
+    assert type(job.detuning) is float and type(job.rms_area) is float
 
 
 @pytest.mark.parametrize("couplings", [np.ones((2, 2)), np.ones((1, 3)), 1.0])
@@ -278,7 +297,7 @@ def assert_generators_match_reference(coupling, detuning):
         h, f = grid_nodes(shape, 64)
         sym, anti = magnus_generators(h, f[..., None, None] * coupling + detuning)
         reference = np.block([[anti, sym], [-sym, anti]])
-        generators = _magnus_generators(basis, _grid_coefficients(shape, 64))
+        generators = generators_of(basis, _grid_coefficients(shape, 64))
         error = np.max(np.abs(generators - reference))
         assert error <= 1e-13 * np.max(np.abs(reference)), (shape, error)
 
@@ -348,7 +367,7 @@ def test_real_form_generators_match_stacked_reference(d, shape):
     assert np.array_equal(basis, real_form(stacked))
     for steps in (64, 4096):
         reference = real_form(stacked_magnus_generators(stacked, *grid_nodes(shape, steps)))
-        generators = _magnus_generators(basis, _grid_coefficients(shape, steps))
+        generators = generators_of(basis, _grid_coefficients(shape, steps))
         assert np.max(np.abs(generators - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
@@ -411,7 +430,7 @@ def test_expm_matches_scipy(theta, squarings):
     norms = np.abs(stacked).sum(axis=-2).max(axis=-1)
     stacked *= theta / norms.max()
     assert math.ceil(math.log2(max(theta, 0.5) / 0.5)) == squarings
-    result = _expm(real_form(stacked))
+    result = _expm(real_form(stacked), np.empty((2, count, 2 * n, n)))
     reference = expm(complex_of(stacked))
     error = np.max(np.abs(complex_of(result) - reference))
     assert error <= 1e-13 * np.max(np.abs(reference))
@@ -533,8 +552,9 @@ def test_half_window_folds_its_blocks_in_grid_order():
     n = job.d + 1
     v = np.concatenate([np.eye(n), np.zeros((n, n))])
     for lo in range(0, 256, 32):
-        generators = _magnus_generators(basis, table[lo : lo + 32])
-        block = _ordered_product(_expm(generators), np.empty((16, 2 * n, 2 * n)))
+        generators = generators_of(basis, table[lo : lo + 32])
+        exps = _expm(generators, np.empty((2, 32, 2 * n, n)))
+        block = _ordered_product(exps, np.empty((16, 2 * n, 2 * n)))
         v = real_form(block) @ v
     assert _half_window(basis, job.shape, 256).tobytes() == (v[:n] + 1j * v[n:]).tobytes()
 
@@ -662,6 +682,23 @@ def test_analytic_phase_values():
     values = [analytic_sech_phase(x) for x in np.linspace(0, 50, 200)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert analytic_sech_phase(1e6) < 1e-5
+
+
+@pytest.mark.parametrize("area", ["1e300", "math.inf", "-math.inf", "math.nan", "-1000.5"])
+def test_analytic_phase_refuses_an_area_pulse_job_refuses(area):
+    # 1e300 summed about 1.6e299 arctangents and inf overflowed; a fresh
+    # interpreter with a timeout, so a hanging sum fails the test
+    probe = f"""
+import math
+from quditsearch.multipod import PulseJob, analytic_sech_phase
+for call in (lambda: analytic_sech_phase(0.5, {area}), lambda: PulseJob([1.0], 0.5, {area})):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+    phase_error, job_error = run_python(probe, timeout=10).splitlines()
+    assert phase_error == job_error and "rms_area" in phase_error
 
 
 @pytest.mark.parametrize("delta_t", [0.0, 0.3, 0.5, 1.0, 2.0, 5.0])

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quditsearch import engine, reflections
-from quditsearch.engine import (
-    diffusion_axis,
-    run_search,
-    run_searches,
-    superposition_register,
-)
+from quditsearch.engine import run_search, run_searches
 from quditsearch.fgates import householder_f
 from quditsearch.register import QuditShape, StateVector
 from quditsearch.reflections import (
@@ -28,12 +23,14 @@ from quditsearch.reflections import (
 from quditsearch.scheduler import deterministic_schedule
 
 from helpers import (
+    axis_of,
     basis_state,
     copy_state,
     diffusion_via_gates,
     hadamard,
     needs_numpys_zgeru,
     run_python,
+    start_state,
 )
 
 
@@ -357,8 +354,8 @@ def test_grover_step_zero_phases_is_identity():
 def test_grover_step_allocates_under_one_mebibyte():
     # the overlap and the in-place update make no N-sized temporary
     shape = QuditShape(3, 12)
-    axis = diffusion_axis(shape, householder_f(3))
-    s = superposition_register(shape, householder_f(3))
+    axis = axis_of(shape, householder_f(3))
+    s = start_state(shape, householder_f(3))
     grover_step(s, 12345, 2.0, axis)
     tracemalloc.start()
     try:

@@ -10,9 +10,8 @@ from quditsearch.engine import (
     diffusion_axis,
     run_search,
     run_searches,
-    superposition_register,
 )
-from quditsearch.fgates import householder_f, make_f
+from quditsearch.fgates import f_column, householder_f, make_f
 from quditsearch.register import (
     BasisIndex,
     QuditShape,
@@ -23,7 +22,7 @@ from quditsearch.register import (
 from quditsearch.reflections import axis_overlap, diffusion_direct
 from quditsearch.scheduler import deterministic_schedule
 
-from helpers import basis_state, config, inner_product, run_python
+from helpers import basis_state, config, inner_product, run_python, start_state
 
 
 def test_shape_validation():
@@ -220,10 +219,12 @@ def _random_state(shape: QuditShape, seed: int) -> StateVector:
 
 NORM_BITS = """
 import numpy as np
-from quditsearch.engine import superposition_register
-from quditsearch.fgates import make_f
+from quditsearch.engine import diffusion_axis, superposition_register
+from quditsearch.fgates import f_column
 from quditsearch.register import QuditShape, StateVector
-start = superposition_register(QuditShape(3, 12), make_f(3, "householder"))
+shape = QuditShape(3, 12)
+axis = diffusion_axis(shape, f_column(3, "householder"))
+start = superposition_register(shape, axis, np.empty(shape.N, np.complex128))
 small = QuditShape(3, 9)
 stack = np.random.default_rng(3).standard_normal(6 * small.N).view(np.complex128)
 slab = StateVector(small, stack[small.N:2 * small.N])  # run 1 of a stack of 3
@@ -246,7 +247,7 @@ def test_norm_is_within_two_ulp_of_the_exact_sum(n, seed):
     if seed is None:
         # the Householder start: np.linalg.norm read 1.0000000000003162 here
         # on two BLAS threads, 3.2e-13 off
-        s = superposition_register(shape, make_f(3, "householder"))
+        s = start_state(shape, make_f(3, "householder"))
     else:
         s = _random_state(shape, seed)
     exact_square = math.fsum(np.square(s.amps.view(np.float64)).tolist())
@@ -273,21 +274,26 @@ OVERLAP_BITS = """
 import hashlib
 import numpy as np
 from quditsearch.engine import diffusion_axis, superposition_register
-from quditsearch.fgates import make_f
+from quditsearch.fgates import f_column
 from quditsearch.reflections import axis_overlap, grover_step
 from quditsearch.register import QuditShape, StateVector
 def show(overlap):
     print(overlap.real.hex(), overlap.imag.hex())
+def start(shape, axis):
+    return superposition_register(shape, axis, np.empty(shape.N, np.complex128))
 for d, n in ((3, 8), (3, 12), (2, 16)):
-    shape, f = QuditShape(d, n), make_f(d, "random:5")
+    shape = QuditShape(d, n)
+    axis = diffusion_axis(shape, f_column(d, "random:5"))
     noise = np.random.default_rng(n).standard_normal(2 * shape.N).view(np.complex128)
-    show(axis_overlap(StateVector(shape, noise), diffusion_axis(shape, f)))
-    show(axis_overlap(superposition_register(shape, f), diffusion_axis(shape, f)))
-small, f = QuditShape(3, 9), make_f(3, "random:5")
+    show(axis_overlap(StateVector(shape, noise), axis))
+    show(axis_overlap(start(shape, axis), axis))
+small = QuditShape(3, 9)
 stack = np.random.default_rng(3).standard_normal(6 * small.N).view(np.complex128)
-show(axis_overlap(StateVector(small, stack[small.N:2 * small.N]), diffusion_axis(small, f)))
-shape, f = QuditShape(3, 8), make_f(3, "random:5")
-state, axis = superposition_register(shape, f), diffusion_axis(shape, f)
+show(axis_overlap(StateVector(small, stack[small.N:2 * small.N]),
+                  diffusion_axis(small, f_column(3, "random:5"))))
+shape = QuditShape(3, 8)
+axis = diffusion_axis(shape, f_column(3, "random:5"))
+state = start(shape, axis)
 for _ in range(12):
     grover_step(state, 1000, 2.0, axis)  # the overlap measured by axis_overlap each step
 print(hashlib.sha256(state.amps.tobytes()).hexdigest())
@@ -306,7 +312,7 @@ def test_overlap_bits_do_not_depend_on_blas_threads():
 def test_overlap_is_within_its_error_bound_of_the_exact_sum(n):
     shape = QuditShape(3, n)
     s = _random_state(shape, n)
-    head, tail = axis = diffusion_axis(shape, make_f(3, "random:5"))
+    head, tail = axis = diffusion_axis(shape, f_column(3, "random:5"))
     chi = np.kron(head, tail)
     terms = chi.conj() * s.amps  # each within a few ulp of the exact product
     exact = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
@@ -317,7 +323,7 @@ def test_overlap_is_within_its_error_bound_of_the_exact_sum(n):
 def test_overlap_allocates_no_state_sized_temporary():
     shape = QuditShape(3, 12)
     s = _random_state(shape, 4)  # 8.1 MiB
-    head, tail = axis = diffusion_axis(shape, make_f(3, "random:5"))
+    head, tail = axis = diffusion_axis(shape, f_column(3, "random:5"))
     tracemalloc.start()
     try:
         axis_overlap(s, axis)
